@@ -146,7 +146,9 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--test", help="test triple file (tsv)")
     parser.add_argument("--config", help="JSON file with option defaults")
     parser.add_argument("--threads", type=int, default=None,
-                        help=f"worker threads (or ${THREADS_ENV})")
+                        help=f"worker threads (or ${THREADS_ENV}) for "
+                             "validation during training and for evaluate; "
+                             "fit-domains runs serially")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -222,7 +224,6 @@ def cmd_fit_domains(args: argparse.Namespace) -> int:
         diag_floor=opts.get("diag_floor", ellipsoid.DIAG_FLOOR),
         seed=opts.get("seed", 0),
     )
-    threads = _default_threads(args, os.cpu_count() or 1)
 
     def on_domain(relation, side, n_members, mean_score):
         if mean_score is None:
@@ -235,7 +236,7 @@ def cmd_fit_domains(args: argparse.Namespace) -> int:
     domain_model = domains.fit_all_domains(
         graph, model, config, min_members=opts.get("min_members",
                                                    domains.MIN_MEMBERS),
-        threads=threads, on_domain=on_domain)
+        on_domain=on_domain)
     with _atomic_output(args.out) as tmp:
         domains.save_domains(domain_model, tmp)
     log.info("wrote %d ellipsoids (%d skipped) to %s",
@@ -290,17 +291,20 @@ def cmd_predict(args: argparse.Namespace) -> int:
     domain_model = domains.load_domains(args.domains) if args.domains else None
 
     relation = _resolve_label(args.relation, graph.relations, "relation")
-    side = data.TAIL if args.tail is None else data.HEAD
     if args.head is not None:
-        fixed = _resolve_label(args.head, graph.entities, "entity")
-        base = models.score_all(model, relation, head=fixed)
+        side = data.TAIL
+        anchor = {"head": _resolve_label(args.head, graph.entities, "entity")}
     else:
-        fixed = _resolve_label(args.tail, graph.entities, "entity")
-        base = models.score_all(model, relation, tail=fixed)
+        side = data.HEAD
+        anchor = {"tail": _resolve_label(args.tail, graph.entities, "entity")}
+    # the open slot is projected once, for the scores and the penalties
+    projected = models.project_all(model, relation, side)
+    base = models.score_all(model, relation, projected=projected, **anchor)
 
     pens = None
     if domain_model is not None:
-        pens = domains.penalties_all(domain_model, model, relation, side)
+        pens = domains.penalties_all(domain_model, model, relation, side,
+                                     projected=projected)
     combined = base if pens is None else base + pens
 
     top = min(args.top, graph.n_entities)

@@ -15,15 +15,16 @@ stored and checked on use.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import HEAD, TAIL, KnowledgeGraph, extract_domains
-from .ellipsoid import Ellipsoid, FitConfig, fit, score_test, scores_test
+from .ellipsoid import (Ellipsoid, FitConfig, fit, score_test, scores_test,
+                        scores_train)
 from .errors import ConfigurationError, FormatError, StaleDomainModelError
-from .models import EmbeddingModel, project_all, project_entity
+from .models import (EmbeddingModel, project_all, project_entities,
+                     project_entity)
 
 DOMAIN_MAGIC = "DREDOM"
 DOMAIN_VERSION = "v1"
@@ -58,16 +59,20 @@ def _domain_seed(base: int, relation: int, flag: int) -> int:
     return int(np.random.SeedSequence((base, relation, flag)).generate_state(1)[0])
 
 
+def _domain_order(key: tuple[int, str]) -> tuple[int, int]:
+    return key[0], _SIDE_FLAGS[key[1]]
+
+
 def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
                     config: FitConfig | None = None,
                     min_members: int = MIN_MEMBERS,
-                    threads: int = 1, on_domain=None) -> DomainModel:
+                    on_domain=None) -> DomainModel:
     """Fit ellipsoids for every training domain with enough members.
 
-    ``on_domain(relation, side, n_members, mean_score)`` is called as
-    each fit finishes (mean_score is None for skipped domains). Fits are
-    independent, so ``threads`` > 1 runs them concurrently; results do
-    not depend on scheduling.
+    Domains are visited in (relation, side) order. ``on_domain(relation,
+    side, n_members, mean_score)`` is called as each domain is done:
+    after its fit, with the mean training score of its members at the
+    fitted surface, or at once with None when it is skipped.
     """
     config = config or FitConfig()
     if model.n_entities != graph.n_entities \
@@ -75,40 +80,23 @@ def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
         raise ConfigurationError("model entity/relation counts do not match "
                                  "the graph")
     domains = extract_domains(graph)
-    todo = []
-    skipped = []
-    for key in sorted(domains, key=lambda k: (k[0], _SIDE_FLAGS[k[1]])):
-        if len(domains[key].members) >= min_members:
-            todo.append(key)
-        else:
-            skipped.append(key)
-            if on_domain is not None:
-                on_domain(key[0], key[1], len(domains[key].members), None)
-
-    def fit_one(key: tuple[int, str]) -> tuple[tuple[int, str], Ellipsoid, float]:
-        relation, side = key
-        members = np.array(domains[key].members, dtype=np.int64)
-        points = project_all(model, relation, side)[members]
-        cfg = replace(config, seed=_domain_seed(config.seed, relation,
-                                                _SIDE_FLAGS[side]))
-        final_mean = [np.nan]
-
-        def track(epoch, ell, mean_score):
-            final_mean[0] = mean_score
-
-        ell = fit(points, cfg, callback=track)
-        return key, ell, float(final_mean[0])
-
     ellipsoids: dict[tuple[int, str], Ellipsoid] = {}
-    if threads > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(fit_one, todo))
-    else:
-        results = [fit_one(key) for key in todo]
-    for key, ell, mean_score in results:
-        ellipsoids[key] = ell
+    skipped = []
+    for key in sorted(domains, key=_domain_order):
+        relation, side = key
+        members = domains[key].members
+        mean_score = None
+        if len(members) < min_members:
+            skipped.append(key)
+        else:
+            points = project_entities(model, np.array(members, dtype=np.int64),
+                                      relation, side)
+            cfg = replace(config, seed=_domain_seed(config.seed, relation,
+                                                    _SIDE_FLAGS[side]))
+            ell = ellipsoids[key] = fit(points, cfg)
+            mean_score = float(scores_train(ell, points).mean())
         if on_domain is not None:
-            on_domain(key[0], key[1], len(domains[key].members), mean_score)
+            on_domain(relation, side, len(members), mean_score)
 
     return DomainModel(model.rel_dim, model.fingerprint(), ellipsoids,
                        tuple(skipped))
@@ -160,14 +148,12 @@ def save_domains(domain_model: DomainModel, path: str) -> None:
         fh.write(f"{DOMAIN_MAGIC} {DOMAIN_VERSION} {k} "
                  f"{len(domain_model.ellipsoids)} {len(domain_model.skipped)} "
                  f"{domain_model.model_fingerprint:016x}\n".encode("ascii"))
-        for (relation, side) in sorted(domain_model.ellipsoids,
-                                       key=lambda x: (x[0], _SIDE_FLAGS[x[1]])):
+        for relation, side in sorted(domain_model.ellipsoids, key=_domain_order):
             ell = domain_model.ellipsoids[(relation, side)]
             fh.write(struct.pack("<qq", relation, _SIDE_FLAGS[side]))
             fh.write(np.ascontiguousarray(ell.center, dtype="<f8").tobytes())
             fh.write(np.ascontiguousarray(ell.factor[tril], dtype="<f8").tobytes())
-        for (relation, side) in sorted(domain_model.skipped,
-                                       key=lambda x: (x[0], _SIDE_FLAGS[x[1]])):
+        for relation, side in sorted(domain_model.skipped, key=_domain_order):
             fh.write(struct.pack("<qq", relation, _SIDE_FLAGS[side]))
 
 
@@ -217,6 +203,10 @@ def load_domains(path: str) -> DomainModel:
         offset += 8 * n_tril
         factor = np.zeros((k, k))
         factor[tril] = packed
+        if not (np.isfinite(center).all() and np.isfinite(packed).all()):
+            raise FormatError(f"{path}: non-finite ellipsoid values")
+        if (np.diagonal(factor) <= 0).any():
+            raise FormatError(f"{path}: factor diagonal must be positive")
         ellipsoids[(relation, _FLAG_SIDES[flag])] = Ellipsoid(center, factor)
 
     skipped = []

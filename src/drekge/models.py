@@ -121,6 +121,15 @@ def project_entity(model: EmbeddingModel, entity: int, relation: int,
     return vec.copy() if w is None else w @ vec
 
 
+def project_entities(model: EmbeddingModel, entities: np.ndarray,
+                     relation: int, side: str) -> np.ndarray:
+    """Selected entity vectors mapped into the relation's space for one
+    slot: the rows are gathered first, then projected in one product."""
+    vecs = model.entity_vecs[entities]
+    w = _projection(model, relation, side)
+    return vecs if w is None else vecs @ w.T
+
+
 def project_all(model: EmbeddingModel, relation: int, side: str) -> np.ndarray:
     """All entity vectors mapped into the relation's space for one slot."""
     w = _projection(model, relation, side)
@@ -503,6 +512,8 @@ def load_model(path: str) -> EmbeddingModel:
         flat = np.frombuffer(body[offset:offset + size], dtype="<f8")
         arrays.append(flat.astype(np.float64).reshape(shape))
         offset += size
+    if not all(np.isfinite(arr).all() for arr in arrays):
+        raise FormatError(f"{path}: non-finite parameter values")
     head_proj = arrays[2] if len(arrays) > 2 else None
     tail_proj = arrays[3] if len(arrays) > 3 else None
     return EmbeddingModel(variant, dissim, arrays[0], arrays[1],

@@ -318,7 +318,7 @@ def _train_and_fit(g, margin, threads):
         return evaluation.validation_hits10(g, m, threads=threads)
 
     model = models.train(g, cfg, validator=validator)
-    dm = domains.fit_all_domains(g, model, threads=threads)
+    dm = domains.fit_all_domains(g, model)
     return model, dm
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from drekge import data
 from drekge.cli import main
-from drekge.models import load_model
+from drekge.domains import load_domains, penalties_all, save_domains
+from drekge.models import load_model, save_model, score_all
 
 from generators import random_graph
 
@@ -63,6 +64,35 @@ class TestPipeline:
         assert out[0].startswith("rank\tentity")
         assert len(out) == 6
         assert out[1].split("\t")[5] in ("in", "out")
+
+    @pytest.mark.parametrize("anchor", ["--head", "--tail"])
+    def test_predict_rows_match_the_library(self, dataset, tmp_path, capsys,
+                                            anchor):
+        model = str(tmp_path / "m.bin")
+        doms = str(tmp_path / "d.bin")
+        run_train(dataset, model)
+        assert main(["fit-domains", *dataset["args"], "--model", model,
+                     "--fit-epochs", "3", "--out", doms]) == 0
+        g = dataset["graph"]
+        capsys.readouterr()
+        assert main(["predict", *dataset["args"], "--model", model,
+                     "--domains", doms, "--relation", g.relations.labels[1],
+                     anchor, g.entities.labels[2], "--top", "4"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+
+        m, dm = load_model(model), load_domains(doms)
+        fixed = {anchor[2:]: 2}
+        side = data.TAIL if anchor == "--head" else data.HEAD
+        base = score_all(m, 1, **fixed)
+        pens = penalties_all(dm, m, 1, side)
+        pens = np.zeros_like(base) if pens is None else pens
+        combined = base + pens
+        order = np.argsort(combined, kind="stable")[:4]
+        assert len(rows) == 4
+        for row, e in zip(rows, order):
+            fields = row.split("\t")
+            assert fields[1:5] == [g.entities.labels[e], f"{base[e]:.6f}",
+                                   f"{pens[e]:.6f}", f"{combined[e]:.6f}"]
 
     def test_evaluate_without_domains_uses_plain_csv(self, dataset, tmp_path):
         model = str(tmp_path / "m.bin")
@@ -189,6 +219,40 @@ class TestFailureModes:
         rc = main(["evaluate", *dataset["args"], "--model", str(bad)])
         assert rc == 2
         capsys.readouterr()
+
+    def test_non_finite_model_exits_two_without_a_report(self, dataset,
+                                                         tmp_path, capsys):
+        model = str(tmp_path / "m.bin")
+        run_train(dataset, model)
+        m = load_model(model)
+        m.entity_vecs[:] = np.nan
+        save_model(m, model)
+        report = tmp_path / "r.txt"
+        rc = main(["evaluate", *dataset["args"], "--model", model,
+                   "--report-out", str(report)])
+        assert rc == 2
+        assert not report.exists()
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_non_finite_domains_exit_two_without_a_ranking(self, dataset,
+                                                           tmp_path, capsys):
+        model = str(tmp_path / "m.bin")
+        doms = str(tmp_path / "d.bin")
+        run_train(dataset, model)
+        assert main(["fit-domains", *dataset["args"], "--model", model,
+                     "--fit-epochs", "2", "--out", doms]) == 0
+        dm = load_domains(doms)
+        next(iter(dm.ellipsoids.values())).center[:] = np.nan
+        save_domains(dm, doms)
+        capsys.readouterr()
+        rc = main(["predict", *dataset["args"], "--model", model,
+                   "--domains", doms,
+                   "--relation", dataset["graph"].relations.labels[0],
+                   "--head", dataset["graph"].entities.labels[0]])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
 
     def test_failed_output_leaves_no_partial_files(self, dataset, tmp_path,
                                                    capsys):

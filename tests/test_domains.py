@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from drekge import data, domains
 from drekge.domains import (DomainModel, fit_all_domains, load_domains,
                             penalties_all, penalty, save_domains)
-from drekge.ellipsoid import Ellipsoid, FitConfig
+from drekge.ellipsoid import Ellipsoid, FitConfig, fit, scores_train
 from drekge.errors import (ConfigurationError, FormatError,
                            StaleDomainModelError)
 from drekge.models import TrainConfig, project_all, train
@@ -69,20 +71,6 @@ class TestFitAllDomains:
         # moves at this learning rate
         assert np.linalg.norm(ell.center - proj.mean(axis=0)) < 0.5
 
-    def test_threads_do_not_change_the_result(self):
-        rng = np.random.default_rng(95)
-        g = random_graph(rng, n_entities=40, n_train=120)
-        m = random_model(rng, g)
-        serial = quick_fit(g, m)
-        threaded = fit_all_domains(g, m, FitConfig(lr=1e-5, epochs=30,
-                                                   batch_size=16, seed=0),
-                                   threads=4)
-        assert serial.ellipsoids.keys() == threaded.ellipsoids.keys()
-        for key, ell in serial.ellipsoids.items():
-            other = threaded.ellipsoids[key]
-            assert (ell.center == other.center).all()
-            assert (ell.factor == other.factor).all()
-
     def test_rerun_is_bit_identical(self):
         rng = np.random.default_rng(96)
         g = random_graph(rng)
@@ -125,6 +113,35 @@ class TestFitAllDomains:
         for r, s, n, score in seen:
             assert n == len(doms[(r, s)].members)
             assert (score is None) == (n < domains.MIN_MEMBERS)
+
+    @pytest.mark.parametrize("variant", ["transe", "transr", "stranse"])
+    def test_each_fit_sees_only_its_projected_members(self, variant):
+        rng = np.random.default_rng(100)
+        g = random_graph(rng)
+        m = random_model(rng, g, variant=variant)
+        cfg = FitConfig(lr=1e-5, epochs=30, batch_size=16, seed=5)
+        seen = {}
+
+        def on_domain(r, side, n_members, score):
+            seen[(r, side)] = score
+
+        dm = fit_all_domains(g, m, cfg, on_domain=on_domain)
+        doms = data.extract_domains(g)
+        assert dm.ellipsoids
+        for (r, side), ell in dm.ellipsoids.items():
+            members = np.array(doms[(r, side)].members)
+            if variant == "transe":
+                points = m.entity_vecs[members]
+            else:
+                proj = m.tail_proj if variant == "stranse" \
+                    and side == data.TAIL else m.head_proj
+                points = m.entity_vecs[members] @ proj[r].T
+            flag = 0 if side == data.HEAD else 1
+            alone = fit(points, replace(
+                cfg, seed=domains._domain_seed(cfg.seed, r, flag)))
+            assert (ell.center == alone.center).all()
+            assert (ell.factor == alone.factor).all()
+            assert seen[(r, side)] == scores_train(ell, points).mean()
 
     def test_model_graph_mismatch_rejected(self):
         rng = np.random.default_rng(99)
@@ -227,6 +244,22 @@ class TestSerialization:
         fields = header.split(b" ")
         fields[5] = b"nothexnothexnoth"  # unparseable fingerprint
         expect_error(b" ".join(fields) + b"\n" + rest)
+
+    def test_non_finite_and_non_positive_diagonals_are_rejected(
+            self, tmp_path):
+        rng = np.random.default_rng(115)
+        g = random_graph(rng)
+        m = random_model(rng, g)
+        path = str(tmp_path / "dom.bin")
+        for attr, index, value in (("center", 0, np.nan),
+                                   ("factor", (1, 0), np.inf),
+                                   ("factor", (2, 2), 0.0),
+                                   ("factor", (0, 0), -0.5)):
+            dm = random_domain_model(rng, g, m, coverage=1.0)
+            getattr(next(iter(dm.ellipsoids.values())), attr)[index] = value
+            save_domains(dm, path)
+            with pytest.raises(FormatError):
+                load_domains(path)
 
     def test_fingerprint_survives_the_file(self, tmp_path):
         rng = np.random.default_rng(114)

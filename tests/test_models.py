@@ -1,11 +1,14 @@
+import copy
+
 import numpy as np
 import pytest
 
 from drekge import models
 from drekge.errors import ConfigurationError, FormatError
 from drekge.models import (EmbeddingModel, TrainConfig, load_model,
-                           model_bytes, save_model, score_all,
-                           score_gradients, score_triple, train)
+                           model_bytes, project_all, project_entities,
+                           save_model, score_all, score_gradients,
+                           score_triple, train)
 
 from generators import random_graph, random_model
 
@@ -80,6 +83,19 @@ class TestScoring:
                         score_triple(m, (h, r, e)), rel=1e-12, abs=1e-12)
                     assert heads[e] == pytest.approx(
                         score_triple(m, (e, r, t)), rel=1e-12, abs=1e-12)
+
+    def test_member_rows_match_the_full_projection(self):
+        rng = np.random.default_rng(62)
+        g = random_graph(rng, n_entities=12)
+        rows = np.array([7, 0, 3, 3])
+        for variant in models.VARIANTS:
+            m = random_model(rng, g, variant=variant)
+            for side in ("head", "tail"):
+                picked = project_entities(m, rows, 2, side)
+                assert picked.shape == (len(rows), m.rel_dim)
+                np.testing.assert_allclose(picked,
+                                           project_all(m, 2, side)[rows],
+                                           rtol=1e-12, atol=1e-12)
 
 
 class TestScoreGradients:
@@ -300,6 +316,21 @@ class TestSerialization:
         expect_error(blob[:-12])                    # truncated payload
         expect_error(blob[:-8] + b"\0" * 8)         # wrong length footer
         expect_error(blob + b"junk")                # trailing garbage
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_non_finite_parameters_are_rejected(self, variant, tmp_path):
+        clean = self.build(variant)
+        path = str(tmp_path / "model.bin")
+        for name in ("entity_vecs", "relation_vecs", "head_proj",
+                     "tail_proj"):
+            if getattr(clean, name) is None:
+                continue
+            for value in (np.nan, np.inf, -np.inf):
+                m = copy.deepcopy(clean)
+                getattr(m, name).flat[-1] = value
+                save_model(m, path)
+                with pytest.raises(FormatError):
+                    load_model(path)
 
     def test_header_is_single_ascii_line(self, tmp_path):
         m = self.build("stranse")
