@@ -11,7 +11,8 @@ built-in dataset presets > library defaults. Logs go to stderr; output
 files are written atomically so failed runs leave nothing behind.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 broken input
-data or artifact files, 3 numerical failure during training.
+data or artifact files, 3 numerical failure (diverged training or a
+non-finite candidate score).
 """
 
 from __future__ import annotations
@@ -306,6 +307,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
         pens = domains.penalties_all(domain_model, model, relation, side,
                                      projected=projected)
     combined = base if pens is None else base + pens
+    if not np.isfinite(combined).all():
+        raise NumericalError(f"non-finite score for {args.relation!r}")
 
     top = min(args.top, graph.n_entities)
     order = np.argsort(combined, kind="stable")[:top]

@@ -23,8 +23,7 @@ from .data import HEAD, TAIL, KnowledgeGraph, extract_domains
 from .ellipsoid import (Ellipsoid, FitConfig, fit, score_test, scores_test,
                         scores_train)
 from .errors import ConfigurationError, FormatError, StaleDomainModelError
-from .models import (EmbeddingModel, project_all, project_entities,
-                     project_entity)
+from .models import EmbeddingModel, project_all, project_entities
 
 DOMAIN_MAGIC = "DREDOM"
 DOMAIN_VERSION = "v1"
@@ -48,10 +47,19 @@ class DomainModel:
 
 
 def check_compatible(domain_model: DomainModel, model: EmbeddingModel) -> None:
+    """Stale ellipsoids (fingerprint mismatch) or a domain file whose
+    size or relation ids cannot belong to ``model`` are refused."""
     if domain_model.model_fingerprint != model.fingerprint():
         raise StaleDomainModelError(
             "domain ellipsoids were fitted against a different embedding "
             "model (fingerprint mismatch); refit them")
+    if domain_model.rel_dim != model.rel_dim:
+        raise FormatError(f"domain ellipsoids have dimension "
+                          f"{domain_model.rel_dim}, the model {model.rel_dim}")
+    rels = [r for r, _ in (*domain_model.ellipsoids, *domain_model.skipped)]
+    if rels and (min(rels) < 0 or max(rels) >= model.n_relations):
+        raise FormatError(f"domain relation id outside the model's "
+                          f"{model.n_relations} relations")
 
 
 def _domain_seed(base: int, relation: int, flag: int) -> int:
@@ -113,7 +121,7 @@ def penalty(domain_model: DomainModel, model: EmbeddingModel, entity: int,
     ell = domain_model.ellipsoids.get((relation, side))
     if ell is None:
         return 0.0
-    return score_test(ell, project_entity(model, entity, relation, side))
+    return score_test(ell, project_entities(model, entity, relation, side))
 
 
 def penalties_all(domain_model: DomainModel, model: EmbeddingModel,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import (CATEGORIES, HEAD, TAIL, KnowledgeGraph, classify_relations)
 from .domains import DomainModel, check_compatible, penalties_all
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .models import EmbeddingModel, project_all, score_all
 
 SETTINGS = ("raw", "filtered")
@@ -120,6 +120,8 @@ def _eval_relation_group(graph: KnowledgeGraph, model: EmbeddingModel,
                 known = graph.tails_by_hr[(fixed, relation)]
             pen = pens[side]
             scores = base if pen is None else base + pen
+            if not np.isfinite(scores).all():
+                raise NumericalError(f"non-finite score for relation {relation}")
 
             allowed = np.ones(n_e, dtype=bool)
             allowed[known] = False

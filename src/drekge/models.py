@@ -2,9 +2,10 @@
 
 Three variants share one score shape: project head and tail entities into
 the relation's space, translate by the relation vector, and measure the
-residual with an L1 or L2 norm. ``transe`` uses no projection, ``transr``
-one shared projection matrix per relation, ``stranse`` separate head and
-tail projections. Lower scores mean more plausible triples.
+residual with an L1 or L2 norm. ``transe`` uses no projection,
+``stranse`` separate head and tail matrices per relation, and ``transr``
+is ``stranse`` whose tail matrices *are* its head matrices: one array,
+stored once in the v1 file. Lower scores mean more plausible triples.
 
 The projected variants are trained staged: their entity and relation
 vectors start from an already trained ``transe`` model and the projection
@@ -14,13 +15,12 @@ matrices start at identity.
 from __future__ import annotations
 
 import hashlib
-import io
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import HEAD, KnowledgeGraph, corrupt_head_probs
+from .data import HEAD, TAIL, KnowledgeGraph, corrupt_head_probs
 from .errors import ConfigurationError, FormatError, TrainingDivergedError
 
 VARIANTS = ("transe", "transr", "stranse")
@@ -76,9 +76,15 @@ class EmbeddingModel:
     dissimilarity: str
     entity_vecs: np.ndarray            # (|E|, d)
     relation_vecs: np.ndarray          # (|R|, k)
-    head_proj: np.ndarray | None = None  # (|R|, k, d); transr shares it for tails
-    tail_proj: np.ndarray | None = None  # (|R|, k, d); stranse only
+    head_proj: np.ndarray | None = None  # (|R|, k, d); projected variants
+    tail_proj: np.ndarray | None = None  # (|R|, k, d); transr: head_proj itself
     _fingerprint: int | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.variant == "transr":
+            if self.tail_proj is not None and self.tail_proj is not self.head_proj:
+                raise ConfigurationError("transr has one matrix per relation")
+            self.tail_proj = self.head_proj
 
     @property
     def n_entities(self) -> int:
@@ -100,40 +106,26 @@ class EmbeddingModel:
         """64-bit hash of the serialized parameters; ties domain models
         to the exact embedding state they were fitted against."""
         if self._fingerprint is None:
-            digest = hashlib.blake2b(model_bytes(self), digest_size=8)
+            digest = hashlib.blake2b(digest_size=8)
+            for chunk in _model_chunks(self):
+                digest.update(chunk)
             self._fingerprint = int.from_bytes(digest.digest(), "little")
         return self._fingerprint
 
 
-def _projection(model: EmbeddingModel, relation: int, side: str) -> np.ndarray | None:
-    if model.variant == "transe":
-        return None
-    if model.variant == "transr":
-        return model.head_proj[relation]
-    return model.head_proj[relation] if side == HEAD else model.tail_proj[relation]
-
-
-def project_entity(model: EmbeddingModel, entity: int, relation: int,
-                   side: str) -> np.ndarray:
-    """Entity vector mapped into the relation's space for one slot."""
-    vec = model.entity_vecs[entity]
-    w = _projection(model, relation, side)
-    return vec.copy() if w is None else w @ vec
-
-
-def project_entities(model: EmbeddingModel, entities: np.ndarray,
+def project_entities(model: EmbeddingModel, entities: np.ndarray | int,
                      relation: int, side: str) -> np.ndarray:
-    """Selected entity vectors mapped into the relation's space for one
-    slot: the rows are gathered first, then projected in one product."""
+    """Selected entity vectors (one (k,) vector for a scalar id) mapped
+    into the relation's space for one slot: the rows are gathered first,
+    then projected in one product."""
     vecs = model.entity_vecs[entities]
-    w = _projection(model, relation, side)
-    return vecs if w is None else vecs @ w.T
+    proj = model.head_proj if side == HEAD else model.tail_proj
+    return vecs if proj is None else vecs @ proj[relation].T
 
 
 def project_all(model: EmbeddingModel, relation: int, side: str) -> np.ndarray:
     """All entity vectors mapped into the relation's space for one slot."""
-    w = _projection(model, relation, side)
-    return model.entity_vecs if w is None else model.entity_vecs @ w.T
+    return project_entities(model, slice(None), relation, side)
 
 
 def _norms(diff: np.ndarray, dissimilarity: str) -> np.ndarray:
@@ -144,8 +136,8 @@ def _norms(diff: np.ndarray, dissimilarity: str) -> np.ndarray:
 
 def score_triple(model: EmbeddingModel, triple: tuple[int, int, int]) -> float:
     h, r, t = triple
-    u = (project_entity(model, h, r, HEAD) + model.relation_vecs[r]
-         - project_entity(model, t, r, "tail"))
+    u = (project_entities(model, h, r, HEAD) + model.relation_vecs[r]
+         - project_entities(model, t, r, TAIL))
     return float(_norms(u, model.dissimilarity))
 
 
@@ -163,13 +155,13 @@ def score_all(model: EmbeddingModel, relation: int, *, head: int | None = None,
     r_vec = model.relation_vecs[relation]
     if tail is None:
         cand = projected if projected is not None \
-            else project_all(model, relation, "tail")
-        target = project_entity(model, head, relation, HEAD) + r_vec
+            else project_all(model, relation, TAIL)
+        target = project_entities(model, head, relation, HEAD) + r_vec
         diff = target[None, :] - cand
     else:
         cand = projected if projected is not None \
             else project_all(model, relation, HEAD)
-        offset = r_vec - project_entity(model, tail, relation, "tail")
+        offset = r_vec - project_entities(model, tail, relation, TAIL)
         diff = cand + offset[None, :]
     return _norms(diff, model.dissimilarity)
 
@@ -186,34 +178,46 @@ def _norm_grad(u: np.ndarray, dissimilarity: str) -> np.ndarray:
     return out
 
 
+def _relation_groups(relations: np.ndarray):
+    """(relation id, row indices) for each relation present; rows keep
+    their batch order within a group."""
+    order = np.argsort(relations, kind="stable")
+    ids = relations[order]
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    return zip(ids[starts].tolist(), np.split(order, starts[1:]))
+
+
+def _relation_grads(model: EmbeddingModel, triples: np.ndarray,
+                    g: np.ndarray):
+    """Per relation present, the gradients of sum_i g_i . u_i (u_i row
+    i's residual) w.r.t. the rows' head and tail entities and the
+    relation's two matrices. Each group is computed as it is yielded."""
+    ent = model.entity_vecs
+    for relation, rows in _relation_groups(triples[:, 1]):
+        g_r = g[rows]
+        yield (relation, rows,
+               g_r @ model.head_proj[relation],
+               -(g_r @ model.tail_proj[relation]),
+               g_r.T @ ent[triples[rows, 0]],
+               -(g_r.T @ ent[triples[rows, 2]]))
+
+
 def score_gradients(model: EmbeddingModel, triple: tuple[int, int, int]) -> dict:
     """Analytic gradients of ``score_triple`` w.r.t. each parameter block.
 
     Returns a dict with ``head``, ``relation``, ``tail`` vectors and,
     for projected variants, ``head_proj`` / ``tail_proj`` matrices (the
-    per-relation slices). Used to cross-check training updates against
-    finite differences.
+    per-relation slices; transr's one matrix gets their sum). This is
+    the one-row case of the training update.
     """
-    h, r, t = triple
-    h_vec = model.entity_vecs[h]
-    t_vec = model.entity_vecs[t]
-    w1 = _projection(model, r, HEAD)
-    w2 = _projection(model, r, "tail")
-    u = ((h_vec if w1 is None else w1 @ h_vec) + model.relation_vecs[r]
-         - (t_vec if w2 is None else w2 @ t_vec))
-    g = _norm_grad(u, model.dissimilarity)
-    grads = {
-        "head": g if w1 is None else w1.T @ g,
-        "relation": g.copy(),
-        "tail": -g if w2 is None else -(w2.T @ g),
-    }
-    if model.variant == "transr":
-        # one shared matrix touches both slots
-        grads["head_proj"] = np.outer(g, h_vec - t_vec)
-    elif model.variant == "stranse":
-        grads["head_proj"] = np.outer(g, h_vec)
-        grads["tail_proj"] = -np.outer(g, t_vec)
-    return grads
+    row = np.array([triple], dtype=np.int64)
+    g = _norm_grad(_residuals(model, row), model.dissimilarity)
+    if model.head_proj is None:
+        return {"head": g[0], "relation": g[0].copy(), "tail": -g[0]}
+    ((_, _, head, tail, head_proj, tail_proj),) = \
+        _relation_grads(model, row, g)
+    return {"head": head[0], "relation": g[0], "tail": tail[0],
+            "head_proj": head_proj, "tail_proj": tail_proj}
 
 
 def _init_model(graph: KnowledgeGraph, config: TrainConfig,
@@ -265,64 +269,43 @@ def _batch_update(model: EmbeddingModel, lr: float,
     gradients are evaluated at the batch-start parameters; duplicate ids
     accumulate.
     """
-    ent, rel = model.entity_vecs, model.relation_vecs
-    hp, hn = pos[:, 0], neg[:, 0]
-    r = pos[:, 1]
-    tp, tn = pos[:, 2], neg[:, 2]
-
-    np.add.at(rel, r, -lr * (g_pos - g_neg))
-
-    if model.variant == "transe":
-        np.add.at(ent, np.concatenate([hp, tp, hn, tn]),
+    ent = model.entity_vecs
+    np.add.at(model.relation_vecs, pos[:, 1], -lr * (g_pos - g_neg))
+    if model.head_proj is None:
+        np.add.at(ent, np.concatenate([pos[:, 0], pos[:, 2],
+                                       neg[:, 0], neg[:, 2]]),
                   np.concatenate([-lr * g_pos, lr * g_pos,
                                   lr * g_neg, -lr * g_neg]))
         return
 
-    w1 = model.head_proj[r]
-    w2 = w1 if model.variant == "transr" else model.tail_proj[r]
-    h_pos, t_pos = ent[hp], ent[tp]
-    h_neg, t_neg = ent[hn], ent[tn]
-
-    back1_pos = np.einsum("bkd,bk->bd", w1, g_pos)
-    back2_pos = np.einsum("bkd,bk->bd", w2, g_pos)
-    back1_neg = np.einsum("bkd,bk->bd", w1, g_neg)
-    back2_neg = np.einsum("bkd,bk->bd", w2, g_neg)
-    np.add.at(ent, np.concatenate([hp, tp, hn, tn]),
-              np.concatenate([-lr * back1_pos, lr * back2_pos,
-                              lr * back1_neg, -lr * back2_neg]))
-
-    if model.variant == "transr":
-        d_pos = np.einsum("bk,bd->bkd", g_pos, h_pos - t_pos)
-        d_neg = np.einsum("bk,bd->bkd", g_neg, h_neg - t_neg)
-        np.add.at(model.head_proj, r, -lr * (d_pos - d_neg))
-    else:
-        np.add.at(model.head_proj, r,
-                  -lr * (np.einsum("bk,bd->bkd", g_pos, h_pos)
-                         - np.einsum("bk,bd->bkd", g_neg, h_neg)))
-        np.add.at(model.tail_proj, r,
-                  lr * (np.einsum("bk,bd->bkd", g_pos, t_pos)
-                        - np.einsum("bk,bd->bkd", g_neg, t_neg)))
+    # one signed pass over both halves of sum f(pos) - f(neg); entities
+    # move after the loop, each relation's matrices once they are read
+    triples = np.concatenate([pos, neg])
+    n = len(triples)
+    d_ent = np.empty((2 * n, model.dim))
+    for relation, rows, head, tail, head_proj, tail_proj in _relation_grads(
+            model, triples, np.concatenate([g_pos, -g_neg])):
+        d_ent[rows] = head
+        d_ent[n + rows] = tail
+        model.head_proj[relation] -= lr * head_proj
+        model.tail_proj[relation] -= lr * tail_proj
+    np.add.at(ent, np.concatenate([triples[:, 0], triples[:, 2]]),
+              -lr * d_ent)
 
 
 def _check_finite(model: EmbeddingModel, epoch: int) -> None:
-    for name, arr in (("entity_vecs", model.entity_vecs),
-                      ("relation_vecs", model.relation_vecs),
-                      ("head_proj", model.head_proj),
-                      ("tail_proj", model.tail_proj)):
-        if arr is not None and not np.isfinite(arr).all():
+    for name, arr in zip(("entity_vecs", "relation_vecs", "head_proj",
+                          "tail_proj"), _param_arrays(model)):
+        if not np.isfinite(arr).all():
             raise TrainingDivergedError(epoch, name)
 
 
 def _snapshot(model: EmbeddingModel) -> list[np.ndarray]:
-    return [a.copy() for a in (model.entity_vecs, model.relation_vecs,
-                               model.head_proj, model.tail_proj)
-            if a is not None]
+    return [a.copy() for a in _param_arrays(model)]
 
 
 def _restore(model: EmbeddingModel, snap: list[np.ndarray]) -> None:
-    arrays = [a for a in (model.entity_vecs, model.relation_vecs,
-                          model.head_proj, model.tail_proj) if a is not None]
-    for dst, src in zip(arrays, snap):
+    for dst, src in zip(_param_arrays(model), snap):
         dst[...] = src
 
 
@@ -377,17 +360,16 @@ def train(graph: KnowledgeGraph, config: TrainConfig,
             neg[corrupt_head, 0] = repl[corrupt_head]
             neg[~corrupt_head, 2] = repl[~corrupt_head]
 
-            u_pos = _residuals(model, pos)
-            u_neg = _residuals(model, neg)
-            f_pos = _norms(u_pos, model.dissimilarity)
-            f_neg = _norms(u_neg, model.dissimilarity)
-            viol = config.margin + f_pos - f_neg
+            u = _residuals(model, np.concatenate([pos, neg]))
+            f = _norms(u, model.dissimilarity)
+            viol = config.margin + f[:b] - f[b:]
             mask = viol > 0
             loss_sum += float(viol[mask].sum())
             if mask.any():
+                g = _norm_grad(u[np.concatenate([mask, mask])],
+                               model.dissimilarity)
                 _batch_update(model, config.lr, pos[mask], neg[mask],
-                              _norm_grad(u_pos[mask], model.dissimilarity),
-                              _norm_grad(u_neg[mask], model.dissimilarity))
+                              *np.split(g, 2))
 
         mean_loss = loss_sum / n
         if not np.isfinite(mean_loss):
@@ -418,12 +400,14 @@ def _residuals(model: EmbeddingModel, triples: np.ndarray) -> np.ndarray:
     """(B, k) translation residuals for a batch of id triples."""
     ent, rel = model.entity_vecs, model.relation_vecs
     h, r, t = triples[:, 0], triples[:, 1], triples[:, 2]
-    if model.variant == "transe":
+    if model.head_proj is None:
         return ent[h] + rel[r] - ent[t]
-    w1 = model.head_proj[r]
-    w2 = w1 if model.variant == "transr" else model.tail_proj[r]
-    return (np.einsum("bkd,bd->bk", w1, ent[h]) + rel[r]
-            - np.einsum("bkd,bd->bk", w2, ent[t]))
+    out = np.empty((len(triples), model.rel_dim))
+    for relation, rows in _relation_groups(r):
+        out[rows] = (ent[h[rows]] @ model.head_proj[relation].T
+                     + rel[relation]
+                     - ent[t[rows]] @ model.tail_proj[relation].T)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -433,37 +417,45 @@ def _residuals(model: EmbeddingModel, triples: np.ndarray) -> np.ndarray:
 # float64 parameter rows and an 8-byte payload length footer:
 #
 #   DREKGE v1 <variant> <n_entities> <n_relations> <dim> <rel_dim> <dissim>\n
-#   entity_vecs, relation_vecs, [head_proj], [tail_proj]
+#   entity_vecs, relation_vecs, [head_proj (transr: both slots)], [tail_proj]
 #   <uint64 little-endian: payload byte count>
 # ---------------------------------------------------------------------------
 
+_N_MATRICES = {"transe": 0, "transr": 1, "stranse": 2}
+
+
 def _param_arrays(model: EmbeddingModel) -> list[np.ndarray]:
+    """Every distinct parameter array, in file order."""
     out = [model.entity_vecs, model.relation_vecs]
     if model.head_proj is not None:
         out.append(model.head_proj)
-    if model.tail_proj is not None:
+    if model.tail_proj is not model.head_proj:
         out.append(model.tail_proj)
     return out
 
 
-def model_bytes(model: EmbeddingModel) -> bytes:
-    header = (f"{MODEL_MAGIC} {MODEL_VERSION} {model.variant} "
-              f"{model.n_entities} {model.n_relations} "
-              f"{model.dim} {model.rel_dim} {model.dissimilarity}\n")
-    buf = io.BytesIO()
-    buf.write(header.encode("ascii"))
+def _model_chunks(model: EmbeddingModel):
+    """The model file as buffers: header, parameter arrays, footer."""
+    yield (f"{MODEL_MAGIC} {MODEL_VERSION} {model.variant} "
+           f"{model.n_entities} {model.n_relations} "
+           f"{model.dim} {model.rel_dim} {model.dissimilarity}\n"
+           ).encode("ascii")
     payload = 0
     for arr in _param_arrays(model):
-        data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        payload += len(data)
-        buf.write(data)
-    buf.write(struct.pack("<Q", payload))
-    return buf.getvalue()
+        data = np.ascontiguousarray(arr, dtype="<f8")
+        payload += data.nbytes
+        yield data
+    yield struct.pack("<Q", payload)
+
+
+def model_bytes(model: EmbeddingModel) -> bytes:
+    return b"".join(_model_chunks(model))
 
 
 def save_model(model: EmbeddingModel, path: str) -> None:
     with open(path, "wb") as fh:
-        fh.write(model_bytes(model))
+        for chunk in _model_chunks(model):
+            fh.write(chunk)
 
 
 def load_model(path: str) -> EmbeddingModel:
@@ -489,11 +481,7 @@ def load_model(path: str) -> EmbeddingModel:
     if min(n_e, n_r, d, k) < 1:
         raise FormatError(f"{path}: bad header counts")
 
-    shapes = [(n_e, d), (n_r, k)]
-    if variant in ("transr", "stranse"):
-        shapes.append((n_r, k, d))
-    if variant == "stranse":
-        shapes.append((n_r, k, d))
+    shapes = [(n_e, d), (n_r, k)] + [(n_r, k, d)] * _N_MATRICES[variant]
     expected = sum(int(np.prod(s)) for s in shapes) * 8
 
     body = raw[nl + 1:]
@@ -505,16 +493,10 @@ def load_model(path: str) -> EmbeddingModel:
         raise FormatError(f"{path}: payload length check failed "
                           f"({footer} != {expected})")
 
-    arrays = []
-    offset = 0
-    for shape in shapes:
-        size = int(np.prod(shape)) * 8
-        flat = np.frombuffer(body[offset:offset + size], dtype="<f8")
-        arrays.append(flat.astype(np.float64).reshape(shape))
-        offset += size
+    flat = np.frombuffer(body, dtype="<f8", count=expected // 8)
+    cuts = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
+    arrays = [part.astype(np.float64).reshape(shape)
+              for part, shape in zip(np.split(flat, cuts), shapes)]
     if not all(np.isfinite(arr).all() for arr in arrays):
         raise FormatError(f"{path}: non-finite parameter values")
-    head_proj = arrays[2] if len(arrays) > 2 else None
-    tail_proj = arrays[3] if len(arrays) > 3 else None
-    return EmbeddingModel(variant, dissim, arrays[0], arrays[1],
-                          head_proj, tail_proj)
+    return EmbeddingModel(variant, dissim, *arrays)

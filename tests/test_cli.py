@@ -6,7 +6,9 @@ import pytest
 
 from drekge import data
 from drekge.cli import main
-from drekge.domains import load_domains, penalties_all, save_domains
+from drekge.domains import (DomainModel, load_domains, penalties_all,
+                            save_domains)
+from drekge.ellipsoid import Ellipsoid
 from drekge.models import load_model, save_model, score_all
 
 from generators import random_graph
@@ -250,6 +252,97 @@ class TestFailureModes:
                    "--relation", dataset["graph"].relations.labels[0],
                    "--head", dataset["graph"].entities.labels[0]])
         assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
+    def rewrite_domains(self, dataset, tmp_path, edit):
+        """Train a model, fit its domains, then overwrite the domain file
+        with ``edit(domain_model)``; the fingerprint still matches."""
+        model = str(tmp_path / "m.bin")
+        doms = str(tmp_path / "d.bin")
+        run_train(dataset, model)
+        assert main(["fit-domains", *dataset["args"], "--model", model,
+                     "--fit-epochs", "2", "--out", doms]) == 0
+        save_domains(edit(load_domains(doms)), doms)
+        return model, doms
+
+    def run_with_domains(self, dataset, command, model, doms):
+        g = dataset["graph"]
+        extra = (["--relation", g.relations.labels[0],
+                  "--head", g.entities.labels[0]]
+                 if command == "predict" else [])
+        return main([command, *dataset["args"], "--model", model,
+                     "--domains", doms, *extra])
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_domains_of_another_size_exit_two(self, dataset, tmp_path,
+                                              capsys, command):
+        def shrink(dm):
+            return DomainModel(3, dm.model_fingerprint,
+                               {key: Ellipsoid(e.center[:3],
+                                               e.factor[:3, :3])
+                                for key, e in dm.ellipsoids.items()},
+                               dm.skipped)
+
+        model, doms = self.rewrite_domains(dataset, tmp_path, shrink)
+        capsys.readouterr()
+        assert self.run_with_domains(dataset, command, model, doms) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dimension 3" in captured.err
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("where", ["fitted", "skipped"])
+    def test_domains_naming_unknown_relations_exit_two(self, dataset,
+                                                       tmp_path, capsys,
+                                                       command, where):
+        n_relations = dataset["graph"].n_relations
+
+        def add_foreign(dm):
+            if where == "fitted":
+                dm.ellipsoids[(99, "head")] = \
+                    next(iter(dm.ellipsoids.values()))
+            else:
+                dm.skipped += ((n_relations, "tail"),)
+            return dm
+
+        model, doms = self.rewrite_domains(dataset, tmp_path, add_foreign)
+        capsys.readouterr()
+        assert self.run_with_domains(dataset, command, model, doms) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "relation id outside" in captured.err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_scores_exit_three_without_a_report(self, dataset,
+                                                            tmp_path, capsys):
+        model = str(tmp_path / "m.bin")
+        run_train(dataset, model, extra=["--dissim", "l2"])
+        m = load_model(model)
+        m.entity_vecs *= 1e200      # finite, so the file loads
+        save_model(m, model)
+        report = tmp_path / "r.txt"
+        rc = main(["evaluate", *dataset["args"], "--model", model,
+                   "--report-out", str(report)])
+        assert rc == 3
+        assert not report.exists()
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_scores_exit_three_without_a_ranking(self, dataset,
+                                                             tmp_path,
+                                                             capsys):
+        model = str(tmp_path / "m.bin")
+        run_train(dataset, model, extra=["--dissim", "l2"])
+        m = load_model(model)
+        m.entity_vecs *= 1e200
+        save_model(m, model)
+        capsys.readouterr()
+        rc = main(["predict", *dataset["args"], "--model", model,
+                   "--relation", dataset["graph"].relations.labels[0],
+                   "--head", dataset["graph"].entities.labels[0]])
+        assert rc == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "non-finite" in captured.err

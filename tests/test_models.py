@@ -1,4 +1,5 @@
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -102,15 +103,24 @@ class TestScoreGradients:
     def check_fd(self, m, triple, rel_tol=2e-5):
         h = 1e-6
         grads = score_gradients(m, triple)
-        blocks = {"head": (m.entity_vecs, triple[0]),
-                  "relation": (m.relation_vecs, triple[1]),
-                  "tail": (m.entity_vecs, triple[2])}
-        if m.head_proj is not None:
-            blocks["head_proj"] = (m.head_proj, triple[1])
-        if m.tail_proj is not None:
-            blocks["tail_proj"] = (m.tail_proj, triple[1])
-        for name, (arr, idx) in blocks.items():
-            g = grads[name]
+        # each distinct parameter slice against its total gradient: transr's
+        # one matrix gets both projection terms, and h == t both entity terms
+        blocks = {}
+        for name, arr, idx in (("head", m.entity_vecs, triple[0]),
+                               ("relation", m.relation_vecs, triple[1]),
+                               ("tail", m.entity_vecs, triple[2]),
+                               ("head_proj", m.head_proj, triple[1]),
+                               ("tail_proj", m.tail_proj, triple[1])):
+            if arr is None:
+                continue
+            key = (id(arr), idx)
+            if key in blocks:
+                names, _, _, total = blocks[key]
+                blocks[key] = (f"{names}+{name}", arr, idx,
+                               total + grads[name])
+            else:
+                blocks[key] = (name, arr, idx, grads[name])
+        for name, arr, idx, g in blocks.values():
             fd = np.zeros_like(g)
             it = np.nditer(fd, flags=["multi_index"])
             for _ in it:
@@ -156,6 +166,79 @@ class TestScoreGradients:
         m.entity_vecs[1] = m.entity_vecs[0] + m.relation_vecs[0]
         grads = score_gradients(m, (0, 0, 1))
         assert not grads["head"].any()
+
+
+class TestBatchUpdate:
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    @pytest.mark.parametrize("dissim", models.DISSIMILARITIES)
+    def test_step_is_the_summed_score_gradients(self, variant, dissim):
+        rng = np.random.default_rng(63)
+        g = random_graph(rng, n_entities=6, n_relations=3)
+        m = random_model(rng, g, variant=variant, dissimilarity=dissim,
+                         dim=4)
+        # few ids, so relations, heads and tails repeat within the batch
+        pos = np.stack([rng.integers(0, 6, 12), rng.integers(0, 3, 12),
+                        rng.integers(0, 6, 12)], axis=1)
+        neg = pos.copy()
+        neg[:, 2] = rng.integers(0, 6, 12)
+        lr = 0.1
+
+        params = models._param_arrays(m)
+        expected = {id(a): a.copy() for a in params}
+        for sign, triples in ((1.0, pos), (-1.0, neg)):
+            for h, r, t in triples.tolist():
+                grads = score_gradients(m, (h, r, t))
+                for name, arr, idx in (("head", m.entity_vecs, h),
+                                       ("relation", m.relation_vecs, r),
+                                       ("tail", m.entity_vecs, t),
+                                       ("head_proj", m.head_proj, r),
+                                       ("tail_proj", m.tail_proj, r)):
+                    if arr is not None:
+                        expected[id(arr)][idx] -= lr * sign * grads[name]
+
+        norm_grad = models._norm_grad
+        models._batch_update(m, lr, pos, neg,
+                             norm_grad(models._residuals(m, pos), dissim),
+                             norm_grad(models._residuals(m, neg), dissim))
+        for arr in params:
+            np.testing.assert_allclose(arr, expected[id(arr)], rtol=0,
+                                       atol=1e-12)
+
+    def test_transr_keeps_one_matrix(self, tmp_path):
+        rng = np.random.default_rng(64)
+        g = random_graph(rng)
+        base = train(g, TrainConfig(dim=5, lr=0.01, epochs=2, seed=0))
+        staged = models._init_model(g, TrainConfig(variant="transr", dim=5),
+                                    base, rng)
+        assert staged.tail_proj is staged.head_proj
+
+        cfg = TrainConfig(variant="transr", dim=5, lr=0.05, epochs=12,
+                          seed=1, eval_every=2, patience=2)
+        seen = []
+
+        def validator(model):
+            seen.append(model_bytes(model))
+            return -len(seen)       # the first validation stays the best
+
+        m = train(g, cfg, init=base, validator=validator)
+        assert len(seen) == 3 and seen[0] != seen[-1]
+        assert model_bytes(m) == seen[0]       # restored
+        assert m.tail_proj is m.head_proj
+        assert not np.allclose(m.head_proj, np.eye(5))   # it did train
+
+        path = str(tmp_path / "transr.bin")
+        save_model(m, path)
+        loaded = load_model(path)
+        assert loaded.tail_proj is loaded.head_proj
+        clone = copy.deepcopy(m)
+        assert clone.tail_proj is clone.head_proj
+        assert clone.head_proj is not m.head_proj
+
+    def test_transr_rejects_a_second_matrix(self):
+        m = tiny_model("transr")
+        with pytest.raises(ConfigurationError):
+            EmbeddingModel("transr", "l1", m.entity_vecs, m.relation_vecs,
+                           m.head_proj, m.head_proj.copy())
 
 
 class TestTraining:
@@ -288,6 +371,16 @@ class TestSerialization:
         assert model_bytes(loaded) == model_bytes(m)
         assert loaded.fingerprint() == m.fingerprint()
         assert loaded.variant == variant
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_fingerprint_hashes_the_file_bytes(self, variant, tmp_path):
+        m = self.build(variant)
+        path = str(tmp_path / "model.bin")
+        save_model(m, path)
+        blob = open(path, "rb").read()
+        digest = hashlib.blake2b(blob, digest_size=8).digest()
+        assert m.fingerprint() == int.from_bytes(digest, "little")
+        assert model_bytes(m) == blob
 
     def test_fingerprint_tracks_content(self):
         a = self.build("transe")
