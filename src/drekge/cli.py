@@ -121,6 +121,18 @@ def _resolve(args: argparse.Namespace, option_names: list[str],
     return resolved
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _default_threads(args: argparse.Namespace, fallback: int) -> int:
     if args.threads is not None:
         return args.threads
@@ -146,7 +158,7 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--valid", help="validation triple file (tsv)")
     parser.add_argument("--test", help="test triple file (tsv)")
     parser.add_argument("--config", help="JSON file with option defaults")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_positive_int, default=None,
                         help=f"worker threads (or ${THREADS_ENV}) for "
                              "validation during training and for evaluate; "
                              "fit-domains runs serially")
@@ -250,21 +262,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     model = models.load_model(args.model)
     threads = _default_threads(args, os.cpu_count() or 1)
 
-    base = evaluation.evaluate(graph, model, None, split=args.split,
-                               tie_break=args.tie_break, threads=threads)
+    domain_model = domains.load_domains(args.domains) if args.domains else None
+
+    # one ranking pass; with domains the baseline rides along
+    report = evaluation.evaluate(graph, model, domain_model,
+                                 split=args.split, tie_break=args.tie_break,
+                                 threads=threads)
+    base = report if domain_model is None else report.baseline
     text = evaluation.format_report(base, title="baseline")
-    rows = None
-    if args.domains:
-        domain_model = domains.load_domains(args.domains)
-        dre = evaluation.evaluate(graph, model, domain_model,
-                                  split=args.split, tie_break=args.tie_break,
-                                  threads=threads)
-        text += evaluation.format_report(dre, title="with domain penalty")
-        text += evaluation.format_comparison(base, dre)
-        rows = evaluation.comparison_rows(base, dre)
+    if domain_model is not None:
+        text += evaluation.format_report(report, title="with domain penalty")
+        text += evaluation.format_comparison(base, report)
+        rows = evaluation.comparison_rows(base, report)
         header = "setting,side,category,metric,baseline,with_domains,delta"
     else:
-        rows = [row for row in evaluation.csv_rows(base)]
+        rows = evaluation.csv_rows(base)
         header = "setting,side,category,metric,value"
 
     if args.report_out:
@@ -380,7 +392,7 @@ def build_parser() -> _Parser:
     p.add_argument("--relation", required=True)
     p.add_argument("--head", default=None)
     p.add_argument("--tail", default=None)
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=_positive_int, default=10)
     p.set_defaults(func=cmd_predict)
     return parser
 

@@ -9,6 +9,7 @@ in the per-split lists and collapsed in the gold index.
 from __future__ import annotations
 
 import os
+from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,22 +170,34 @@ def extract_domains(graph: KnowledgeGraph) -> dict[tuple[int, str], Domain]:
             for key, ids in members.items()}
 
 
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a non-negative integer array."""
+    s = np.sort(codes)
+    return s[np.diff(s, prepend=-1) != 0]
+
+
 def _relation_stats(graph: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:
     """(hpt, tph) per relation over distinct training triples.
 
     hpt = distinct pairs / distinct tails, tph = distinct pairs / distinct
     heads. Relations absent from training get 0 for both.
     """
-    pairs: dict[int, set[tuple[int, int]]] = {}
-    for h, r, t in graph.train:
-        pairs.setdefault(r, set()).add((h, t))
-    hpt = np.zeros(graph.n_relations)
-    tph = np.zeros(graph.n_relations)
-    for r, ht in pairs.items():
-        n_heads = len({h for h, _ in ht})
-        n_tails = len({t for _, t in ht})
-        hpt[r] = len(ht) / n_tails
-        tph[r] = len(ht) / n_heads
+    n_e, n_r = graph.n_entities, graph.n_relations
+    h, r, t = np.fromiter(chain.from_iterable(graph.train), dtype=np.int64,
+                          count=3 * len(graph.train)).reshape(-1, 3).T
+    # distinct (r, h) and (r, t) as sorted codes r * |E| + entity, and
+    # distinct (r, h, t) as (index of its (r, h) code) * |E| + t
+    rh = r * n_e + h
+    heads = _distinct(rh)
+    tails = _distinct(r * n_e + t)
+    pairs = _distinct(np.searchsorted(heads, rh) * n_e + t)
+
+    n_pairs = np.bincount(heads[pairs // n_e] // n_e, minlength=n_r)
+    hpt = np.zeros(n_r)
+    tph = np.zeros(n_r)
+    seen = n_pairs > 0
+    hpt[seen] = n_pairs[seen] / np.bincount(tails // n_e, minlength=n_r)[seen]
+    tph[seen] = n_pairs[seen] / np.bincount(heads // n_e, minlength=n_r)[seen]
     return hpt, tph
 
 

@@ -99,11 +99,7 @@ def score_train(ell: Ellipsoid, point: np.ndarray) -> float:
 
 def score_test(ell: Ellipsoid, point: np.ndarray) -> float:
     """Link-prediction penalty: zero anywhere inside, distance outside."""
-    q = quad_form(ell, point)
-    if q < 1.0:  # covers the degenerate center case
-        return 0.0
-    n = float(np.linalg.norm(np.asarray(point, dtype=np.float64) - ell.center))
-    return (1.0 - q ** -0.5) * n
+    return float(scores_test(ell, point)[0])
 
 
 def scores_train(ell: Ellipsoid, points: np.ndarray) -> np.ndarray:
@@ -119,14 +115,14 @@ def scores_train(ell: Ellipsoid, points: np.ndarray) -> np.ndarray:
 
 
 def scores_test(ell: Ellipsoid, points: np.ndarray) -> np.ndarray:
-    """Batch ``score_test``: zero inside, radial distance outside."""
+    """Batch ``score_test``: zero inside (the center included), radial
+    distance outside. Only the outside rows get a distance computed."""
     pts = _as_batch(points)
-    v = pts - ell.center
     q = quad_forms(ell, pts)
-    n = np.linalg.norm(v, axis=1)
     out = np.zeros(len(q))
-    outside = q >= 1.0
-    out[outside] = (1.0 - q[outside] ** -0.5) * n[outside]
+    outside = np.flatnonzero(q >= 1.0)
+    n = np.linalg.norm(pts[outside] - ell.center, axis=1)
+    out[outside] = (1.0 - q[outside] ** -0.5) * n
     return out
 
 

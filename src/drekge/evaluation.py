@@ -11,7 +11,9 @@ degenerate scorers are visible.
 
 When a domain model is supplied, each candidate's out-of-domain penalty
 for the slot being filled is added onto its baseline score, unscaled, so
-the two terms can be compared directly in the scale diagnostic.
+the two terms can be compared directly in the scale diagnostic. Each
+query is scored once: the baseline ranks and the penalized ranks are both
+taken from those scores, and both reports come out of the one pass.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ class EvalReport:
     # they received a zero penalty
     missing_domain_predictions: int
     term_stats: dict[str, dict[str, float]] = field(default_factory=dict)
+    # with domains: the unpenalized report ranked from the same scores
+    baseline: EvalReport | None = None
 
 
 def rank_of_gold(scores: np.ndarray, gold: int,
@@ -78,15 +82,15 @@ def rank_of_gold(scores: np.ndarray, gold: int,
     return rank, ties
 
 
-# one scored prediction: indices into the test split plus both settings
+# one scored prediction: its place in the split, and the (raw rank, raw
+# ties, filtered rank, filtered ties) of the baseline scores and of the
+# penalized ones (the baseline's again when the slot has no penalty)
 @dataclass
 class _Record:
     test_idx: int
     side: str
-    raw_rank: int
-    raw_ties: int
-    filt_rank: int
-    filt_ties: int
+    base: tuple[int, int, int, int]
+    pen: tuple[int, int, int, int]
     missing_domain: bool
     gold_base: float
     gold_pen: float
@@ -94,11 +98,22 @@ class _Record:
     med_pen: float
 
 
+def _ranks(scores: np.ndarray, gold: int, allowed: np.ndarray,
+           tie_break: str) -> tuple[int, int, int, int]:
+    return (*rank_of_gold(scores, gold, None, tie_break),
+            *rank_of_gold(scores, gold, allowed, tie_break))
+
+
 def _eval_relation_group(graph: KnowledgeGraph, model: EmbeddingModel,
                          domain_model: DomainModel | None, relation: int,
                          items: list[tuple[int, int, int]],
                          tie_break: str) -> list[_Record]:
-    """Score every prediction for test triples sharing one relation."""
+    """Score every prediction for test triples sharing one relation.
+
+    Each slot is projected once and each query scored once, into one
+    scratch buffer per group; the baseline and penalized ranks both come
+    from those scores.
+    """
     n_e = graph.n_entities
     proj = {side: project_all(model, relation, side) for side in (HEAD, TAIL)}
     pens = {side: None for side in (HEAD, TAIL)}
@@ -106,32 +121,34 @@ def _eval_relation_group(graph: KnowledgeGraph, model: EmbeddingModel,
         pens = {side: penalties_all(domain_model, model, relation, side,
                                     projected=proj[side])
                 for side in (HEAD, TAIL)}
+    scratch = np.empty((n_e, model.rel_dim))
 
     records = []
     for test_idx, h, t in items:
         for side, gold, fixed in ((HEAD, h, t), (TAIL, t, h)):
             if side == HEAD:
                 base = score_all(model, relation, tail=fixed,
-                                 projected=proj[HEAD])
+                                 projected=proj[HEAD], out=scratch)
                 known = graph.heads_by_rt[(relation, fixed)]
             else:
                 base = score_all(model, relation, head=fixed,
-                                 projected=proj[TAIL])
+                                 projected=proj[TAIL], out=scratch)
                 known = graph.tails_by_hr[(fixed, relation)]
             pen = pens[side]
             scores = base if pen is None else base + pen
+            # penalties are >= 0, so this also covers the baseline scores
             if not np.isfinite(scores).all():
                 raise NumericalError(f"non-finite score for relation {relation}")
 
             allowed = np.ones(n_e, dtype=bool)
             allowed[known] = False
             allowed[gold] = True
-            raw_rank, raw_ties = rank_of_gold(scores, gold, None, tie_break)
-            filt_rank, filt_ties = rank_of_gold(scores, gold, allowed,
-                                                tie_break)
+            base_ranks = _ranks(base, gold, allowed, tie_break)
             records.append(_Record(
-                test_idx, side, raw_rank, raw_ties, filt_rank, filt_ties,
-                pen is None and domain_model is not None,
+                test_idx, side, base_ranks,
+                base_ranks if pen is None
+                else _ranks(scores, gold, allowed, tie_break),
+                pen is None,
                 float(base[gold]),
                 0.0 if pen is None else float(pen[gold]),
                 float(np.median(base)),
@@ -151,6 +168,42 @@ def _summary(values: np.ndarray) -> dict[str, float]:
             "p75": float(qs[3]), "max": float(qs[4])}
 
 
+def _report(ranks: np.ndarray, sides: np.ndarray, cats: np.ndarray,
+            n_test: int, missing_domain: int,
+            term_stats: dict[str, dict[str, float]]) -> EvalReport:
+    """Aggregate per-prediction ``_ranks`` rows (in split order, head
+    before tail) overall and per category."""
+    overall: dict[tuple[str, str], MetricBlock] = {}
+    by_category: dict[tuple[str, str, str], MetricBlock] = {}
+    for setting, col in zip(SETTINGS, (0, 2)):   # rank columns of _ranks
+        side_ranks = {}
+        for side in (HEAD, TAIL):
+            sel = sides == side
+            side_ranks[side] = ranks[sel, col]
+            overall[(setting, side)] = _block(side_ranks[side])
+            for cat in CATEGORIES:
+                in_cat = cats[sel] == cat
+                if in_cat.any():
+                    by_category[(setting, side, cat)] = _block(
+                        side_ranks[side][in_cat])
+        overall[(setting, COMBINED)] = _block(
+            np.concatenate([side_ranks[HEAD], side_ranks[TAIL]]))
+        for cat in CATEGORIES:
+            pieces = [by_category[(setting, side, cat)]
+                      for side in (HEAD, TAIL)
+                      if (setting, side, cat) in by_category]
+            if pieces:
+                n = sum(p.n for p in pieces)
+                by_category[(setting, COMBINED, cat)] = MetricBlock(
+                    sum(p.mean_rank * p.n for p in pieces) / n,
+                    {k: sum(p.hits[k] * p.n for p in pieces) / n
+                     for k in HITS_AT},
+                    n)
+    tie_rate = float(np.mean(ranks[:, 1] > 0))
+    return EvalReport(overall, by_category, n_test, tie_rate, missing_domain,
+                      term_stats)
+
+
 def evaluate(graph: KnowledgeGraph, model: EmbeddingModel,
              domain_model: DomainModel | None = None, *,
              split: str = "test", tie_break: str = "optimistic",
@@ -160,7 +213,10 @@ def evaluate(graph: KnowledgeGraph, model: EmbeddingModel,
 
     Work is grouped by relation so each projection is computed once per
     group; groups are independent, and ``threads`` > 1 evaluates them
-    concurrently with results merged in a fixed order.
+    concurrently with results merged in a fixed order. With a domain
+    model the returned report is the penalized one, and its ``baseline``
+    is the report without penalties, ranked from the same scores in the
+    same pass (equal to ``evaluate(graph, model)``).
     """
     if split not in ("test", "valid"):
         raise ConfigurationError(f"unknown evaluation split {split!r}")
@@ -195,51 +251,27 @@ def evaluate(graph: KnowledgeGraph, model: EmbeddingModel,
 
     categories = classify_relations(graph)
     cat_of = np.array([categories[r] for _, r, _ in triples])
-
-    overall: dict[tuple[str, str], MetricBlock] = {}
-    by_category: dict[tuple[str, str, str], MetricBlock] = {}
-    side_ranks: dict[tuple[str, str], np.ndarray] = {}
-    for setting in SETTINGS:
-        for side in (HEAD, TAIL):
-            recs = [rec for rec in records if rec.side == side]
-            ranks = np.array([rec.raw_rank if setting == "raw"
-                              else rec.filt_rank for rec in recs])
-            idxs = np.array([rec.test_idx for rec in recs])
-            side_ranks[(setting, side)] = ranks
-            overall[(setting, side)] = _block(ranks)
-            for cat in CATEGORIES:
-                sel = cat_of[idxs] == cat
-                if sel.any():
-                    by_category[(setting, side, cat)] = _block(ranks[sel])
-        both = np.concatenate([side_ranks[(setting, HEAD)],
-                               side_ranks[(setting, TAIL)]])
-        overall[(setting, COMBINED)] = _block(both)
-        for cat in CATEGORIES:
-            pieces = [by_category[(setting, side, cat)]
-                      for side in (HEAD, TAIL)
-                      if (setting, side, cat) in by_category]
-            if pieces:
-                n = sum(p.n for p in pieces)
-                by_category[(setting, COMBINED, cat)] = MetricBlock(
-                    sum(p.mean_rank * p.n for p in pieces) / n,
-                    {k: sum(p.hits[k] * p.n for p in pieces) / n
-                     for k in HITS_AT},
-                    n)
-
-    tie_rate = float(np.mean([rec.raw_ties > 0 for rec in records]))
-    term_stats = {
+    sides = np.array([rec.side for rec in records])
+    cats = cat_of[np.array([rec.test_idx for rec in records])]
+    base_stats = {
         "gold_baseline": _summary(np.array([r.gold_base for r in records])),
         "median_baseline": _summary(np.array([r.med_base for r in records])),
     }
-    if domain_model is not None:
-        term_stats["gold_penalty"] = _summary(
-            np.array([r.gold_pen for r in records]))
-        term_stats["median_penalty"] = _summary(
-            np.array([r.med_pen for r in records]))
+    baseline = _report(np.array([rec.base for rec in records]), sides, cats,
+                       len(triples), 0, base_stats)
+    if domain_model is None:
+        return baseline
 
-    return EvalReport(
-        overall, by_category, len(triples), tie_rate,
-        sum(rec.missing_domain for rec in records), term_stats)
+    report = _report(np.array([rec.pen for rec in records]), sides, cats,
+                     len(triples),
+                     sum(rec.missing_domain for rec in records),
+                     {**base_stats,
+                      "gold_penalty": _summary(
+                          np.array([r.gold_pen for r in records])),
+                      "median_penalty": _summary(
+                          np.array([r.med_pen for r in records]))})
+    report.baseline = baseline
+    return report
 
 
 def validation_hits10(graph: KnowledgeGraph, model: EmbeddingModel,

@@ -128,10 +128,13 @@ def project_all(model: EmbeddingModel, relation: int, side: str) -> np.ndarray:
     return project_entities(model, slice(None), relation, side)
 
 
-def _norms(diff: np.ndarray, dissimilarity: str) -> np.ndarray:
+def _norms(diff: np.ndarray, dissimilarity: str,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Norms over the last axis. ``out`` (which may be ``diff`` itself)
+    receives the elementwise |x| or x*x before the reduction."""
     if dissimilarity == "l1":
-        return np.abs(diff).sum(axis=-1)
-    return np.sqrt((diff ** 2).sum(axis=-1))
+        return np.abs(diff, out=out).sum(axis=-1)
+    return np.sqrt(np.multiply(diff, diff, out=out).sum(axis=-1))
 
 
 def score_triple(model: EmbeddingModel, triple: tuple[int, int, int]) -> float:
@@ -142,13 +145,16 @@ def score_triple(model: EmbeddingModel, triple: tuple[int, int, int]) -> float:
 
 
 def score_all(model: EmbeddingModel, relation: int, *, head: int | None = None,
-              tail: int | None = None,
-              projected: np.ndarray | None = None) -> np.ndarray:
+              tail: int | None = None, projected: np.ndarray | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Scores with every entity substituted into the open slot.
 
     Exactly one of ``head`` and ``tail`` is fixed. ``projected`` lets a
     caller reuse ``project_all`` output for the open slot across many
-    queries with the same relation.
+    queries with the same relation. ``out``, a C-ordered float64 array
+    of the candidates' (|E|, k) shape, is scratch for the residuals and
+    their reduction, so repeated calls allocate only the returned scores;
+    the scores are the same bits with or without it.
     """
     if (head is None) == (tail is None):
         raise ConfigurationError("fix exactly one of head and tail")
@@ -157,13 +163,13 @@ def score_all(model: EmbeddingModel, relation: int, *, head: int | None = None,
         cand = projected if projected is not None \
             else project_all(model, relation, TAIL)
         target = project_entities(model, head, relation, HEAD) + r_vec
-        diff = target[None, :] - cand
+        diff = np.subtract(target, cand, out=out)
     else:
         cand = projected if projected is not None \
             else project_all(model, relation, HEAD)
         offset = r_vec - project_entities(model, tail, relation, TAIL)
-        diff = cand + offset[None, :]
-    return _norms(diff, model.dissimilarity)
+        diff = np.add(cand, offset, out=out)
+    return _norms(diff, model.dissimilarity, out=diff)
 
 
 def _norm_grad(u: np.ndarray, dissimilarity: str) -> np.ndarray:

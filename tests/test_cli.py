@@ -6,6 +6,7 @@ import pytest
 
 from drekge import data
 from drekge.cli import main
+from drekge.evaluation import evaluate, format_report
 from drekge.domains import (DomainModel, load_domains, penalties_all,
                             save_domains)
 from drekge.ellipsoid import Ellipsoid
@@ -96,6 +97,22 @@ class TestPipeline:
             assert fields[1:5] == [g.entities.labels[e], f"{base[e]:.6f}",
                                    f"{pens[e]:.6f}", f"{combined[e]:.6f}"]
 
+    def test_baseline_block_is_the_plain_report(self, dataset, tmp_path):
+        model = str(tmp_path / "m.bin")
+        doms = str(tmp_path / "d.bin")
+        report = str(tmp_path / "r.txt")
+        run_train(dataset, model)
+        assert main(["fit-domains", *dataset["args"], "--model", model,
+                     "--fit-epochs", "3", "--out", doms]) == 0
+        assert main(["evaluate", *dataset["args"], "--model", model,
+                     "--domains", doms, "--report-out", report]) == 0
+        g = data.load_graph(*dataset["args"][1::2])
+        baseline = format_report(evaluate(g, load_model(model)),
+                                 title="baseline")
+        text = open(report).read()
+        assert text.startswith(baseline)
+        assert text[len(baseline):].startswith("# with domain penalty\n")
+
     def test_evaluate_without_domains_uses_plain_csv(self, dataset, tmp_path):
         model = str(tmp_path / "m.bin")
         csv = str(tmp_path / "m.csv")
@@ -158,6 +175,34 @@ class TestFailureModes:
         assert main(["train", *dataset["args"]]) == 1  # --out missing
         assert main(["nonsense"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("name,flag,value", [
+        pytest.param(name, flag, value, id=f"{name}-{flag[2:]}={value}")
+        for name, flag, value in [("predict", "--top", "0"), ("predict", "--top", "-3"),
+                     ("evaluate", "--threads", "-2"),
+                     ("evaluate", "--threads", "0"),
+                     ("train", "--threads", "0"),
+                     ("fit-domains", "--threads", "-1")]])
+    def test_counts_below_one_exit_one(self, dataset, tmp_path, capsys,
+                                       name, flag, value):
+        model = str(tmp_path / "m.bin")
+        run_train(dataset, model)
+        capsys.readouterr()
+        g = dataset["graph"]
+        extra = {"train": ["--dim", "6", "--epochs", "1",
+                           "--out", str(tmp_path / "x.bin")],
+                 "fit-domains": ["--model", model,
+                                 "--out", str(tmp_path / "d.bin")],
+                 "evaluate": ["--model", model],
+                 "predict": ["--model", model,
+                             "--relation", g.relations.labels[0],
+                             "--head", g.entities.labels[0]]}[name]
+        assert main([name, *dataset["args"], *extra, flag, value]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"{flag}: must be an integer >= 1" in out.err
+        assert not os.path.exists(tmp_path / "x.bin")
+        assert not os.path.exists(tmp_path / "d.bin")
 
     def test_config_file_rejects_unknown_keys(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

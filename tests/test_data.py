@@ -173,3 +173,43 @@ class TestRelationCategories:
                              [("a", "r1", "b")])
         probs = data.corrupt_head_probs(g)
         assert probs[g.relations.id("r1")] == pytest.approx(0.5)
+
+    @staticmethod
+    def loop_stats(graph):
+        """The per-triple set loop the counts were first written as."""
+        pairs = {}
+        for h, r, t in graph.train:
+            pairs.setdefault(r, set()).add((h, t))
+        hpt = np.zeros(graph.n_relations)
+        tph = np.zeros(graph.n_relations)
+        for r, ht in pairs.items():
+            hpt[r] = len(ht) / len({t for _, t in ht})
+            tph[r] = len(ht) / len({h for h, _ in ht})
+        return hpt, tph
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stats_equal_the_set_loop(self, seed):
+        rng = np.random.default_rng(170 + seed)
+        n_e, n_r = int(rng.integers(2, 40)), int(rng.integers(1, 8))
+
+        def triples(n, relations):
+            return [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in zip(
+                rng.integers(0, n_e, n), rng.choice(relations, n),
+                rng.integers(0, n_e, n))]
+
+        train = triples(int(rng.integers(1, 200)), np.arange(n_r))
+        train += [train[i] for i in rng.integers(0, len(train), 30)]
+        # relation n_r occurs only in held-out splits
+        held_out = triples(10, np.arange(n_r + 1)) + [("e0", f"r{n_r}", "e1")]
+        g = data.build_graph(train, held_out[:5], held_out[5:])
+        assert g.n_relations > len({r for _, r, _ in g.train})
+        hpt, tph = data._relation_stats(g)
+        ref_hpt, ref_tph = self.loop_stats(g)
+        assert np.array_equal(hpt, ref_hpt)
+        assert np.array_equal(tph, ref_tph)
+
+        ref_denom = ref_hpt + ref_tph
+        ref_probs = np.full(g.n_relations, 0.5)
+        seen = ref_denom > 0
+        ref_probs[seen] = ref_tph[seen] / ref_denom[seen]
+        assert np.array_equal(data.corrupt_head_probs(g), ref_probs)

@@ -88,6 +88,48 @@ class TestDistance:
         assert scores_train(ell, pts).tolist() == [0.0, 1.0]
         assert scores_test(ell, pts).tolist() == [0.0, 1.0]
 
+    def test_batch_equals_scalar_row_by_row(self):
+        # integer coordinates and factor entries make every quadratic form
+        # and squared norm an exact integer, so no BLAS summation order can
+        # separate the batch product from the one-row product
+        rng = np.random.default_rng(24)
+        k = 12
+        factor = np.tril(rng.integers(-2, 3, size=(k, k))).astype(float)
+        np.fill_diagonal(factor, rng.integers(1, 3, size=k))
+        center = rng.integers(-3, 4, size=k).astype(float)
+        ell = Ellipsoid(center, factor)
+        on_surface = center.copy()
+        on_surface[0] += 1.0 / factor[0, 0]
+        pts = np.vstack([center, on_surface,
+                         center + rng.integers(-3, 4, size=(200, k))])
+        assert quad_form(ell, pts[1]) == 1.0
+        batch = scores_test(ell, pts)
+        assert batch[0] == 0.0 and batch[1] == 0.0
+        assert (batch > 0).any()
+        for i, pt in enumerate(pts):
+            assert batch[i] == score_test(ell, pt)
+
+        # on arbitrary floats the two differ only by the matrix product
+        pts = rng.normal(size=(50, k)) * 3
+        batch = scores_test(ell, pts)
+        for i, pt in enumerate(pts):
+            assert batch[i] == pytest.approx(score_test(ell, pt), rel=1e-13)
+
+    def test_batch_is_the_full_size_formula(self):
+        rng = np.random.default_rng(25)
+        for k in (1, 8, 50):
+            ell = random_ellipsoid(rng, k)
+            pts = np.vstack([ell.center, rng.normal(size=(3000, k))])
+            # reference: distances of every row, kept only outside
+            v = pts - ell.center
+            q = quad_forms(ell, pts)
+            n = np.linalg.norm(v, axis=1)
+            want = np.zeros(len(q))
+            outside = q >= 1.0
+            want[outside] = (1.0 - q[outside] ** -0.5) * n[outside]
+            assert 0 < outside.sum() < len(q)
+            assert np.array_equal(scores_test(ell, pts), want)
+
     def test_ray_monotonicity(self):
         rng = np.random.default_rng(23)
         ell = random_ellipsoid(rng, 4)

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from drekge import data, evaluation
-from drekge.domains import DomainModel
+from drekge.domains import DomainModel, penalties_all
 from drekge.ellipsoid import Ellipsoid
 from drekge.errors import ConfigurationError, StaleDomainModelError
 from drekge.evaluation import (EvalReport, comparison_rows, csv_rows,
                                evaluate, format_comparison, format_report,
                                rank_of_gold, validation_hits10)
-from drekge.models import EmbeddingModel
+from drekge.models import VARIANTS, EmbeddingModel, score_all
 
 from generators import random_domain_model, random_graph, random_model
 from refeval import ref_evaluate
@@ -226,6 +226,55 @@ class TestDomainPenalties:
         dm = random_domain_model(rng, g, m)
         with pytest.raises(StaleDomainModelError):
             evaluate(g, random_model(rng, g), dm)
+
+
+class TestSinglePass:
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("dissim", ["l1", "l2"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_baseline_is_the_plain_report(self, variant, dissim, threads):
+        rng = np.random.default_rng(135)
+        g = random_graph(rng, n_entities=30, n_relations=4, n_test=16)
+        m = random_model(rng, g, variant=variant, dissimilarity=dissim)
+        # every entity shares its vector with another one, so ties occur
+        m.entity_vecs[1::2] = m.entity_vecs[::2][:g.n_entities // 2]
+        dm = random_domain_model(rng, g, m, coverage=0.6)
+        rep = evaluate(g, m, dm, threads=threads)
+        plain = evaluate(g, m, threads=threads)
+        assert rep.baseline == plain
+        assert plain.baseline is None
+
+        # the diagnostics, recomputed query by query from the kernels
+        ties = {"base": [], "pen": []}
+        terms = {"gold_baseline": [], "median_baseline": [],
+                 "gold_penalty": [], "median_penalty": []}
+        missing = 0
+        for h, r, t in g.test:
+            for side, gold, fixed in (("head", h, {"tail": t}),
+                                      ("tail", t, {"head": h})):
+                base = score_all(m, r, **fixed)
+                pen = penalties_all(dm, m, r, side)
+                missing += pen is None
+                pen = np.zeros_like(base) if pen is None else pen
+                for name, scores in (("base", base), ("pen", base + pen)):
+                    ties[name].append(
+                        np.count_nonzero(scores == scores[gold]) > 1)
+                terms["gold_baseline"].append(base[gold])
+                terms["median_baseline"].append(np.median(base))
+                terms["gold_penalty"].append(pen[gold])
+                terms["median_penalty"].append(np.median(pen))
+        stats = {}
+        for term, values in terms.items():
+            qs = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
+            stats[term] = dict(zip(["min", "p25", "median", "p75", "max"],
+                                   qs.tolist()))
+        assert 0 < plain.tie_rate == np.mean(ties["base"])
+        assert rep.tie_rate == np.mean(ties["pen"])
+        assert plain.missing_domain_predictions == 0
+        assert 0 < rep.missing_domain_predictions == missing
+        assert plain.term_stats == {k: stats[k] for k in
+                                    ("gold_baseline", "median_baseline")}
+        assert rep.term_stats == stats
 
 
 class TestReportRendering:

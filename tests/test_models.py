@@ -99,6 +99,39 @@ class TestScoring:
                                            rtol=1e-12, atol=1e-12)
 
 
+    @pytest.mark.parametrize("dissim", models.DISSIMILARITIES)
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_score_all_into_a_buffer_is_bit_identical(self, variant, dissim):
+        rng = np.random.default_rng(63)
+        g = random_graph(rng, n_entities=300, n_train=400)
+        m = random_model(rng, g, variant=variant, dim=50,
+                         dissimilarity=dissim)
+        r_vec = m.relation_vecs[2]
+
+        def norms(diff):  # reference: reduce a fresh residual array
+            if dissim == "l1":
+                return np.abs(diff).sum(axis=-1)
+            return np.sqrt((diff ** 2).sum(axis=-1))
+
+        buf = np.full((g.n_entities, m.rel_dim), np.nan)
+        for e in (0, 7, g.n_entities - 1):
+            tails = project_all(m, 2, "tail")
+            want = norms((project_entities(m, e, 2, "head") + r_vec)[None, :]
+                         - tails)
+            assert np.array_equal(score_all(m, 2, head=e), want)
+            assert np.array_equal(score_all(m, 2, head=e, out=buf), want)
+            assert np.array_equal(
+                score_all(m, 2, head=e, projected=tails, out=buf), want)
+
+            heads = project_all(m, 2, "head")
+            want = norms(heads + (r_vec - project_entities(m, e, 2, "tail"))
+                         [None, :])
+            assert np.array_equal(score_all(m, 2, tail=e), want)
+            assert np.array_equal(score_all(m, 2, tail=e, out=buf), want)
+            assert np.array_equal(
+                score_all(m, 2, tail=e, projected=heads, out=buf), want)
+
+
 class TestScoreGradients:
     def check_fd(self, m, triple, rel_tol=2e-5):
         h = 1e-6
