@@ -139,10 +139,9 @@ def _default_threads(args: argparse.Namespace, fallback: int) -> int:
     env = os.environ.get(THREADS_ENV)
     if env:
         try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"{THREADS_ENV} must be an integer, got {env!r}") from exc
+            return _positive_int(env)
+        except argparse.ArgumentTypeError as exc:
+            raise _UsageError(f"{THREADS_ENV}: {exc}") from None
     return fallback
 
 
@@ -179,6 +178,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     args.train = opts.get("train", args.train)
     args.valid = opts.get("valid", args.valid)
     args.test = opts.get("test", args.test)
+    threads = _default_threads(args, 1)
     graph = _load_graph(args)
 
     config = models.TrainConfig(
@@ -198,7 +198,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
 
     init = models.load_model(args.init_model) if args.init_model else None
-    threads = _default_threads(args, 1)
 
     def on_epoch(epoch: int, mean_loss: float) -> None:
         log.info("epoch %d mean loss %.6f", epoch, mean_loss)
@@ -258,9 +257,9 @@ def cmd_fit_domains(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    threads = _default_threads(args, os.cpu_count() or 1)
     graph = _load_graph(args)
     model = models.load_model(args.model)
-    threads = _default_threads(args, os.cpu_count() or 1)
 
     domain_model = domains.load_domains(args.domains) if args.domains else None
 

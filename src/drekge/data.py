@@ -4,13 +4,22 @@ Triple files are UTF-8 text, one ``head<TAB>relation<TAB>tail`` per line.
 Labels are opaque strings; integer ids are assigned by first appearance
 while scanning train, then valid, then test. Duplicate triples are kept
 in the per-split lists and collapsed in the gold index.
+
+The filter index (the known tails of each (h, r) and the known heads of
+each (r, t), over all splits) is built from sorted int64 codes: one sort
+per side, one candidate array per side, and each key's candidates a
+slice of it.
 """
 
 from __future__ import annotations
 
+import gc
+import operator
 import os
-from itertools import chain
+from collections.abc import Iterable, Mapping, Set
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -33,9 +42,10 @@ CATEGORY_THRESHOLD = 1.5
 class Vocab:
     """Bidirectional label <-> integer id mapping, insertion ordered."""
 
-    def __init__(self):
-        self.labels: list[str] = []
-        self._index: dict[str, int] = {}
+    def __init__(self, labels: Iterable[str] = ()):
+        self.labels: list[str] = list(dict.fromkeys(labels))
+        self._index: dict[str, int] = dict(zip(self.labels,
+                                               range(len(self.labels))))
 
     def add(self, label: str) -> int:
         idx = self._index.get(label)
@@ -64,6 +74,90 @@ class Domain:
     members: tuple[int, ...]
 
 
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a non-negative integer array."""
+    s = np.sort(codes)
+    return s[np.diff(s, prepend=-1) != 0]
+
+
+class _FilterIndex(Mapping):
+    """Read-only map from a key (a, b), with 0 <= a < n_a and
+    0 <= b < n_b, to the sorted int64 entities known with it.
+
+    Keys are the sorted distinct codes a * n_b + b. Each distinct
+    (key, entity) pair is the code (position of its key) * |E| + entity,
+    so no code can overflow or alias another pair; one sort of those
+    codes lays every key's entities out as a slice of one array.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, entity: np.ndarray,
+                 n_a: int, n_b: int, n_entities: int):
+        self._shape = (n_a, n_b)
+        key = a * n_b + b
+        self._keys = _distinct(key)
+        pairs = _distinct(np.searchsorted(self._keys, key) * n_entities
+                          + entity)
+        self._starts = np.searchsorted(
+            pairs, np.arange(len(self._keys) + 1) * n_entities)
+        self._entities = pairs % n_entities
+        self._entities.flags.writeable = False
+
+    def _find(self, key) -> int:
+        try:
+            a, b = map(operator.index, key)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        n_a, n_b = self._shape
+        if 0 <= a < n_a and 0 <= b < n_b:
+            code = a * n_b + b
+            i = int(self._keys.searchsorted(code))
+            if i < len(self._keys) and self._keys[i] == code:
+                return i
+        raise KeyError(key)
+
+    def __getitem__(self, key) -> np.ndarray:
+        i = self._find(key)
+        return self._entities[self._starts[i]:self._starts[i + 1]]
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __iter__(self):
+        n_b = self._shape[1]
+        return (divmod(code, n_b) for code in self._keys.tolist())
+
+    @property
+    def n_pairs(self) -> int:
+        return len(self._entities)
+
+
+class _GoldSet(Set):
+    """Read-only set of the distinct (h, r, t) of all splits, answered
+    from the known-tails index: (h, r, t) is gold when t is among the
+    known tails of (h, r)."""
+
+    def __init__(self, tails_by_hr: _FilterIndex):
+        self._tails = tails_by_hr
+
+    def __contains__(self, triple) -> bool:
+        try:
+            h, r, t = triple
+            t = operator.index(t)
+            tails = self._tails[(h, r)]
+        except (TypeError, ValueError, KeyError):
+            return False
+        i = int(tails.searchsorted(t))
+        return i < len(tails) and tails[i] == t
+
+    def __len__(self) -> int:
+        return self._tails.n_pairs
+
+    def __iter__(self):
+        for (h, r), tails in self._tails.items():
+            for t in tails.tolist():
+                yield h, r, t
+
+
 @dataclass
 class KnowledgeGraph:
     entities: Vocab
@@ -71,10 +165,12 @@ class KnowledgeGraph:
     train: list[tuple[int, int, int]]
     valid: list[tuple[int, int, int]]
     test: list[tuple[int, int, int]]
-    gold: set[tuple[int, int, int]] = field(repr=False)
+    gold: Set[tuple[int, int, int]] = field(repr=False)
     # filtered-evaluation lookup: known tails of (h, r), known heads of (r, t)
-    tails_by_hr: dict[tuple[int, int], np.ndarray] = field(repr=False)
-    heads_by_rt: dict[tuple[int, int], np.ndarray] = field(repr=False)
+    tails_by_hr: Mapping[tuple[int, int], np.ndarray] = field(repr=False)
+    heads_by_rt: Mapping[tuple[int, int], np.ndarray] = field(repr=False)
+    # read-only (n_train, 3) int64 ids of the training split
+    train_ids: np.ndarray = field(repr=False)
 
     @property
     def n_entities(self) -> int:
@@ -100,39 +196,59 @@ def _parse_file(path: str) -> list[tuple[str, str, str]]:
     return triples
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, restoring its state after.
+
+    Loading a graph allocates a tuple per triple and creates no reference
+    cycles, but every few hundred allocations trigger a collection that
+    scans them; on a WN18-sized graph that was about a fifth of
+    ``build_graph``.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def build_graph(train: list[tuple[str, str, str]],
                 valid: list[tuple[str, str, str]],
                 test: list[tuple[str, str, str]]) -> KnowledgeGraph:
     """Assemble a graph from label triples already split three ways."""
-    entities = Vocab()
-    relations = Vocab()
-    splits = []
-    for raw in (train, valid, test):
-        ids = [(entities.add(h), relations.add(r), entities.add(t))
-               for h, r, t in raw]
-        splits.append(ids)
+    with _gc_paused():
+        rows = [*train, *valid, *test]
+        heads, rels, tails = zip(*rows) if rows else ((), (), ())
+        entities = Vocab(chain.from_iterable(zip(heads, tails)))
+        relations = Vocab(rels)
+        ids = np.empty((len(rows), 3), dtype=np.int64)
+        for col, labels, vocab in ((0, heads, entities), (1, rels, relations),
+                                   (2, tails, entities)):
+            ids[:, col] = np.fromiter(map(vocab._index.__getitem__, labels),
+                                      dtype=np.int64, count=len(rows))
+        ids.flags.writeable = False
 
-    gold = set()
-    tails: dict[tuple[int, int], set[int]] = {}
-    heads: dict[tuple[int, int], set[int]] = {}
-    for split in splits:
-        for h, r, t in split:
-            gold.add((h, r, t))
-            tails.setdefault((h, r), set()).add(t)
-            heads.setdefault((r, t), set()).add(h)
-
-    tails_arr = {k: np.array(sorted(v), dtype=np.int64) for k, v in tails.items()}
-    heads_arr = {k: np.array(sorted(v), dtype=np.int64) for k, v in heads.items()}
-    return KnowledgeGraph(entities, relations, splits[0], splits[1], splits[2],
-                          gold, tails_arr, heads_arr)
+        ends = np.cumsum([len(train), len(valid), len(test)])
+        splits = [list(zip(*part.T.tolist()))
+                  for part in np.split(ids, ends[:2])]
+        n_e, n_r = len(entities), len(relations)
+        h, r, t = ids.T
+        tails_by_hr = _FilterIndex(h, r, t, n_e, n_r, n_e)
+        heads_by_rt = _FilterIndex(r, t, h, n_r, n_e, n_e)
+        return KnowledgeGraph(entities, relations, *splits,
+                              _GoldSet(tails_by_hr), tails_by_hr, heads_by_rt,
+                              ids[:ends[0]])
 
 
 def load_graph(train_path: str, valid_path: str, test_path: str,
                format: str = "tsv") -> KnowledgeGraph:
     if format != "tsv":
         raise ConfigurationError(f"unknown triple file format {format!r}")
-    return build_graph(_parse_file(train_path), _parse_file(valid_path),
-                       _parse_file(test_path))
+    with _gc_paused():
+        return build_graph(_parse_file(train_path), _parse_file(valid_path),
+                           _parse_file(test_path))
 
 
 def save_graph(graph: KnowledgeGraph, directory: str) -> None:
@@ -152,7 +268,8 @@ def save_graph(graph: KnowledgeGraph, directory: str) -> None:
 
 
 def is_gold(graph: KnowledgeGraph, triple: tuple[int, int, int]) -> bool:
-    """True if the triple appears in any split."""
+    """True if the triple appears in any split; False for an id outside
+    the graph's entities or relations."""
     return tuple(triple) in graph.gold
 
 
@@ -162,18 +279,21 @@ def extract_domains(graph: KnowledgeGraph) -> dict[tuple[int, str], Domain]:
     Only the training split contributes; held-out triples must not leak
     into the regions the ellipsoids are fitted on.
     """
-    members: dict[tuple[int, str], set[int]] = {}
-    for h, r, t in graph.train:
-        members.setdefault((r, HEAD), set()).add(h)
-        members.setdefault((r, TAIL), set()).add(t)
-    return {key: Domain(key[0], key[1], tuple(sorted(ids)))
-            for key, ids in members.items()}
+    n_e = graph.n_entities
+    out = {}
+    for side, codes in zip(SIDES, _slot_codes(graph)):
+        slots = _distinct(codes)
+        rels, first = np.unique(slots // n_e, return_index=True)
+        for r, ids in zip(rels.tolist(), np.split(slots % n_e, first[1:])):
+            out[(r, side)] = Domain(r, side, tuple(ids.tolist()))
+    return out
 
 
-def _distinct(codes: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of a non-negative integer array."""
-    s = np.sort(codes)
-    return s[np.diff(s, prepend=-1) != 0]
+def _slot_codes(graph: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Per training triple, its (r, h) and its (r, t) as r * |E| + entity."""
+    h, r, t = graph.train_ids.T
+    base = r * graph.n_entities
+    return base + h, base + t
 
 
 def _relation_stats(graph: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -183,13 +303,12 @@ def _relation_stats(graph: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:
     heads. Relations absent from training get 0 for both.
     """
     n_e, n_r = graph.n_entities, graph.n_relations
-    h, r, t = np.fromiter(chain.from_iterable(graph.train), dtype=np.int64,
-                          count=3 * len(graph.train)).reshape(-1, 3).T
-    # distinct (r, h) and (r, t) as sorted codes r * |E| + entity, and
-    # distinct (r, h, t) as (index of its (r, h) code) * |E| + t
-    rh = r * n_e + h
+    t = graph.train_ids[:, 2]
+    rh, rt = _slot_codes(graph)
+    # distinct (r, h) and (r, t) codes, and distinct (r, h, t) as
+    # (index of its (r, h) code) * |E| + t
     heads = _distinct(rh)
-    tails = _distinct(r * n_e + t)
+    tails = _distinct(rt)
     pairs = _distinct(np.searchsorted(heads, rh) * n_e + t)
 
     n_pairs = np.bincount(heads[pairs // n_e] // n_e, minlength=n_r)

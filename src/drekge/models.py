@@ -337,7 +337,7 @@ def train(graph: KnowledgeGraph, config: TrainConfig,
     rng = np.random.default_rng(config.seed)
     model = _init_model(graph, config, init, rng)
 
-    triples = np.asarray(graph.train, dtype=np.int64)
+    triples = graph.train_ids
     n = len(triples)
     head_probs = None
     if config.negative_sampling == "bernoulli":

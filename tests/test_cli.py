@@ -204,6 +204,23 @@ class TestFailureModes:
         assert not os.path.exists(tmp_path / "x.bin")
         assert not os.path.exists(tmp_path / "d.bin")
 
+    @pytest.mark.parametrize("name", ["train", "evaluate"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_threads_env_below_one_exits_one(self, dataset, tmp_path, capsys,
+                                             monkeypatch, name, value):
+        model = str(tmp_path / "m.bin")
+        run_train(dataset, model)
+        capsys.readouterr()
+        monkeypatch.setenv("DREKGE_THREADS", value)
+        out = tmp_path / "out"
+        extra = {"train": ["--dim", "6", "--epochs", "1", "--out", str(out)],
+                 "evaluate": ["--model", model,
+                              "--report-out", str(out)]}[name]
+        assert main([name, *dataset["args"], *extra]) == 1
+        err = capsys.readouterr().err
+        assert "DREKGE_THREADS: must be an integer >= 1" in err
+        assert not out.exists()
+
     def test_config_file_rejects_unknown_keys(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"dims": 7}))

@@ -86,6 +86,107 @@ class TestBuildGraph:
                 assert (h, r, int(t)) in g.gold
 
 
+def set_reference(graph):
+    """The per-key Python set construction the filter index, the gold set
+    and the training domains were first written as."""
+    gold, tails, heads, domains = set(), {}, {}, {}
+    for split in (graph.train, graph.valid, graph.test):
+        for h, r, t in split:
+            gold.add((h, r, t))
+            tails.setdefault((h, r), set()).add(t)
+            heads.setdefault((r, t), set()).add(h)
+    for h, r, t in graph.train:
+        domains.setdefault((r, data.HEAD), set()).add(h)
+        domains.setdefault((r, data.TAIL), set()).add(t)
+    return gold, tails, heads, domains
+
+
+def duplicate_heavy_graph(rng):
+    """Duplicates within and across splits; some entities and relations
+    occur only in valid or test."""
+    n_e, n_r = int(rng.integers(2, 25)), int(rng.integers(1, 6))
+
+    def triples(n, n_ent, n_rel):
+        return [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in zip(
+            rng.integers(0, n_ent, n), rng.integers(0, n_rel, n),
+            rng.integers(0, n_ent, n))]
+
+    train = triples(int(rng.integers(1, 120)), n_e, n_r)
+    train += [train[i] for i in rng.integers(0, len(train), 20)]
+    valid = triples(10, n_e + 3, n_r + 1) + [train[0], train[-1]]
+    test = triples(10, n_e + 4, n_r + 2) + [valid[0], train[0]]
+    return data.build_graph(train, valid, test)
+
+
+class TestFilterIndex:
+    @pytest.mark.parametrize("seed", [None, *range(7)])
+    def test_equals_the_set_construction(self, seed):
+        g = data.build_graph([("a", "r", "b")], [], []) if seed is None \
+            else duplicate_heavy_graph(np.random.default_rng(300 + seed))
+        gold, tails, heads, domains = set_reference(g)
+
+        assert len(g.gold) == len(gold)
+        assert set(g.gold) == gold
+        for index, ref in ((g.tails_by_hr, tails), (g.heads_by_rt, heads)):
+            assert len(index) == len(ref)
+            keys = list(index)
+            assert len(keys) == len(set(keys)) and set(keys) == set(ref)
+            assert all(type(a) is int and type(b) is int for a, b in keys)
+            for key, ids in ref.items():
+                got = index[key]
+                assert got.dtype == np.int64 and not got.flags.writeable
+                assert got.tolist() == sorted(ids)
+
+        assert data.extract_domains(g) == {
+            key: data.Domain(key[0], key[1], tuple(sorted(ids)))
+            for key, ids in domains.items()}
+
+        n_e, n_r = g.n_entities, g.n_relations
+        for h in range(n_e):
+            for r in range(n_r):
+                for t in range(n_e):
+                    assert data.is_gold(g, (h, r, t)) == ((h, r, t) in gold)
+
+    def test_train_ids_are_the_training_split(self):
+        g = duplicate_heavy_graph(np.random.default_rng(9))
+        assert g.train_ids.dtype == np.int64
+        assert not g.train_ids.flags.writeable
+        assert g.train_ids.tolist() == [list(row) for row in g.train]
+
+    def test_wrapped_ids_are_not_gold(self):
+        # every (h, r, t) is gold, so any wrapped id would alias one
+        ents, rels = ("a", "b", "c"), ("r", "s")
+        g = data.build_graph([(h, r, t) for h in ents for r in rels
+                              for t in ents], [], [])
+        n_e, n_r = g.n_entities, g.n_relations
+        assert len(g.gold) == n_e * n_r * n_e
+        for h, r, t in g.train:
+            assert data.is_gold(g, (h, r, t))
+            for bad in ((h, r, t + n_e), (h, r, t - n_e), (h + n_e, r, t),
+                        (h - n_e, r, t), (h, r + n_r, t), (h, r - n_r, t),
+                        (h, -1, t), (-1, r, t), (h, r, -1)):
+                assert not data.is_gold(g, bad)
+                assert bad not in g.gold
+
+    def test_unknown_keys_raise_key_error(self):
+        g = data.build_graph([("a", "r", "b"), ("b", "r", "c")], [],
+                             [("c", "s", "a")])
+        r, s = g.relations.id("r"), g.relations.id("s")
+        a, b, c = (g.entities.id(x) for x in "abc")
+        assert set(g.tails_by_hr) == {(a, r), (b, r), (c, s)}
+        assert set(g.heads_by_rt) == {(r, b), (r, c), (s, a)}
+        for index, unknown in (
+                (g.tails_by_hr, [(a, s), (c, r), (a, 2), (-1, r), (3, r),
+                                 (a, r + 2), ("a", r), (a,), None]),
+                (g.heads_by_rt, [(s, b), (r, a), (2, b), (r, -1), (r, 3),
+                                 (r + 2, b), (r, "b"), (r,), None])):
+            for key in unknown:
+                with pytest.raises(KeyError):
+                    index[key]
+                assert key not in index
+                assert index.get(key) is None
+
+
 class TestSaveGraph:
     def test_save_then_load_is_identity(self, tmp_path):
         rng = np.random.default_rng(5)
