@@ -14,16 +14,17 @@ stored and checked on use.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import HEAD, TAIL, KnowledgeGraph, extract_domains
-from .ellipsoid import (Ellipsoid, FitConfig, fit, score_test, scores_test,
-                        scores_train)
+from .ellipsoid import (Ellipsoid, FitConfig, fit_stack, score_test,
+                        scores_test, scores_train_stack)
 from .errors import ConfigurationError, FormatError, StaleDomainModelError
-from .models import EmbeddingModel, project_all, project_entities
+from .models import (EmbeddingModel, project_all, project_entities,
+                     project_slots)
 
 DOMAIN_MAGIC = "DREDOM"
 DOMAIN_VERSION = "v1"
@@ -77,10 +78,13 @@ def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
                     on_domain=None) -> DomainModel:
     """Fit ellipsoids for every training domain with enough members.
 
-    Domains are visited in (relation, side) order. ``on_domain(relation,
-    side, n_members, mean_score)`` is called as each domain is done:
-    after its fit, with the mean training score of its members at the
-    fitted surface, or at once with None when it is skipped.
+    The paper fits each domain on its own, so all domains with the same
+    member count are fitted together as one stack, one size at a time;
+    each still draws its batches from its own seed and ends exactly as a
+    lone ``fit`` of its projected members would. After the fits,
+    ``on_domain(relation, side, n_members, mean_score)`` is called once
+    per domain in (relation, side) order, with the mean training score of
+    its members at the fitted surface, or None when it was skipped.
     """
     config = config or FitConfig()
     if model.n_entities != graph.n_entities \
@@ -88,26 +92,35 @@ def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
         raise ConfigurationError("model entity/relation counts do not match "
                                  "the graph")
     domains = extract_domains(graph)
-    ellipsoids: dict[tuple[int, str], Ellipsoid] = {}
-    skipped = []
-    for key in sorted(domains, key=_domain_order):
-        relation, side = key
-        members = domains[key].members
-        mean_score = None
-        if len(members) < min_members:
-            skipped.append(key)
-        else:
-            points = project_entities(model, np.array(members, dtype=np.int64),
-                                      relation, side)
-            cfg = replace(config, seed=_domain_seed(config.seed, relation,
-                                                    _SIDE_FLAGS[side]))
-            ell = ellipsoids[key] = fit(points, cfg)
-            mean_score = float(scores_train(ell, points).mean())
-        if on_domain is not None:
-            on_domain(relation, side, len(members), mean_score)
+    keys = sorted(domains, key=_domain_order)
+    by_size: dict[int, list[tuple[int, str]]] = {}
+    for key in keys:
+        if len(domains[key].members) >= min_members:
+            by_size.setdefault(len(domains[key].members), []).append(key)
 
-    return DomainModel(model.rel_dim, model.fingerprint(), ellipsoids,
-                       tuple(skipped))
+    ellipsoids: dict[tuple[int, str], Ellipsoid] = {}
+    scores: dict[tuple[int, str], float] = {}
+    for group in by_size.values():
+        relations = np.array([r for r, _ in group], dtype=np.int64)
+        sides = [side for _, side in group]
+        points = project_slots(
+            model, np.array([domains[key].members for key in group],
+                            dtype=np.int64), relations, sides)
+        seeds = [_domain_seed(config.seed, r, _SIDE_FLAGS[side])
+                 for r, side in group]
+        centers, factors = fit_stack(points, config, seeds)
+        means = scores_train_stack(centers, factors, points).mean(axis=1)
+        for i, key in enumerate(group):
+            ellipsoids[key] = Ellipsoid(centers[i], factors[i])
+            scores[key] = float(means[i])
+
+    if on_domain is not None:
+        for key in keys:
+            on_domain(*key, len(domains[key].members), scores.get(key))
+    return DomainModel(model.rel_dim, model.fingerprint(),
+                       {key: ellipsoids[key] for key in keys
+                        if key in ellipsoids},
+                       tuple(key for key in keys if key not in ellipsoids))
 
 
 def penalty(domain_model: DomainModel, model: EmbeddingModel, entity: int,
@@ -138,6 +151,14 @@ def penalties_all(domain_model: DomainModel, model: EmbeddingModel,
     return scores_test(ell, projected)
 
 
+def _slot_penalties(domain_model: DomainModel, relation: int, side: str,
+                    projected: np.ndarray) -> np.ndarray | None:
+    """``penalties_all`` of points already projected into the slot,
+    without the compatibility check, for a caller that made it once."""
+    ell = domain_model.ellipsoids.get((relation, side))
+    return None if ell is None else scores_test(ell, projected)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 #
@@ -149,20 +170,41 @@ def penalties_all(domain_model: DomainModel, model: EmbeddingModel,
 #   all numbers little-endian
 # ---------------------------------------------------------------------------
 
+_SLOT = np.dtype([("relation", "<i8"), ("flag", "<i8")])
+_SAVE_BLOCK = 256
+
+
+def _fitted_record(k: int) -> np.dtype:
+    return np.dtype([*_SLOT.descr, ("center", "<f8", (k,)),
+                     ("tril", "<f8", (k * (k + 1) // 2,))])
+
+
+def _with_slots(records: np.ndarray, keys) -> np.ndarray:
+    records["relation"] = [relation for relation, _ in keys]
+    records["flag"] = [_SIDE_FLAGS[side] for _, side in keys]
+    return records
+
+
 def save_domains(domain_model: DomainModel, path: str) -> None:
     k = domain_model.rel_dim
-    tril = np.tril_indices(k)
+    record = _fitted_record(k)
+    rows, cols = np.tril_indices(k)
+    keys = sorted(domain_model.ellipsoids, key=_domain_order)
+    skipped = _with_slots(np.empty(len(domain_model.skipped), dtype=_SLOT),
+                          sorted(domain_model.skipped, key=_domain_order))
     with open(path, "wb") as fh:
         fh.write(f"{DOMAIN_MAGIC} {DOMAIN_VERSION} {k} "
-                 f"{len(domain_model.ellipsoids)} {len(domain_model.skipped)} "
+                 f"{len(keys)} {len(skipped)} "
                  f"{domain_model.model_fingerprint:016x}\n".encode("ascii"))
-        for relation, side in sorted(domain_model.ellipsoids, key=_domain_order):
-            ell = domain_model.ellipsoids[(relation, side)]
-            fh.write(struct.pack("<qq", relation, _SIDE_FLAGS[side]))
-            fh.write(np.ascontiguousarray(ell.center, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(ell.factor[tril], dtype="<f8").tobytes())
-        for relation, side in sorted(domain_model.skipped, key=_domain_order):
-            fh.write(struct.pack("<qq", relation, _SIDE_FLAGS[side]))
+        # in blocks, so the copy being written stays a few MiB
+        for lo in range(0, len(keys), _SAVE_BLOCK):
+            block = keys[lo:lo + _SAVE_BLOCK]
+            ells = [domain_model.ellipsoids[key] for key in block]
+            fitted = _with_slots(np.empty(len(block), dtype=record), block)
+            fitted["center"] = [ell.center for ell in ells]
+            fitted["tril"] = [ell.factor[rows, cols] for ell in ells]
+            fh.write(fitted.tobytes())
+        fh.write(skipped.tobytes())
 
 
 def load_domains(path: str) -> DomainModel:
@@ -189,39 +231,55 @@ def load_domains(path: str) -> DomainModel:
     if k < 1 or n_fitted < 0 or n_skipped < 0:
         raise FormatError(f"{path}: bad header counts")
 
-    tril = np.tril_indices(k)
-    n_tril = k * (k + 1) // 2
-    rec = 16 + 8 * (k + n_tril)
-    body = raw[nl + 1:]
-    if len(body) != n_fitted * rec + n_skipped * 16:
+    record = _fitted_record(k)
+    body = memoryview(raw)[nl + 1:]
+    expected = n_fitted * record.itemsize + n_skipped * _SLOT.itemsize
+    if len(body) != expected:
         raise FormatError(f"{path}: body is {len(body)} bytes, expected "
-                          f"{n_fitted * rec + n_skipped * 16}")
+                          f"{expected}")
+    fitted = np.frombuffer(body, dtype=record, count=n_fitted)
+    skipped = np.frombuffer(body, dtype=_SLOT, count=n_skipped,
+                            offset=n_fitted * record.itemsize)
 
-    ellipsoids = {}
-    offset = 0
-    for _ in range(n_fitted):
-        relation, flag = struct.unpack_from("<qq", body, offset)
-        if flag not in _FLAG_SIDES:
-            raise FormatError(f"{path}: bad side flag {flag}")
-        offset += 16
-        center = np.frombuffer(body, dtype="<f8", count=k,
-                               offset=offset).astype(np.float64)
-        offset += 8 * k
-        packed = np.frombuffer(body, dtype="<f8", count=n_tril, offset=offset)
-        offset += 8 * n_tril
-        factor = np.zeros((k, k))
-        factor[tril] = packed
-        if not (np.isfinite(center).all() and np.isfinite(packed).all()):
+    # the first bad record decides the message, checked in the order
+    # side flag, finiteness, diagonal sign
+    diag = fitted["tril"][:, np.cumsum(np.arange(1, k + 1)) - 1]
+    bad_flag = (fitted["flag"] != 0) & (fitted["flag"] != 1)
+    non_finite = ~(np.isfinite(fitted["center"]).all(axis=1)
+                   & np.isfinite(fitted["tril"]).all(axis=1))
+    bad = np.flatnonzero(bad_flag | non_finite | (diag <= 0).any(axis=1))
+    if bad.size:
+        i = bad[0]
+        if bad_flag[i]:
+            raise FormatError(f"{path}: bad side flag {fitted['flag'][i]}")
+        if non_finite[i]:
             raise FormatError(f"{path}: non-finite ellipsoid values")
-        if (np.diagonal(factor) <= 0).any():
-            raise FormatError(f"{path}: factor diagonal must be positive")
-        ellipsoids[(relation, _FLAG_SIDES[flag])] = Ellipsoid(center, factor)
+        raise FormatError(f"{path}: factor diagonal must be positive")
+    bad_flag = (skipped["flag"] != 0) & (skipped["flag"] != 1)
+    if bad_flag.any():
+        raise FormatError(f"{path}: bad side flag "
+                          f"{skipped['flag'][np.argmax(bad_flag)]}")
+    fitted_keys, skipped_keys = _slot_keys(fitted), _slot_keys(skipped)
+    slots = Counter(fitted_keys + skipped_keys)
+    if len(slots) < n_fitted + n_skipped:
+        relation, side = next(key for key, n in slots.items() if n > 1)
+        raise FormatError(f"{path}: domain r{relation}/{side} is listed "
+                          f"twice")
 
-    skipped = []
-    for _ in range(n_skipped):
-        relation, flag = struct.unpack_from("<qq", body, offset)
-        if flag not in _FLAG_SIDES:
-            raise FormatError(f"{path}: bad side flag {flag}")
-        offset += 16
-        skipped.append((relation, _FLAG_SIDES[flag]))
-    return DomainModel(k, fingerprint, ellipsoids, tuple(skipped))
+    centers = fitted["center"].astype(np.float64)
+    factors = np.zeros((n_fitted, k, k))
+    packed = fitted["tril"]
+    # row by row: k slice copies take under half the time of one
+    # fancy-indexed triangle assignment
+    for i in range(k):
+        start = i * (i + 1) // 2
+        factors[:, i, :i + 1] = packed[:, start:start + i + 1]
+    return DomainModel(k, fingerprint,
+                       {key: Ellipsoid(centers[i], factors[i])
+                        for i, key in enumerate(fitted_keys)},
+                       tuple(skipped_keys))
+
+
+def _slot_keys(records: np.ndarray) -> list[tuple[int, str]]:
+    return [(relation, _FLAG_SIDES[flag]) for relation, flag
+            in zip(records["relation"].tolist(), records["flag"].tolist())]

@@ -104,11 +104,23 @@ def score_test(ell: Ellipsoid, point: np.ndarray) -> float:
 
 def scores_train(ell: Ellipsoid, points: np.ndarray) -> np.ndarray:
     """Batch ``score_train`` with zero substituted at degenerate points."""
-    pts = _as_batch(points)
-    v = pts - ell.center
-    q = quad_forms(ell, pts)
-    n = np.linalg.norm(v, axis=1)
-    out = np.zeros(len(q))
+    return scores_train_stack(ell.center[None], ell.factor[None],
+                               _as_batch(points)[None])[0]
+
+
+def scores_train_stack(centers: np.ndarray, factors: np.ndarray,
+                        points: np.ndarray) -> np.ndarray:
+    """``scores_train`` of each (m, k) cloud of a (G, m, k) stack at its
+    own ellipsoid, as a (G, m) array."""
+    # each (G, m, k) temporary is dropped once used: a stack of large
+    # domains is several times the size of one domain
+    v = points - centers[:, None, :]
+    n = np.linalg.norm(v, axis=2)
+    w = v @ factors
+    del v
+    q = np.einsum("gbi,gbi->gb", w, w)
+    del w
+    out = np.zeros(q.shape)
     ok = q >= Q_FLOOR
     out[ok] = np.abs(1.0 - q[ok] ** -0.5) * n[ok]
     return out
@@ -152,8 +164,9 @@ def gradient(ell: Ellipsoid, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return grad_center, grad_factor
 
 
-def _init_ellipsoid(points: np.ndarray) -> Ellipsoid:
-    """Axis-aligned starting ellipsoid covering the point cloud.
+def _init_stack(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Axis-aligned starting ellipsoids, one per cloud of a (G, m, k)
+    stack, as (centers (G, k), factors (G, k, k)).
 
     Semi-axes are proportional to the per-axis spread sigma_i * sqrt(k),
     then inflated by a single data-driven scale so essentially the whole
@@ -165,79 +178,133 @@ def _init_ellipsoid(points: np.ndarray) -> Ellipsoid:
     roughly the end state; large clouds have enough gradient mass to
     tighten the surface regardless of where it starts. Near-constant
     axes get a small floor relative to the overall scale instead of
-    collapsing to zero thickness.
+    collapsing to zero thickness; they add nothing to the scale.
     """
-    pts = _as_batch(points)
-    k = pts.shape[1]
-    center = pts.mean(axis=0)
-    base = pts.std(axis=0) * np.sqrt(k)
-    eps = 0.01 * float(np.sqrt(np.mean(base ** 2))) + 1e-12
+    g, m, k = points.shape
+    centers = points.mean(axis=1)
+    base = points.std(axis=1) * np.sqrt(k)
+    eps = 0.01 * np.sqrt(np.mean(base ** 2, axis=1)) + 1e-12
 
-    v = pts - center
+    # squared normalized offsets laid out (G, k, m), so each point's sum
+    # adds its k axes one after another
+    sq = np.subtract(points.transpose(0, 2, 1), centers[:, :, None],
+                     out=np.empty((g, k, m)))
     active = base > 0
-    if active.any():
-        q0 = ((v[:, active] / base[active]) ** 2).sum(axis=1)
-        scale_sq = 1.05 * float(np.quantile(q0, 0.99))
-    else:
-        scale_sq = 0.0
-    scale = np.sqrt(scale_sq) if scale_sq > 0 else 1.0
+    np.divide(sq, base[:, :, None], out=sq, where=active[:, :, None])
+    sq[~active] = 0.0
+    np.square(sq, out=sq)
+    scale_sq = 1.05 * np.quantile(sq.sum(axis=1), 0.99, axis=1)
+    scale = np.sqrt(scale_sq)
+    scale[scale_sq <= 0] = 1.0
 
-    factor = np.diag(1.0 / (scale * base + eps))
-    return Ellipsoid(center, factor)
+    factors = np.zeros((g, k, k))
+    _diagonals(factors)[:] = 1.0 / (scale[:, None] * base + eps[:, None])
+    return centers, factors
 
 
-def _batch_step(ell: Ellipsoid, batch: np.ndarray, lr: float,
-                diag_floor: float) -> None:
-    """Apply one accumulated mini-batch of per-sample gradient steps.
+def _diagonals(factors: np.ndarray) -> np.ndarray:
+    """Writable (G, k) view of the diagonals of a C-ordered (G, k, k)."""
+    g, k, _ = factors.shape
+    return factors.reshape(g, k * k)[:, ::k + 1]
+
+
+def _gradients(factors: np.ndarray, v: np.ndarray, w: np.ndarray,
+               q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per ellipsoid of a stack, the summed ``gradient`` over its batch
+    rows: v = e - a and w = L^T v are (G, b, k), q is (G, b)."""
+    n = np.linalg.norm(v, axis=2)
+    s = np.sign(q - 1.0)
+    q_m12 = q ** -0.5
+    c1 = s * n * q_m12 / q            # weight on the L w term
+    c2 = s * (1.0 - q_m12) / n        # weight on the v / n term
+    lw = w @ factors.transpose(0, 2, 1)
+    grad_center = -(c1[..., None] * lw + c2[..., None] * v).sum(axis=1)
+    grad_factor = np.tril((v * c1[..., None]).transpose(0, 2, 1) @ w)
+    return grad_center, grad_factor
+
+
+def _step_stack(centers: np.ndarray, factors: np.ndarray, batch: np.ndarray,
+                lr: float, diag_floor: float) -> None:
+    """Apply one accumulated mini-batch of per-sample gradient steps to
+    each ellipsoid of a stack, in place; ``batch`` is (G, b, k).
 
     Each sample contributes a full lr-sized step; steps in a batch are
     evaluated at the same parameters and summed. Samples at the center
-    or within SURFACE_TOL of the surface are skipped. The factor diagonal
-    is clamped to the floor after the update, which is what keeps L L^T
-    positive definite through any number of steps.
+    or within SURFACE_TOL of the surface are skipped: an ellipsoid whose
+    batch has such rows is stepped on its own, on its kept rows only, so
+    every ellipsoid moves exactly as if it were fitted alone. The factor
+    diagonal is clamped to the floor after the update, which is what
+    keeps L L^T positive definite through any number of steps.
     """
-    v = batch - ell.center
-    w = v @ ell.factor
-    q = np.einsum("bi,bi->b", w, w)
+    v = batch - centers[:, None, :]
+    w = v @ factors
+    q = np.einsum("gbi,gbi->gb", w, w)
     keep = (q >= Q_FLOOR) & (np.abs(q - 1.0) >= SURFACE_TOL)
-    if keep.any():
-        v, w, q = v[keep], w[keep], q[keep]
-        n = np.linalg.norm(v, axis=1)
-        s = np.sign(q - 1.0)
-        q_m12 = q ** -0.5
-        c1 = s * n * q_m12 / q            # weight on the L w term
-        c2 = s * (1.0 - q_m12) / n        # weight on the v / n term
-        lw = w @ ell.factor.T
-        grad_center = -(c1[:, None] * lw + c2[:, None] * v).sum(axis=0)
-        grad_factor = np.tril((v * c1[:, None]).T @ w)
-        ell.center -= lr * grad_center
-        ell.factor -= lr * grad_factor
-    d = np.diagonal(ell.factor).copy()
-    np.fill_diagonal(ell.factor, np.maximum(d, diag_floor))
+    if keep.all():
+        parts = [(slice(None), v, w, q)]
+    else:
+        whole = keep.all(axis=1)
+        parts = [(whole, v[whole], w[whole], q[whole])]
+        for i in np.flatnonzero(~whole & keep.any(axis=1)):
+            rows = keep[i]
+            parts.append(([i], v[i, rows][None], w[i, rows][None],
+                          q[i, rows][None]))
+    for at, v_at, w_at, q_at in parts:
+        if len(q_at):
+            grad_center, grad_factor = _gradients(factors[at], v_at, w_at,
+                                                  q_at)
+            centers[at] -= lr * grad_center
+            factors[at] -= lr * grad_factor
+    diag = _diagonals(factors)
+    np.maximum(diag, diag_floor, out=diag)
+
+
+def fit_stack(points: np.ndarray, config: FitConfig, seeds,
+              callback=None) -> tuple[np.ndarray, np.ndarray]:
+    """Fit one ellipsoid surface to each cloud of a (G, m, k) stack.
+
+    Cloud g is fitted exactly as ``fit`` fits it alone with
+    ``seed=seeds[g]``: its own generator draws one permutation of its m
+    points per epoch, and the stack steps through the batches together.
+    Returns (centers (G, k), factors (G, k, k)), updated in place each
+    step; ``callback(epoch, centers, factors)`` is invoked after each
+    epoch's updates.
+    """
+    config.validate()
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    g, m, k = points.shape
+    if m < 1:
+        raise ConfigurationError("cannot fit an ellipsoid to zero points")
+    centers, factors = _init_stack(points)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rows = points.reshape(g * m, k)
+    first_row = np.arange(0, g * m, m)[:, None]
+    for epoch in range(config.epochs):
+        order = np.stack([rng.permutation(m) for rng in rngs]) + first_row
+        for start in range(0, m, config.batch_size):
+            _step_stack(centers, factors,
+                        rows[order[:, start:start + config.batch_size]],
+                        config.lr, config.diag_floor)
+        if callback is not None:
+            callback(epoch, centers, factors)
+    return centers, factors
 
 
 def fit(points: np.ndarray, config: FitConfig | None = None,
         callback=None) -> Ellipsoid:
-    """Fit one ellipsoid surface to a point cloud by mini-batch SGD.
+    """Fit one ellipsoid surface to a point cloud by mini-batch SGD: the
+    one-cloud case of ``fit_stack``.
 
     Minimizes the sum of radial distances from the points to the surface.
     ``callback(epoch, ellipsoid, mean_score)`` is invoked once per epoch
     after its updates, with the mean training score at the new parameters.
     """
     config = config or FitConfig()
-    config.validate()
-    pts = _as_batch(points)
-    if pts.shape[0] < 1:
-        raise ConfigurationError("cannot fit an ellipsoid to zero points")
-
-    ell = _init_ellipsoid(pts)
-    rng = np.random.default_rng(config.seed)
-    m = pts.shape[0]
-    for epoch in range(config.epochs):
-        order = rng.permutation(m)
-        for start in range(0, m, config.batch_size):
-            _batch_step(ell, pts[order[start:start + config.batch_size]],
-                        config.lr, config.diag_floor)
-        if callback is not None:
-            callback(epoch, ell, float(scores_train(ell, pts).mean()))
-    return ell
+    pts = _as_batch(points)[None]
+    hook = None
+    if callback is not None:
+        def hook(epoch, centers, factors):
+            ell = Ellipsoid(centers[0], factors[0])
+            callback(epoch, ell, float(scores_train(ell, pts[0]).mean()))
+    centers, factors = fit_stack(pts, config, [config.seed], hook)
+    return Ellipsoid(centers[0], factors[0])

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import (CATEGORIES, HEAD, TAIL, KnowledgeGraph, classify_relations)
-from .domains import DomainModel, check_compatible, penalties_all
+from .domains import DomainModel, _slot_penalties, check_compatible
 from .errors import ConfigurationError, NumericalError
 from .models import EmbeddingModel, project_all, score_all
 
@@ -118,8 +118,9 @@ def _eval_relation_group(graph: KnowledgeGraph, model: EmbeddingModel,
     proj = {side: project_all(model, relation, side) for side in (HEAD, TAIL)}
     pens = {side: None for side in (HEAD, TAIL)}
     if domain_model is not None:
-        pens = {side: penalties_all(domain_model, model, relation, side,
-                                    projected=proj[side])
+        # evaluate checked domain_model against the model once
+        pens = {side: _slot_penalties(domain_model, relation, side,
+                                      proj[side])
                 for side in (HEAD, TAIL)}
     scratch = np.empty((n_e, model.rel_dim))
 

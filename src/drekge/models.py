@@ -123,6 +123,22 @@ def project_entities(model: EmbeddingModel, entities: np.ndarray | int,
     return vecs if proj is None else vecs @ proj[relation].T
 
 
+def project_slots(model: EmbeddingModel, entities: np.ndarray,
+                  relations: np.ndarray, sides) -> np.ndarray:
+    """Rows of entity ids (G, m), row g mapped into the space of slot
+    ``sides[g]`` of ``relations[g]``, as a (G, m, k) stack: the rows are
+    gathered first, then projected in one stacked product. Each slice is
+    the same product ``project_entities`` makes for that slot alone."""
+    vecs = model.entity_vecs[entities]
+    if model.head_proj is None:
+        return vecs
+    mats = model.head_proj[relations]
+    if model.tail_proj is not model.head_proj:
+        tail = np.array([side == TAIL for side in sides], dtype=bool)
+        mats[tail] = model.tail_proj[relations[tail]]
+    return vecs @ mats.transpose(0, 2, 1)
+
+
 def project_all(model: EmbeddingModel, relation: int, side: str) -> np.ndarray:
     """All entity vectors mapped into the relation's space for one slot."""
     return project_entities(model, slice(None), relation, side)

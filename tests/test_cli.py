@@ -376,6 +376,33 @@ class TestFailureModes:
         assert captured.out == ""
         assert "relation id outside" in captured.err
 
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("where", ["fitted", "skipped"])
+    def test_a_domain_listed_twice_exits_two(self, dataset, tmp_path, capsys,
+                                             command, where):
+        def skip_last(dm):
+            last = sorted(dm.ellipsoids)[-1]
+            del dm.ellipsoids[last]
+            dm.skipped += (last,)
+            return dm
+
+        model, doms = self.rewrite_domains(dataset, tmp_path, skip_last)
+        dm = load_domains(doms)
+        assert len(dm.ellipsoids) >= 2 and dm.skipped
+        header, body = open(doms, "rb").read().split(b"\n", 1)
+        k = dm.rel_dim
+        rec = 16 + 8 * (k + k * (k + 1) // 2)
+        # the second fitted record, or the first skipped one, now names
+        # the first fitted slot
+        at = rec if where == "fitted" else len(dm.ellipsoids) * rec
+        with open(doms, "wb") as fh:
+            fh.write(header + b"\n" + body[:at] + body[:16] + body[at + 16:])
+        capsys.readouterr()
+        assert self.run_with_domains(dataset, command, model, doms) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "listed twice" in captured.err
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_scores_exit_three_without_a_report(self, dataset,
                                                             tmp_path, capsys):

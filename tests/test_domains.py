@@ -143,6 +143,45 @@ class TestFitAllDomains:
             assert (ell.factor == alone.factor).all()
             assert seen[(r, side)] == scores_train(ell, points).mean()
 
+    def test_equal_size_domains_fit_as_if_alone(self):
+        # every slot has three members, so all eight domains are fitted
+        # as one stack; the clouds hold the fitter's special cases
+        triples = [("e0", "r0", "e3"), ("e1", "r0", "e4"), ("e2", "r0", "e5"),
+                   ("e3", "r1", "e0"), ("e4", "r1", "e1"), ("e6", "r1", "e2"),
+                   ("e5", "r2", "e1"), ("e6", "r2", "e3"), ("e7", "r2", "e7"),
+                   ("e0", "r3", "e2"), ("e1", "r3", "e4"), ("e2", "r3", "e6")]
+        g = data.build_graph(triples, [], triples[:1])
+        m = random_model(np.random.default_rng(104), g, dim=3)
+        vecs = {"e0": [0, 0, 0], "e1": [1, 2, 0], "e2": [-1, -2, 0],
+                "e3": [2, 1, 0], "e4": [2, 1, 0], "e5": [0, 3, 0],
+                "e6": [-3, 1, 0], "e7": [1, -1, 0]}
+        for label, vec in vecs.items():
+            m.entity_vecs[g.entities.id(label)] = vec
+        m.entity_vecs[:, 2] = 0.5                # a constant axis
+        # {e0, e1, e2} has its mean exactly at e0; {e3, e4, .} repeats a row
+        cfg = FitConfig(lr=0.05, epochs=4, batch_size=2, seed=9)
+        sizes = [len(d.members) for d in data.extract_domains(g).values()]
+        assert sizes == [3] * 8
+
+        dm = fit_all_domains(g, m, cfg)
+        assert len(dm.ellipsoids) == 8
+        for (r, side), ell in dm.ellipsoids.items():
+            members = np.array(data.extract_domains(g)[(r, side)].members)
+            alone = fit(m.entity_vecs[members], replace(
+                cfg, seed=domains._domain_seed(cfg.seed, r,
+                                               0 if side == data.HEAD else 1)))
+            assert (ell.center == alone.center).all()
+            assert (ell.factor == alone.factor).all()
+
+    def test_callback_runs_in_slot_order(self):
+        rng = np.random.default_rng(105)
+        g = random_graph(rng, n_relations=6)
+        m = random_model(rng, g)
+        seen = []
+        quick_fit(g, m, on_domain=lambda r, s, n, score: seen.append((r, s)))
+        assert seen == sorted(data.extract_domains(g),
+                              key=lambda key: (key[0], key[1] == data.TAIL))
+
     def test_model_graph_mismatch_rejected(self):
         rng = np.random.default_rng(99)
         g = random_graph(rng)
@@ -260,6 +299,29 @@ class TestSerialization:
             save_domains(dm, path)
             with pytest.raises(FormatError):
                 load_domains(path)
+
+    @pytest.mark.parametrize("where", ["fitted", "skipped"])
+    def test_a_slot_listed_twice_is_rejected(self, tmp_path, where):
+        rng = np.random.default_rng(116)
+        g = random_graph(rng)
+        m = random_model(rng, g)
+        dm = random_domain_model(rng, g, m)
+        assert len(dm.ellipsoids) >= 2 and dm.skipped
+        path = str(tmp_path / "dom.bin")
+        save_domains(dm, path)
+        header, body = open(path, "rb").read().split(b"\n", 1)
+        k = dm.rel_dim
+        rec = 16 + 8 * (k + k * (k + 1) // 2)
+        first = body[:16]                   # the first fitted slot
+        if where == "fitted":
+            body = body[:rec] + first + body[rec + 16:]
+        else:
+            at = len(dm.ellipsoids) * rec
+            body = body[:at] + first + body[at + 16:]
+        with open(path, "wb") as fh:
+            fh.write(header + b"\n" + body)
+        with pytest.raises(FormatError, match="listed twice"):
+            load_domains(path)
 
     def test_fingerprint_survives_the_file(self, tmp_path):
         rng = np.random.default_rng(114)

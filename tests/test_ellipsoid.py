@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from drekge import ellipsoid
-from drekge.ellipsoid import (DIAG_FLOOR, Ellipsoid, FitConfig, distance,
-                              fit, gradient, quad_form, quad_forms,
-                              score_test, score_train, scores_test,
-                              scores_train)
+from drekge.ellipsoid import (DIAG_FLOOR, Q_FLOOR, SURFACE_TOL, Ellipsoid,
+                              FitConfig, distance, fit, fit_stack, gradient,
+                              quad_form, quad_forms, score_test, score_train,
+                              scores_test, scores_train)
 from drekge.errors import ConfigurationError, DegeneratePointError
 
 from generators import random_ellipsoid, surface_points
@@ -222,7 +224,8 @@ class TestFit:
     def test_initial_surface_roughly_encloses_members(self):
         rng = np.random.default_rng(42)
         pts = rng.normal(size=(40, 6)) * np.array([3.0, 1.0, 1.0, 0.5, 2.0, 1.0])
-        ell = ellipsoid._init_ellipsoid(pts)
+        centers, factors = ellipsoid._init_stack(pts[None])
+        ell = Ellipsoid(centers[0], factors[0])
         assert (quad_forms(ell, pts) <= 1.0).mean() >= 0.95
 
     def test_degenerate_axis_gets_thickness_floor(self):
@@ -264,6 +267,148 @@ class TestFit:
             FitConfig(lr=0.0).validate()
         with pytest.raises(ConfigurationError):
             FitConfig(diag_floor=-1.0).validate()
+
+
+def loop_fit(points, config):
+    """Reference fitter: one cloud, one mini-batch at a time, with the
+    rows at the center or on the surface compacted out of each batch.
+    Returns the ellipsoid and the number of batch rows it skipped."""
+    pts = np.asarray(points, dtype=np.float64)
+    k = pts.shape[1]
+    center = pts.mean(axis=0)
+    base = pts.std(axis=0) * np.sqrt(k)
+    eps = 0.01 * float(np.sqrt(np.mean(base ** 2))) + 1e-12
+    active = base > 0
+    scale_sq = 0.0
+    if active.any():
+        q0 = (((pts - center)[:, active] / base[active]) ** 2).sum(axis=1)
+        scale_sq = 1.05 * float(np.quantile(q0, 0.99))
+    scale = np.sqrt(scale_sq) if scale_sq > 0 else 1.0
+    ell = Ellipsoid(center, np.diag(1.0 / (scale * base + eps)))
+
+    rng = np.random.default_rng(config.seed)
+    skipped = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(len(pts))
+        for start in range(0, len(pts), config.batch_size):
+            v = pts[order[start:start + config.batch_size]] - ell.center
+            w = v @ ell.factor
+            q = np.einsum("bi,bi->b", w, w)
+            keep = (q >= Q_FLOOR) & (np.abs(q - 1.0) >= SURFACE_TOL)
+            skipped += int((~keep).sum())
+            if keep.any():
+                v, w, q = v[keep], w[keep], q[keep]
+                n = np.linalg.norm(v, axis=1)
+                s = np.sign(q - 1.0)
+                q_m12 = q ** -0.5
+                c1 = s * n * q_m12 / q
+                c2 = s * (1.0 - q_m12) / n
+                lw = w @ ell.factor.T
+                grad_center = -(c1[:, None] * lw + c2[:, None] * v).sum(axis=0)
+                grad_factor = np.tril((v * c1[:, None]).T @ w)
+                ell.center -= config.lr * grad_center
+                ell.factor -= config.lr * grad_factor
+            d = np.diagonal(ell.factor).copy()
+            np.fill_diagonal(ell.factor, np.maximum(d, config.diag_floor))
+    return ell, skipped
+
+
+def edge_clouds(rng):
+    """Five-point clouds in 3-d, each hitting one special case of the
+    fitter, plus two plain ones."""
+    const_axis = rng.normal(size=(5, 3))
+    const_axis[:, 2] = 0.5                      # base == 0 on axis 2
+    # integer coordinates: the mean is exactly the origin, a member
+    at_center = np.array([[0, 0, 0], [1, 2, -1], [-1, -2, 1], [2, -1, 3],
+                          [-2, 1, -3]], dtype=float)
+    rows = rng.normal(size=(3, 3))
+    duplicated = rows[[0, 0, 1, 1, 2]]
+    constant = np.full((5, 3), 0.25)            # every row at the center
+    return {"plain_a": rng.normal(size=(5, 3)), "const_axis": const_axis,
+            "at_center": at_center, "duplicated": duplicated,
+            "constant": constant, "plain_b": rng.normal(size=(5, 3)) * 3}
+
+
+class TestFitStack:
+    def test_each_cloud_fits_as_if_alone(self):
+        clouds = edge_clouds(np.random.default_rng(61))
+        cfg = FitConfig(lr=0.05, epochs=6, batch_size=2, seed=0)
+        seeds = [100 + i for i in range(len(clouds))]
+        centers, factors = fit_stack(np.stack(list(clouds.values())), cfg,
+                                     seeds)
+        for (name, pts), seed, center, factor in zip(
+                clouds.items(), seeds, centers, factors):
+            alone = fit(pts, replace(cfg, seed=seed))
+            ref, skipped = loop_fit(pts, replace(cfg, seed=seed))
+            assert (center == alone.center).all(), name
+            assert (factor == alone.factor).all(), name
+            assert (center == ref.center).all(), name
+            assert (factor == ref.factor).all(), name
+            if name == "at_center":
+                assert skipped == 1     # the origin, in the first batch
+            if name == "constant":
+                assert skipped == cfg.epochs * len(pts)
+
+    def test_big_ragged_stack_matches_the_loop(self):
+        rng = np.random.default_rng(62)
+        cfg = FitConfig(lr=1e-3, epochs=3, batch_size=16, seed=0)
+        for k in (1, 13):
+            clouds = rng.normal(size=(4, 37, k)) * rng.uniform(0.5, 3, k)
+            centers, factors = fit_stack(clouds, cfg, [5, 6, 7, 8])
+            for g, seed in enumerate([5, 6, 7, 8]):
+                ref, _ = loop_fit(clouds[g], replace(cfg, seed=seed))
+                assert (centers[g] == ref.center).all()
+                assert (factors[g] == ref.factor).all()
+
+    def test_rows_at_the_center_or_on_the_surface_are_left_out(self):
+        # stepping a batch with such a row moves its ellipsoid exactly
+        # as the same batch without that row does, inside a stack
+        rng = np.random.default_rng(63)
+        k, b = 3, 5
+        ells = [random_ellipsoid(rng, k) for _ in range(3)]
+        ells[0] = Ellipsoid(ells[0].center, np.eye(k))
+        centers = np.stack([e.center for e in ells])
+        factors = np.stack([e.factor for e in ells])
+        batch = centers[:, None, :] + rng.normal(size=(3, b, k))
+        batch[0, 1] = ells[0].center + np.array([1.0, 0.0, 0.0])  # surface
+        batch[1, 3] = ells[1].center                              # center
+        left_out = {0: 1, 1: 3}
+        assert abs(quad_form(ells[0], batch[0, 1]) - 1.0) < SURFACE_TOL
+
+        stacked_c, stacked_f = centers.copy(), factors.copy()
+        ellipsoid._step_stack(stacked_c, stacked_f, batch, 0.05, DIAG_FLOOR)
+        for g in range(3):
+            rows = [i for i in range(b) if i != left_out.get(g)]
+            c, f = centers[g:g + 1].copy(), factors[g:g + 1].copy()
+            ellipsoid._step_stack(c, f, batch[g:g + 1, rows], 0.05,
+                                  DIAG_FLOOR)
+            assert (stacked_c[g] == c[0]).all()
+            assert (stacked_f[g] == f[0]).all()
+        assert not (stacked_c == centers).all(axis=1).any()
+
+    def test_step_is_minus_lr_times_the_summed_gradients(self):
+        rng = np.random.default_rng(64)
+        k, b, lr = 4, 6, 1e-3
+        ells = [random_ellipsoid(rng, k) for _ in range(5)]
+        centers = np.stack([e.center for e in ells])
+        factors = np.stack([e.factor for e in ells])
+        batch = centers[:, None, :] + rng.normal(size=(5, b, k)) * 1.5
+        batch[2, 4] = centers[2]          # skipped: no gradient there
+        new_c, new_f = centers.copy(), factors.copy()
+        ellipsoid._step_stack(new_c, new_f, batch, lr, DIAG_FLOOR)
+        for g, ell in enumerate(ells):
+            grad_c, grad_f = np.zeros(k), np.zeros((k, k))
+            for row in batch[g]:
+                if quad_form(ell, row) < Q_FLOOR:
+                    continue
+                gc, gf = gradient(ell, row)
+                grad_c += gc
+                grad_f += gf
+            np.testing.assert_allclose(new_c[g] - centers[g], -lr * grad_c,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(new_f[g] - factors[g], -lr * grad_f,
+                                       rtol=0, atol=1e-12)
+            assert np.abs(grad_c).max() > 1e-3
 
 
 class TestRotationEquivariance:
