@@ -32,7 +32,8 @@ from .errors import (ConfigurationError, DataError, DrekgeError,
 
 log = logging.getLogger("drekge")
 
-THREADS_ENV = "DREKGE_THREADS"
+# the config file keys every subcommand reads: its triple files
+_DATA_KEYS = ["train", "valid", "test"]
 
 # best published configurations per dataset and variant
 PRESETS = {
@@ -109,7 +110,7 @@ def _load_config_file(path: str, known: set[str]) -> dict:
 
 
 def _resolve(args: argparse.Namespace, option_names: list[str],
-             presets: dict | None) -> dict:
+             presets: dict | None = None) -> dict:
     """Merge flag values over config file values over preset values."""
     resolved = dict(presets or {})
     if getattr(args, "config", None):
@@ -133,23 +134,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _default_threads(args: argparse.Namespace, fallback: int) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return _positive_int(env)
-        except argparse.ArgumentTypeError as exc:
-            raise _UsageError(f"{THREADS_ENV}: {exc}") from None
-    return fallback
-
-
-def _load_graph(args: argparse.Namespace) -> data.KnowledgeGraph:
-    for name in ("train", "valid", "test"):
-        if getattr(args, name) is None:
+def _load_graph(opts: dict) -> data.KnowledgeGraph:
+    """The graph from the triple files that ``_resolve`` found."""
+    for name in _DATA_KEYS:
+        if opts.get(name) is None:
             raise _UsageError(f"--{name} is required")
-    return data.load_graph(args.train, args.valid, args.test)
+    return data.load_graph(*(opts[name] for name in _DATA_KEYS))
 
 
 def _add_data_args(parser: argparse.ArgumentParser) -> None:
@@ -157,10 +147,6 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--valid", help="validation triple file (tsv)")
     parser.add_argument("--test", help="test triple file (tsv)")
     parser.add_argument("--config", help="JSON file with option defaults")
-    parser.add_argument("--threads", type=_positive_int, default=None,
-                        help=f"worker threads (or ${THREADS_ENV}) for "
-                             "validation during training and for evaluate; "
-                             "fit-domains runs serially")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -171,15 +157,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise _UsageError(f"no preset for dataset {args.dataset!r} with "
                               f"variant {args.variant!r}")
         presets = PRESETS[key]
-    opts = _resolve(args, ["train", "valid", "test", "dim", "rel_dim", "lr",
-                           "margin", "batch", "dissim", "epochs",
-                           "neg_sampling", "seed", "eval_every", "patience"],
-                    presets)
-    args.train = opts.get("train", args.train)
-    args.valid = opts.get("valid", args.valid)
-    args.test = opts.get("test", args.test)
-    threads = _default_threads(args, 1)
-    graph = _load_graph(args)
+    opts = _resolve(args, [*_DATA_KEYS, "dim", "rel_dim", "lr", "margin",
+                           "batch", "dissim", "epochs", "neg_sampling",
+                           "seed", "eval_every", "patience"], presets)
+    graph = _load_graph(opts)
 
     config = models.TrainConfig(
         variant=args.variant,
@@ -205,7 +186,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     validator = None
     if graph.valid and config.eval_every > 0:
         def validator(model: models.EmbeddingModel) -> float:
-            hits = evaluation.validation_hits10(graph, model, threads=threads)
+            hits = evaluation.validation_hits10(graph, model)
             log.info("validation filtered hits@10 %.2f", hits)
             return hits
 
@@ -221,13 +202,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_fit_domains(args: argparse.Namespace) -> int:
-    opts = _resolve(args, ["train", "valid", "test", "fit_lr", "fit_epochs",
-                           "fit_batch", "diag_floor", "min_members", "seed"],
-                    None)
-    args.train = opts.get("train", args.train)
-    args.valid = opts.get("valid", args.valid)
-    args.test = opts.get("test", args.test)
-    graph = _load_graph(args)
+    opts = _resolve(args, [*_DATA_KEYS, "fit_lr", "fit_epochs", "fit_batch",
+                           "diag_floor", "min_members", "seed"])
+    graph = _load_graph(opts)
     model = models.load_model(args.model)
     config = ellipsoid.FitConfig(
         lr=opts.get("fit_lr", 1e-5),
@@ -257,16 +234,14 @@ def cmd_fit_domains(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    threads = _default_threads(args, os.cpu_count() or 1)
-    graph = _load_graph(args)
+    graph = _load_graph(_resolve(args, _DATA_KEYS))
     model = models.load_model(args.model)
 
     domain_model = domains.load_domains(args.domains) if args.domains else None
 
     # one ranking pass; with domains the baseline rides along
     report = evaluation.evaluate(graph, model, domain_model,
-                                 split=args.split, tie_break=args.tie_break,
-                                 threads=threads)
+                                 split=args.split, tie_break=args.tie_break)
     base = report if domain_model is None else report.baseline
     text = evaluation.format_report(base, title="baseline")
     if domain_model is not None:
@@ -298,7 +273,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     if (args.head is None) == (args.tail is None):
         raise _UsageError("give exactly one of --head and --tail")
-    graph = _load_graph(args)
+    graph = _load_graph(_resolve(args, _DATA_KEYS))
     model = models.load_model(args.model)
     domain_model = domains.load_domains(args.domains) if args.domains else None
 

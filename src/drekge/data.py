@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError
+from .errors import ParseError
 
 HEAD = "head"
 TAIL = "tail"
@@ -242,10 +242,8 @@ def build_graph(train: list[tuple[str, str, str]],
                               ids[:ends[0]])
 
 
-def load_graph(train_path: str, valid_path: str, test_path: str,
-               format: str = "tsv") -> KnowledgeGraph:
-    if format != "tsv":
-        raise ConfigurationError(f"unknown triple file format {format!r}")
+def load_graph(train_path: str, valid_path: str,
+               test_path: str) -> KnowledgeGraph:
     with _gc_paused():
         return build_graph(_parse_file(train_path), _parse_file(valid_path),
                            _parse_file(test_path))

@@ -126,14 +126,24 @@ def scores_train_stack(centers: np.ndarray, factors: np.ndarray,
     return out
 
 
-def scores_test(ell: Ellipsoid, points: np.ndarray) -> np.ndarray:
+def scores_test(ell: Ellipsoid, points: np.ndarray,
+                scratch: np.ndarray | None = None) -> np.ndarray:
     """Batch ``score_test``: zero inside (the center included), radial
-    distance outside. Only the outside rows get a distance computed."""
+    distance outside. Only the outside rows get a distance computed.
+
+    ``scratch``, a C-ordered float64 array of shape (2, n, k) for n
+    points, receives v = points - center and w = v L, so repeated calls
+    allocate only the returned scores; the scores are the same bits with
+    or without it.
+    """
     pts = _as_batch(points)
-    q = quad_forms(ell, pts)
+    v_out, w_out = (None, None) if scratch is None else scratch
+    v = np.subtract(pts, ell.center, out=v_out)
+    w = np.matmul(v, ell.factor, out=w_out)  # row b is (L^T v_b)^T
+    q = np.einsum("bi,bi->b", w, w)
     out = np.zeros(len(q))
     outside = np.flatnonzero(q >= 1.0)
-    n = np.linalg.norm(pts[outside] - ell.center, axis=1)
+    n = np.linalg.norm(v[outside], axis=1)
     out[outside] = (1.0 - q[outside] ** -0.5) * n
     return out
 

@@ -18,7 +18,6 @@ taken from those scores, and both reports come out of the one pass.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,104 +56,87 @@ class EvalReport:
 
 
 def rank_of_gold(scores: np.ndarray, gold: int,
-                 allowed: np.ndarray | None = None,
+                 known: np.ndarray | None = None,
                  tie_break: str = "optimistic") -> tuple[int, int]:
-    """(rank, tie count) of the gold entity within the allowed candidates.
+    """(rank, tie count) of the gold entity among the candidates left
+    after filtering.
 
-    ``allowed`` is a boolean mask over all entities (the gold entity is
-    always considered allowed). Rank is 1 plus the number of strictly
-    better candidates; pessimistic ranking also counts every tied
-    competitor. Lower scores are better.
+    ``known`` holds distinct entity ids that are filtered out of the
+    competition; the gold entity itself is never filtered, listed or
+    not. Rank is 1 plus the number of strictly better candidates;
+    pessimistic ranking also counts every tied competitor. Lower scores
+    are better.
     """
     gold_score = scores[gold]
-    if allowed is None:
-        better = int(np.count_nonzero(scores < gold_score))
-        ties = int(np.count_nonzero(scores == gold_score)) - 1
-    else:
-        sel = scores[allowed]
-        better = int(np.count_nonzero(sel < gold_score))
-        ties = int(np.count_nonzero(sel == gold_score))
-        if allowed[gold]:
-            ties -= 1
+    better = int(np.count_nonzero(scores < gold_score))
+    ties = int(np.count_nonzero(scores == gold_score)) - 1
+    if known is not None:
+        rivals = scores[known]
+        better -= int(np.count_nonzero(rivals < gold_score))
+        ties -= int(np.count_nonzero(rivals == gold_score)) \
+            - int(np.count_nonzero(known == gold))
     rank = 1 + better
     if tie_break == "pessimistic":
         rank += ties
     return rank, ties
 
 
-# one scored prediction: its place in the split, and the (raw rank, raw
-# ties, filtered rank, filtered ties) of the baseline scores and of the
-# penalized ones (the baseline's again when the slot has no penalty)
-@dataclass
-class _Record:
-    test_idx: int
-    side: str
-    base: tuple[int, int, int, int]
-    pen: tuple[int, int, int, int]
-    missing_domain: bool
-    gold_base: float
-    gold_pen: float
-    med_base: float
-    med_pen: float
-
-
-def _ranks(scores: np.ndarray, gold: int, allowed: np.ndarray,
+def _ranks(scores: np.ndarray, gold: int, known: np.ndarray,
            tie_break: str) -> tuple[int, int, int, int]:
+    """(raw rank, raw ties, filtered rank, filtered ties)."""
     return (*rank_of_gold(scores, gold, None, tie_break),
-            *rank_of_gold(scores, gold, allowed, tie_break))
+            *rank_of_gold(scores, gold, known, tie_break))
 
 
-def _eval_relation_group(graph: KnowledgeGraph, model: EmbeddingModel,
+# the score terms summarized over predictions; a report without domains
+# carries the first two
+_TERMS = ("gold_baseline", "median_baseline", "gold_penalty",
+          "median_penalty")
+
+
+def _rank_relation_group(graph: KnowledgeGraph, model: EmbeddingModel,
                          domain_model: DomainModel | None, relation: int,
-                         items: list[tuple[int, int, int]],
-                         tie_break: str) -> list[_Record]:
-    """Score every prediction for test triples sharing one relation.
+                         items: list[tuple[int, int, int]], tie_break: str,
+                         scratch: np.ndarray, ranks: np.ndarray,
+                         terms: np.ndarray, missing: np.ndarray) -> None:
+    """Rank every prediction for the test triples sharing one relation.
 
-    Each slot is projected once and each query scored once, into one
-    scratch buffer per group; the baseline and penalized ranks both come
-    from those scores.
+    Triple ``i`` of the split predicts its head into row ``2 i`` and its
+    tail into row ``2 i + 1`` of ``ranks`` (baseline and penalized
+    ``_ranks``), ``terms`` (one row per ``_TERMS`` entry) and ``missing``.
+    Each slot is projected once and its penalties and their median are
+    computed once; each query is scored once, into ``scratch``, and the
+    baseline and penalized ranks both come from those scores.
     """
-    n_e = graph.n_entities
-    proj = {side: project_all(model, relation, side) for side in (HEAD, TAIL)}
-    pens = {side: None for side in (HEAD, TAIL)}
-    if domain_model is not None:
+    for col, side in enumerate((HEAD, TAIL)):
+        proj = project_all(model, relation, side)
         # evaluate checked domain_model against the model once
-        pens = {side: _slot_penalties(domain_model, relation, side,
-                                      proj[side])
-                for side in (HEAD, TAIL)}
-    scratch = np.empty((n_e, model.rel_dim))
-
-    records = []
-    for test_idx, h, t in items:
-        for side, gold, fixed in ((HEAD, h, t), (TAIL, t, h)):
+        pen = None if domain_model is None else \
+            _slot_penalties(domain_model, relation, side, proj, scratch)
+        med_pen = 0.0 if pen is None else float(np.median(pen))
+        for test_idx, h, t in items:
+            row = 2 * test_idx + col
             if side == HEAD:
-                base = score_all(model, relation, tail=fixed,
-                                 projected=proj[HEAD], out=scratch)
-                known = graph.heads_by_rt[(relation, fixed)]
+                gold = h
+                base = score_all(model, relation, tail=t, projected=proj,
+                                 out=scratch[0])
+                known = graph.heads_by_rt[(relation, t)]
             else:
-                base = score_all(model, relation, head=fixed,
-                                 projected=proj[TAIL], out=scratch)
-                known = graph.tails_by_hr[(fixed, relation)]
-            pen = pens[side]
+                gold = t
+                base = score_all(model, relation, head=h, projected=proj,
+                                 out=scratch[0])
+                known = graph.tails_by_hr[(h, relation)]
             scores = base if pen is None else base + pen
             # penalties are >= 0, so this also covers the baseline scores
             if not np.isfinite(scores).all():
                 raise NumericalError(f"non-finite score for relation {relation}")
 
-            allowed = np.ones(n_e, dtype=bool)
-            allowed[known] = False
-            allowed[gold] = True
-            base_ranks = _ranks(base, gold, allowed, tie_break)
-            records.append(_Record(
-                test_idx, side, base_ranks,
-                base_ranks if pen is None
-                else _ranks(scores, gold, allowed, tie_break),
-                pen is None,
-                float(base[gold]),
-                0.0 if pen is None else float(pen[gold]),
-                float(np.median(base)),
-                0.0 if pen is None else float(np.median(pen))))
-    return records
+            ranks[0, row] = _ranks(base, gold, known, tie_break)
+            ranks[1, row] = ranks[0, row] if pen is None \
+                else _ranks(scores, gold, known, tie_break)
+            missing[row] = pen is None
+            terms[:, row] = (base[gold], np.median(base),
+                             0.0 if pen is None else pen[gold], med_pen)
 
 
 def _block(ranks: np.ndarray) -> MetricBlock:
@@ -207,17 +189,17 @@ def _report(ranks: np.ndarray, sides: np.ndarray, cats: np.ndarray,
 
 def evaluate(graph: KnowledgeGraph, model: EmbeddingModel,
              domain_model: DomainModel | None = None, *,
-             split: str = "test", tie_break: str = "optimistic",
-             threads: int = 1) -> EvalReport:
+             split: str = "test",
+             tie_break: str = "optimistic") -> EvalReport:
     """Rank the gold entity of every triple in the chosen split, both
     sides, raw and filtered, and aggregate overall and per category.
 
-    Work is grouped by relation so each projection is computed once per
-    group; groups are independent, and ``threads`` > 1 evaluates them
-    concurrently with results merged in a fixed order. With a domain
-    model the returned report is the penalized one, and its ``baseline``
-    is the report without penalties, ranked from the same scores in the
-    same pass (equal to ``evaluate(graph, model)``).
+    Work is grouped by relation so each slot's projection and penalties
+    are computed once per group, and every query is scored once, in one
+    serial pass whose scratch buffers are allocated once per call. With a
+    domain model the returned report is the penalized one, and its
+    ``baseline`` is the report without penalties, ranked from the same
+    scores in the same pass (equal to ``evaluate(graph, model)``).
     """
     if split not in ("test", "valid"):
         raise ConfigurationError(f"unknown evaluation split {split!r}")
@@ -236,49 +218,36 @@ def evaluate(graph: KnowledgeGraph, model: EmbeddingModel,
     groups: dict[int, list[tuple[int, int, int]]] = {}
     for idx, (h, r, t) in enumerate(triples):
         groups.setdefault(r, []).append((idx, h, t))
-    ordered = sorted(groups)
 
-    def run(relation: int) -> list[_Record]:
-        return _eval_relation_group(graph, model, domain_model, relation,
-                                    groups[relation], tie_break)
-
-    if threads > 1 and len(ordered) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run, ordered))
-    else:
-        chunks = [run(r) for r in ordered]
-    records = [rec for chunk in chunks for rec in chunk]
-    records.sort(key=lambda rec: (rec.test_idx, rec.side))
+    n_pred = 2 * len(triples)
+    ranks = np.empty((2, n_pred, 4), dtype=np.int64)  # baseline, penalized
+    terms = np.empty((len(_TERMS), n_pred))
+    missing = np.empty(n_pred, dtype=bool)
+    scratch = np.empty((2, graph.n_entities, model.rel_dim))
+    for relation in sorted(groups):
+        _rank_relation_group(graph, model, domain_model, relation,
+                             groups[relation], tie_break, scratch, ranks,
+                             terms, missing)
 
     categories = classify_relations(graph)
-    cat_of = np.array([categories[r] for _, r, _ in triples])
-    sides = np.array([rec.side for rec in records])
-    cats = cat_of[np.array([rec.test_idx for rec in records])]
-    base_stats = {
-        "gold_baseline": _summary(np.array([r.gold_base for r in records])),
-        "median_baseline": _summary(np.array([r.med_base for r in records])),
-    }
-    baseline = _report(np.array([rec.base for rec in records]), sides, cats,
-                       len(triples), 0, base_stats)
+    cats = np.repeat([categories[r] for _, r, _ in triples], 2)
+    sides = np.tile([HEAD, TAIL], len(triples))
+    stats = {term: _summary(values) for term, values in zip(_TERMS, terms)}
+    baseline = _report(ranks[0], sides, cats, len(triples), 0,
+                       {term: stats[term] for term in _TERMS[:2]})
     if domain_model is None:
         return baseline
 
-    report = _report(np.array([rec.pen for rec in records]), sides, cats,
-                     len(triples),
-                     sum(rec.missing_domain for rec in records),
-                     {**base_stats,
-                      "gold_penalty": _summary(
-                          np.array([r.gold_pen for r in records])),
-                      "median_penalty": _summary(
-                          np.array([r.med_pen for r in records]))})
+    report = _report(ranks[1], sides, cats, len(triples),
+                     int(np.count_nonzero(missing)), stats)
     report.baseline = baseline
     return report
 
 
-def validation_hits10(graph: KnowledgeGraph, model: EmbeddingModel,
-                      threads: int = 1) -> float:
-    """Filtered combined Hits@10 on the validation split (early stopping)."""
-    report = evaluate(graph, model, None, split="valid", threads=threads)
+def validation_hits10(graph: KnowledgeGraph, model: EmbeddingModel) -> float:
+    """Filtered combined Hits@10 on the validation split (early stopping),
+    from one serial ``evaluate`` pass without domains."""
+    report = evaluate(graph, model, None, split="valid")
     return report.overall[("filtered", COMBINED)].hits[10]
 
 

@@ -252,6 +252,52 @@ class TestCriterion5OracleEquivalence:
         print(f"criterion 5 oracle equivalence: PASS in {dt:.2f}s (20 graphs)")
 
 
+def _label_triples(g, triples):
+    ent, rel = g.entities.labels, g.relations.labels
+    return [(ent[h], rel[r], ent[t]) for h, r, t in triples]
+
+
+class TestCriterion5Ties:
+    """Criterion 5's oracle comparison on graphs built to tie: every
+    entity shares its vector with another, and the test split repeats
+    triples, under both tie breaks."""
+
+    @pytest.mark.parametrize("tie_break", evaluation.TIE_BREAKS)
+    def test_tied_graphs_match_reference(self, tie_break):
+        variants = ("transe", "transr", "stranse")
+        dissims = ("l1", "l2")
+        for i in range(12):
+            rng = np.random.default_rng(2000 + i)
+            g = random_graph(rng, n_entities=int(rng.integers(15, 41)),
+                             n_relations=int(rng.integers(2, 5)),
+                             n_train=60, n_valid=6, n_test=8)
+            # the same labels in the same order keep every id
+            test = _label_triples(g, g.test)
+            g = data.build_graph(_label_triples(g, g.train),
+                                 _label_triples(g, g.valid),
+                                 test + test[::3])
+            variant = variants[i % 3]
+            dissim = dissims[i % 2]
+            m = random_model(rng, g, variant=variant, dim=5,
+                             dissimilarity=dissim)
+            m.entity_vecs[1::2] = m.entity_vecs[::2][:g.n_entities // 2]
+            params = {"entity": m.entity_vecs, "relation": m.relation_vecs,
+                      "head_proj": m.head_proj, "tail_proj": m.tail_proj}
+            dm = ells = None
+            if i % 4 >= 2:
+                dm = random_domain_model(rng, g, m)
+                ells = {key: (e.center, e.factor)
+                        for key, e in dm.ellipsoids.items()}
+            ref = ref_evaluate(g.n_entities, g.train, g.valid, g.test,
+                               variant, dissim, params, ellipsoids=ells,
+                               tie_break=tie_break)
+            rep = evaluation.evaluate(g, m, dm, tie_break=tie_break)
+            assert rep.tie_rate > 0, i
+            for key, block in rep.overall.items():
+                assert block.mean_rank == ref[key]["mean_rank"], (i, key)
+                assert block.hits == ref[key]["hits"], (i, key)
+
+
 class TestCriterion6ToyEndToEnd:
     def test_country_capital_toy(self):
         t0 = time.perf_counter()
@@ -308,14 +354,14 @@ def _benchmark_graph(name):
     return data.load_graph(*paths)
 
 
-def _train_and_fit(g, margin, threads):
+def _train_and_fit(g, margin):
     cfg = models.TrainConfig(variant="transe", dim=50, lr=0.001, margin=margin,
                              batch_size=120, dissimilarity="l1", epochs=1000,
                              normalize_entities=True, seed=0,
                              eval_every=25, patience=50)
 
     def validator(m):
-        return evaluation.validation_hits10(g, m, threads=threads)
+        return evaluation.validation_hits10(g, m)
 
     model = models.train(g, cfg, validator=validator)
     dm = domains.fit_all_domains(g, model)
@@ -326,10 +372,9 @@ def _train_and_fit(g, margin, threads):
 class TestCriterion7Wn18:
     def test_wn18_reproduction(self):
         g = _benchmark_graph("wn18")
-        threads = int(os.environ.get("DREKGE_THREADS", "4"))
-        model, dm = _train_and_fit(g, margin=2.0, threads=threads)
-        base = evaluation.evaluate(g, model, threads=threads)
-        dre = evaluation.evaluate(g, model, dm, threads=threads)
+        model, dm = _train_and_fit(g, margin=2.0)
+        base = evaluation.evaluate(g, model)
+        dre = evaluation.evaluate(g, model, dm)
         key = ("filtered", evaluation.COMBINED)
         base_hits = base.overall[key].hits[10]
         dre_hits = dre.overall[key].hits[10]
@@ -347,10 +392,9 @@ class TestCriterion7Wn18:
 class TestCriterion8Fb15kCategories:
     def test_fb15k_category_gains(self):
         g = _benchmark_graph("fb15k")
-        threads = int(os.environ.get("DREKGE_THREADS", "4"))
-        model, dm = _train_and_fit(g, margin=1.0, threads=threads)
-        base = evaluation.evaluate(g, model, threads=threads)
-        dre = evaluation.evaluate(g, model, dm, threads=threads)
+        model, dm = _train_and_fit(g, margin=1.0)
+        base = evaluation.evaluate(g, model)
+        dre = evaluation.evaluate(g, model, dm)
         for side, cat in ((data.HEAD, data.CAT_N_TO_1),
                           (data.TAIL, data.CAT_1_TO_N)):
             b = base.by_category[("filtered", side, cat)].hits[10]

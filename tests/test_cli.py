@@ -160,12 +160,31 @@ class TestPipeline:
                      "--dim", "5", "--epochs", "1", "--out", out]) == 0
         assert load_model(out).dim == 5
 
-    def test_threads_env_is_honored(self, dataset, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_config_file_supplies_the_triple_files(self, dataset, tmp_path,
+                                                   capsys, command):
         model = str(tmp_path / "m.bin")
         run_train(dataset, model)
-        monkeypatch.setenv("DREKGE_THREADS", "2")
-        assert main(["evaluate", *dataset["args"], "--model", model,
-                     "--report-out", str(tmp_path / "r.txt")]) == 0
+        g = dataset["graph"]
+        extra = ["--model", model]
+        if command == "predict":
+            extra += ["--relation", g.relations.labels[0],
+                      "--head", g.entities.labels[0]]
+        capsys.readouterr()
+        assert main([command, *dataset["args"], *extra]) == 0
+        want = capsys.readouterr().out
+        paths = dict(zip(("train", "valid", "test"), dataset["args"][1::2]))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(paths))
+        assert main([command, "--config", str(cfg), *extra]) == 0
+        assert capsys.readouterr().out == want
+
+        # a training option is not one of this command's keys
+        cfg.write_text(json.dumps({**paths, "dim": 7}))
+        assert main([command, "--config", str(cfg), *extra]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "unknown config file keys: dim" in out.err
 
 
 class TestFailureModes:
@@ -176,50 +195,21 @@ class TestFailureModes:
         assert main(["nonsense"]) == 1
         capsys.readouterr()
 
-    @pytest.mark.parametrize("name,flag,value", [
-        pytest.param(name, flag, value, id=f"{name}-{flag[2:]}={value}")
-        for name, flag, value in [("predict", "--top", "0"), ("predict", "--top", "-3"),
-                     ("evaluate", "--threads", "-2"),
-                     ("evaluate", "--threads", "0"),
-                     ("train", "--threads", "0"),
-                     ("fit-domains", "--threads", "-1")]])
+    @pytest.mark.parametrize("value", [
+        pytest.param(value, id=f"predict-top={value}")
+        for value in ("0", "-3")])
     def test_counts_below_one_exit_one(self, dataset, tmp_path, capsys,
-                                       name, flag, value):
+                                       value):
         model = str(tmp_path / "m.bin")
         run_train(dataset, model)
         capsys.readouterr()
         g = dataset["graph"]
-        extra = {"train": ["--dim", "6", "--epochs", "1",
-                           "--out", str(tmp_path / "x.bin")],
-                 "fit-domains": ["--model", model,
-                                 "--out", str(tmp_path / "d.bin")],
-                 "evaluate": ["--model", model],
-                 "predict": ["--model", model,
-                             "--relation", g.relations.labels[0],
-                             "--head", g.entities.labels[0]]}[name]
-        assert main([name, *dataset["args"], *extra, flag, value]) == 1
+        assert main(["predict", *dataset["args"], "--model", model,
+                     "--relation", g.relations.labels[0],
+                     "--head", g.entities.labels[0], "--top", value]) == 1
         out = capsys.readouterr()
         assert out.out == ""
-        assert f"{flag}: must be an integer >= 1" in out.err
-        assert not os.path.exists(tmp_path / "x.bin")
-        assert not os.path.exists(tmp_path / "d.bin")
-
-    @pytest.mark.parametrize("name", ["train", "evaluate"])
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_threads_env_below_one_exits_one(self, dataset, tmp_path, capsys,
-                                             monkeypatch, name, value):
-        model = str(tmp_path / "m.bin")
-        run_train(dataset, model)
-        capsys.readouterr()
-        monkeypatch.setenv("DREKGE_THREADS", value)
-        out = tmp_path / "out"
-        extra = {"train": ["--dim", "6", "--epochs", "1", "--out", str(out)],
-                 "evaluate": ["--model", model,
-                              "--report-out", str(out)]}[name]
-        assert main([name, *dataset["args"], *extra]) == 1
-        err = capsys.readouterr().err
-        assert "DREKGE_THREADS: must be an integer >= 1" in err
-        assert not out.exists()
+        assert "--top: must be an integer >= 1" in out.err
 
     def test_config_file_rejects_unknown_keys(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from drekge import data
-from drekge.errors import ConfigurationError, ParseError
+from drekge.errors import ParseError
 
 from generators import random_graph
 
@@ -50,10 +50,6 @@ class TestParsing:
         p.write_text("a\tr\tb\textra\n")
         with pytest.raises(ParseError):
             data.load_graph(str(p), str(p), str(p))
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            data.load_graph("x", "y", "z", format="csv")
 
 
 class TestBuildGraph:

@@ -132,6 +132,18 @@ class TestDistance:
             assert 0 < outside.sum() < len(q)
             assert np.array_equal(scores_test(ell, pts), want)
 
+    def test_scratch_gives_the_same_bits(self):
+        rng = np.random.default_rng(26)
+        for k in (1, 8, 50):
+            ell = random_ellipsoid(rng, k)
+            pts = rng.normal(size=(500, k))
+            scratch = np.full((2, 500, k), np.nan)
+            assert np.array_equal(scores_test(ell, pts, scratch),
+                                  scores_test(ell, pts))
+            v = pts - ell.center
+            assert np.array_equal(scratch[0], v)
+            assert np.array_equal(scratch[1], v @ ell.factor)
+
     def test_ray_monotonicity(self):
         rng = np.random.default_rng(23)
         ell = random_ellipsoid(rng, 4)

@@ -28,14 +28,30 @@ class TestRankOfGold:
 
     def test_mask_removes_competitors(self):
         scores = np.array([0.1, 0.2, 5.0, 0.3])
-        allowed = np.array([False, False, True, True])
-        rank, ties = rank_of_gold(scores, 2, allowed)
+        known = np.array([0, 1])
+        rank, ties = rank_of_gold(scores, 2, known)
         assert (rank, ties) == (2, 0)
 
     def test_gold_always_allowed(self):
         scores = np.array([1.0, 2.0])
-        allowed = np.array([False, False])
-        assert rank_of_gold(scores, 1, allowed) == (1, 0)
+        known = np.array([0, 1])
+        assert rank_of_gold(scores, 1, known) == (1, 0)
+
+    @pytest.mark.parametrize("tie_break", ["optimistic", "pessimistic"])
+    def test_filtered_counts_match_brute_force(self, tie_break):
+        # few distinct scores, so most candidates tie with the gold
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            scores = rng.integers(0, 3, size=n).astype(float)
+            gold = int(rng.integers(n))
+            known = np.flatnonzero(rng.random(n) < 0.5)
+            rivals = [e for e in range(n) if e != gold and e not in known]
+            better = sum(scores[e] < scores[gold] for e in rivals)
+            ties = sum(scores[e] == scores[gold] for e in rivals)
+            rank = 1 + better + (ties if tie_break == "pessimistic" else 0)
+            assert rank_of_gold(scores, gold, known, tie_break) == \
+                (rank, ties)
 
 
 def zero_model(graph, dim=4):
@@ -123,14 +139,23 @@ class TestEvaluate:
                             if s == setting and d == side)
                 assert total == rep.overall[(setting, side)].n
 
-    def test_threads_do_not_change_the_report(self):
-        rng = np.random.default_rng(126)
-        g = random_graph(rng, n_entities=30, n_relations=4, n_test=16)
+    def test_category_blocks_rank_their_own_relations(self):
+        rng = np.random.default_rng(129)
+        g = random_graph(rng, n_entities=20, n_train=60, n_test=12)
         m = random_model(rng, g)
-        dm = random_domain_model(rng, g, m)
-        serial = evaluate(g, m, dm)
-        threaded = evaluate(g, m, dm, threads=4)
-        assert serial == threaded
+        rep = evaluate(g, m)
+        categories = data.classify_relations(g)
+        ranks = {}
+        for h, r, t in g.test:
+            for side, gold, fixed in (("head", h, {"tail": t}),
+                                      ("tail", t, {"head": h})):
+                rank, _ = rank_of_gold(score_all(m, r, **fixed), gold)
+                ranks.setdefault((side, categories[r]), []).append(rank)
+        assert len({cat for _, cat in ranks}) > 1
+        for (side, cat), values in ranks.items():
+            block = rep.by_category[("raw", side, cat)]
+            assert block.n == len(values)
+            assert block.mean_rank == pytest.approx(np.mean(values))
 
     def test_validation_split_and_helper(self):
         rng = np.random.default_rng(127)
@@ -229,18 +254,17 @@ class TestDomainPenalties:
 
 
 class TestSinglePass:
-    @pytest.mark.parametrize("threads", [1, 4])
     @pytest.mark.parametrize("dissim", ["l1", "l2"])
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_baseline_is_the_plain_report(self, variant, dissim, threads):
+    def test_baseline_is_the_plain_report(self, variant, dissim):
         rng = np.random.default_rng(135)
         g = random_graph(rng, n_entities=30, n_relations=4, n_test=16)
         m = random_model(rng, g, variant=variant, dissimilarity=dissim)
         # every entity shares its vector with another one, so ties occur
         m.entity_vecs[1::2] = m.entity_vecs[::2][:g.n_entities // 2]
         dm = random_domain_model(rng, g, m, coverage=0.6)
-        rep = evaluate(g, m, dm, threads=threads)
-        plain = evaluate(g, m, threads=threads)
+        rep = evaluate(g, m, dm)
+        plain = evaluate(g, m)
         assert rep.baseline == plain
         assert plain.baseline is None
 
