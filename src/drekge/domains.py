@@ -14,6 +14,7 @@ stored and checked on use.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -22,7 +23,8 @@ import numpy as np
 from .data import HEAD, TAIL, KnowledgeGraph, extract_domains
 from .ellipsoid import (Ellipsoid, FitConfig, fit_stack, score_test,
                         scores_test, scores_train_stack)
-from .errors import ConfigurationError, FormatError, StaleDomainModelError
+from .errors import (ConfigurationError, FormatError, NumericalError,
+                     StaleDomainModelError)
 from .models import (EmbeddingModel, project_all, project_entities,
                      project_slots)
 
@@ -84,9 +86,13 @@ def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
     lone ``fit`` of its projected members would. After the fits,
     ``on_domain(relation, side, n_members, mean_score)`` is called once
     per domain in (relation, side) order, with the mean training score of
-    its members at the fitted surface, or None when it was skipped.
+    its members at the fitted surface, or None when it was skipped. A fit
+    that ends with a non-finite center or factor (a learning rate that
+    overflows) raises NumericalError naming the first such domain in
+    that order.
     """
     config = config or FitConfig()
+    config.validate()
     if model.n_entities != graph.n_entities \
             or model.n_relations != graph.n_relations:
         raise ConfigurationError("model entity/relation counts do not match "
@@ -100,6 +106,7 @@ def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
 
     ellipsoids: dict[tuple[int, str], Ellipsoid] = {}
     scores: dict[tuple[int, str], float] = {}
+    diverged: list[tuple[int, str]] = []
     for group in by_size.values():
         relations = np.array([r for r, _ in group], dtype=np.int64)
         sides = [side for _, side in group]
@@ -109,10 +116,19 @@ def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
         seeds = [_domain_seed(config.seed, r, _SIDE_FLAGS[side])
                  for r, side in group]
         centers, factors = fit_stack(points, config, seeds)
+        finite = (np.isfinite(centers).all(axis=1)
+                  & np.isfinite(factors).all(axis=(1, 2)))
+        if not finite.all():
+            diverged += [key for key, ok in zip(group, finite) if not ok]
+            continue
         means = scores_train_stack(centers, factors, points).mean(axis=1)
         for i, key in enumerate(group):
             ellipsoids[key] = Ellipsoid(centers[i], factors[i])
             scores[key] = float(means[i])
+    if diverged:
+        relation, side = min(diverged, key=_domain_order)
+        raise NumericalError(f"domain r{relation}/{side}: fit diverged "
+                             f"(non-finite center or factor)")
 
     if on_domain is not None:
         for key in keys:
@@ -172,6 +188,7 @@ def _slot_penalties(domain_model: DomainModel, relation: int, side: str,
 #   all numbers little-endian
 # ---------------------------------------------------------------------------
 
+_FINGERPRINT = re.compile("[0-9a-fA-F]{16}")
 _SLOT = np.dtype([("relation", "<i8"), ("flag", "<i8")])
 _SAVE_BLOCK = 256
 
@@ -224,12 +241,10 @@ def load_domains(path: str) -> DomainModel:
         k, n_fitted, n_skipped = (int(x) for x in fields[2:5])
     except ValueError as exc:
         raise FormatError(f"{path}: bad header counts") from exc
-    if len(fields[5]) != 16:
+    # int(x, 16) alone would also take a sign, underscores and spaces
+    if not _FINGERPRINT.fullmatch(fields[5]):
         raise FormatError(f"{path}: fingerprint must be 16 hex digits")
-    try:
-        fingerprint = int(fields[5], 16)
-    except ValueError as exc:
-        raise FormatError(f"{path}: garbled fingerprint") from exc
+    fingerprint = int(fields[5], 16)
     if k < 1 or n_fitted < 0 or n_skipped < 0:
         raise FormatError(f"{path}: bad header counts")
 

@@ -17,6 +17,7 @@ penalizes both sides of the surface; scoring only penalizes the outside.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +57,13 @@ class FitConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.lr <= 0 or self.epochs < 1 or self.batch_size < 1:
-            raise ConfigurationError("fit config needs lr > 0, epochs >= 1, "
-                                     "batch_size >= 1")
-        if self.diag_floor <= 0:
-            raise ConfigurationError("diag_floor must be positive")
+        # written so that NaN fails too
+        if not (0 < self.lr < math.inf) or self.epochs < 1 \
+                or self.batch_size < 1:
+            raise ConfigurationError("fit config needs a finite lr > 0, "
+                                     "epochs >= 1, batch_size >= 1")
+        if not (0 < self.diag_floor < math.inf):
+            raise ConfigurationError("diag_floor must be positive and finite")
 
 
 def _as_batch(points: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ matrices start at identity.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -61,8 +62,10 @@ class TrainConfig:
                 f"unknown negative sampling {self.negative_sampling!r}")
         if self.dim < 1 or self.k < 1:
             raise ConfigurationError("embedding dimensions must be >= 1")
-        if self.lr <= 0 or self.margin <= 0:
-            raise ConfigurationError("lr and margin must be positive")
+        # written so that NaN fails too
+        if not (0 < self.lr < math.inf and 0 < self.margin < math.inf):
+            raise ConfigurationError("lr and margin must be positive and "
+                                     "finite")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigurationError("epochs and batch_size must be >= 1")
         if self.variant == "transe" and self.k != self.dim:
@@ -281,6 +284,20 @@ def _init_model(graph: KnowledgeGraph, config: TrainConfig,
                           head_proj=eye, tail_proj=tail)
 
 
+def _scatter_add(table: np.ndarray, ids: np.ndarray,
+                 rows: np.ndarray) -> None:
+    """``np.add.at(table, ids, rows)`` for a 2-D ``table``, run on its
+    flat view with one element index ``id * k + column`` per value: the
+    same element additions in the same order, so the same bits, on
+    numpy's fast 1-D path. ``table`` must be C-contiguous, so that the
+    flat array is a view and not a copy."""
+    if not table.flags.c_contiguous:
+        raise ValueError("scatter target must be C-contiguous")
+    k = table.shape[1]
+    index = (ids[:, None] * k + np.arange(k)).ravel()
+    np.add.at(table.reshape(-1), index, rows.ravel())
+
+
 def _batch_update(model: EmbeddingModel, lr: float,
                   pos: np.ndarray, neg: np.ndarray, g_pos: np.ndarray,
                   g_neg: np.ndarray) -> None:
@@ -288,16 +305,20 @@ def _batch_update(model: EmbeddingModel, lr: float,
 
     ``pos``/``neg`` are (B, 3) id arrays for the violating pairs and
     ``g_pos``/``g_neg`` the norm gradients of their residuals. All
-    gradients are evaluated at the batch-start parameters; duplicate ids
-    accumulate.
+    gradients are evaluated at the batch-start parameters. Repeated ids
+    accumulate in ``_scatter_add``, one step after another in the order
+    the steps are listed: the relation steps in pair order; for transe
+    the positive heads, positive tails, negative heads, then negative
+    tails; for the projected variants the heads of the positives and
+    then of the negatives, followed by their tails in the same order.
     """
     ent = model.entity_vecs
-    np.add.at(model.relation_vecs, pos[:, 1], -lr * (g_pos - g_neg))
+    _scatter_add(model.relation_vecs, pos[:, 1], -lr * (g_pos - g_neg))
     if model.head_proj is None:
-        np.add.at(ent, np.concatenate([pos[:, 0], pos[:, 2],
-                                       neg[:, 0], neg[:, 2]]),
-                  np.concatenate([-lr * g_pos, lr * g_pos,
-                                  lr * g_neg, -lr * g_neg]))
+        _scatter_add(ent, np.concatenate([pos[:, 0], pos[:, 2],
+                                          neg[:, 0], neg[:, 2]]),
+                     np.concatenate([-lr * g_pos, lr * g_pos,
+                                     lr * g_neg, -lr * g_neg]))
         return
 
     # one signed pass over both halves of sum f(pos) - f(neg); entities
@@ -311,8 +332,8 @@ def _batch_update(model: EmbeddingModel, lr: float,
         d_ent[n + rows] = tail
         model.head_proj[relation] -= lr * head_proj
         model.tail_proj[relation] -= lr * tail_proj
-    np.add.at(ent, np.concatenate([triples[:, 0], triples[:, 2]]),
-              -lr * d_ent)
+    _scatter_add(ent, np.concatenate([triples[:, 0], triples[:, 2]]),
+                 -lr * d_ent)
 
 
 def _check_finite(model: EmbeddingModel, epoch: int) -> None:

@@ -211,6 +211,44 @@ class TestFailureModes:
         assert out.out == ""
         assert "--top: must be an integer >= 1" in out.err
 
+    @pytest.mark.parametrize("flag", ["--lr", "--margin"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_training_numbers_exit_one(self, dataset, tmp_path,
+                                                  capsys, flag, value):
+        out = tmp_path / "m.bin"
+        assert run_train(dataset, str(out), extra=[flag, value]) == 1
+        assert not out.exists()
+        assert "must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--fit-lr", "nan"), ("--fit-lr", "inf"), ("--diag-floor", "nan")])
+    def test_non_finite_fit_numbers_exit_one(self, dataset, tmp_path,
+                                             capsys, flag, value):
+        model = str(tmp_path / "m.bin")
+        doms = tmp_path / "d.bin"
+        run_train(dataset, model)
+        capsys.readouterr()
+        assert main(["fit-domains", *dataset["args"], "--model", model,
+                     "--fit-epochs", "2", flag, value,
+                     "--out", str(doms)]) == 1
+        assert not doms.exists()
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_overflowing_fit_exits_three_without_a_file(self, dataset,
+                                                           tmp_path,
+                                                           capsys):
+        model = str(tmp_path / "m.bin")
+        doms = tmp_path / "d.bin"
+        run_train(dataset, model)
+        capsys.readouterr()
+        assert main(["fit-domains", *dataset["args"], "--model", model,
+                     "--fit-epochs", "2", "--fit-lr", "1e300",
+                     "--out", str(doms)]) == 3
+        assert not doms.exists()
+        err = capsys.readouterr().err
+        assert "fit diverged" in err and "mean fit score" not in err
+
     def test_config_file_rejects_unknown_keys(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"dims": 7}))

@@ -8,7 +8,7 @@ from drekge.domains import (DomainModel, fit_all_domains, load_domains,
                             penalties_all, penalty, save_domains)
 from drekge.ellipsoid import Ellipsoid, FitConfig, fit, scores_train
 from drekge.errors import (ConfigurationError, FormatError,
-                           StaleDomainModelError)
+                           NumericalError, StaleDomainModelError)
 from drekge.models import TrainConfig, project_all, train
 
 from generators import random_domain_model, random_graph, random_model
@@ -182,6 +182,17 @@ class TestFitAllDomains:
         assert seen == sorted(data.extract_domains(g),
                               key=lambda key: (key[0], key[1] == data.TAIL))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_diverged_fit_names_the_first_domain(self):
+        rng = np.random.default_rng(108)
+        g = random_graph(rng)
+        m = random_model(rng, g)
+        relation, side = min(quick_fit(g, m, epochs=1).ellipsoids,
+                             key=domains._domain_order)
+        with pytest.raises(NumericalError, match=f"domain r{relation}/{side}"
+                                                 f": fit diverged"):
+            fit_all_domains(g, m, FitConfig(lr=1e300, epochs=3))
+
     def test_model_graph_mismatch_rejected(self):
         rng = np.random.default_rng(99)
         g = random_graph(rng)
@@ -283,6 +294,28 @@ class TestSerialization:
         fields = header.split(b" ")
         fields[5] = b"nothexnothexnoth"  # unparseable fingerprint
         expect_error(b" ".join(fields) + b"\n" + rest)
+
+    @pytest.mark.parametrize("fingerprint", [
+        b"-000000000000001", b"+000000000000001", b"0000_0000_0000_1",
+        b"\t000000000000001", b"0x00000000000001", b"00000000000000g1",
+        b"000000000000001", b"00000000000000001"])
+    def test_a_garbled_fingerprint_is_a_format_error(self, tmp_path,
+                                                     fingerprint):
+        rng = np.random.default_rng(117)
+        g = random_graph(rng)
+        m = random_model(rng, g)
+        path = tmp_path / "dom.bin"
+        save_domains(random_domain_model(rng, g, m), str(path))
+        header, rest = path.read_bytes().split(b"\n", 1)
+        fields = header.split(b" ")
+        # upper-case hex is still hex
+        path.write_bytes(b" ".join([*fields[:5], fields[5].upper()])
+                         + b"\n" + rest)
+        assert load_domains(str(path)).model_fingerprint == m.fingerprint()
+        path.write_bytes(b" ".join([*fields[:5], fingerprint]) + b"\n"
+                         + rest)
+        with pytest.raises(FormatError, match="16 hex digits"):
+            load_domains(str(path))
 
     def test_non_finite_and_non_positive_diagonals_are_rejected(
             self, tmp_path):

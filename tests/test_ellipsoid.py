@@ -280,6 +280,12 @@ class TestFit:
         with pytest.raises(ConfigurationError):
             FitConfig(diag_floor=-1.0).validate()
 
+    @pytest.mark.parametrize("name", ["lr", "diag_floor"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_numbers(self, name, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            FitConfig(**{name: value}).validate()
+
 
 def loop_fit(points, config):
     """Reference fitter: one cloud, one mini-batch at a time, with the

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from drekge import models
+from drekge.data import build_graph
 from drekge.errors import ConfigurationError, FormatError
+from drekge.evaluation import validation_hits10
 from drekge.models import (EmbeddingModel, TrainConfig, load_model,
                            model_bytes, project_all, project_entities,
                            save_model, score_all, score_gradients,
@@ -41,6 +43,12 @@ class TestConfig:
             TrainConfig(margin=-1.0).validate()
         with pytest.raises(ConfigurationError):
             TrainConfig(epochs=0).validate()
+
+    @pytest.mark.parametrize("name", ["lr", "margin"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_numbers(self, name, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            TrainConfig(**{name: value}).validate()
 
     def test_translation_only_variant_rejects_projection_size(self):
         with pytest.raises(ConfigurationError):
@@ -272,6 +280,72 @@ class TestBatchUpdate:
         with pytest.raises(ConfigurationError):
             EmbeddingModel("transr", "l1", m.entity_vecs, m.relation_vecs,
                            m.head_proj, m.head_proj.copy())
+
+
+class TestScatterAdd:
+    @pytest.mark.parametrize("k", [1, 50])
+    @pytest.mark.parametrize("case", ["mixed", "one-id", "empty", "one-row"])
+    def test_same_bits_as_add_at(self, k, case):
+        rng = np.random.default_rng(65)
+        n_rows, n_ids = (1, 40) if case == "one-row" else (7, 40)
+        ids = {"mixed": rng.integers(0, n_rows, n_ids),
+               "one-id": np.full(n_ids, 3),      # repeated batch-length times
+               "empty": np.empty(0, dtype=np.int64),
+               "one-row": np.zeros(n_ids, dtype=np.int64)}[case]
+        table = rng.normal(size=(n_rows, k))
+        # magnitudes 1e-8 .. 1e8, so another summation order changes bits
+        rows = rng.normal(size=(len(ids), k)) \
+            * 10.0 ** rng.integers(-8, 9, size=(len(ids), 1))
+        expected = table.copy()
+        np.add.at(expected, ids, rows)
+        if case == "one-id":
+            backwards = table.copy()
+            np.add.at(backwards, ids[::-1], rows[::-1])
+            assert not np.array_equal(backwards, expected)
+        models._scatter_add(table, ids, rows)
+        assert np.array_equal(table, expected)
+
+    def test_a_fortran_ordered_table_raises(self):
+        table = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+        before = table.copy()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            models._scatter_add(table, np.array([0, 1, 1]), np.ones((3, 3)))
+        assert np.array_equal(table, before)
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    @pytest.mark.parametrize("dissim", models.DISSIMILARITIES)
+    def test_training_matches_two_d_add_at(self, variant, dissim,
+                                           monkeypatch):
+        """Training on the flat scatter gives the bits that a plain 2-D
+        ``np.add.at`` scatter gives."""
+        rng = np.random.default_rng(66)
+        g = random_graph(rng, n_entities=9, n_relations=3, n_train=50)
+        ent, rel = g.entities.labels, g.relations.labels
+        labels = [(ent[h], rel[r], ent[t]) for h, r, t in g.train]
+        g = build_graph(labels + labels[:20],           # duplicate triples
+                        [(ent[h], rel[r], ent[t]) for h, r, t in g.valid],
+                        [(ent[h], rel[r], ent[t]) for h, r, t in g.test])
+
+        def run():
+            base = None
+            if variant != "transe":
+                base = train(g, TrainConfig(dim=5, lr=0.05, epochs=3,
+                                            seed=2, dissimilarity=dissim))
+            cfg = TrainConfig(variant=variant, dim=5, lr=0.05, margin=1.0,
+                              batch_size=16, dissimilarity=dissim, epochs=6,
+                              negative_sampling="bernoulli", seed=3,
+                              eval_every=2, patience=2)
+            return train(g, cfg, init=base,
+                         validator=lambda m: validation_hits10(g, m))
+
+        flat = run()
+        monkeypatch.setattr(models, "_scatter_add",
+                            lambda table, ids, rows: np.add.at(table, ids,
+                                                               rows))
+        plain = run()
+        for a, b in zip(models._param_arrays(flat),
+                        models._param_arrays(plain), strict=True):
+            assert np.array_equal(a, b)
 
 
 class TestTraining:
