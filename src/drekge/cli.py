@@ -11,8 +11,8 @@ built-in dataset presets > library defaults. Logs go to stderr; output
 files are written atomically so failed runs leave nothing behind.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 broken input
-data or artifact files, 3 numerical failure (diverged training or a
-non-finite candidate score).
+data or artifact files, 3 numerical failure (diverged training or
+domain fit, or a non-finite candidate score).
 """
 
 from __future__ import annotations

@@ -88,11 +88,9 @@ def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
     per domain in (relation, side) order, with the mean training score of
     its members at the fitted surface, or None when it was skipped. A fit
     that ends with a non-finite center or factor (a learning rate that
-    overflows) raises NumericalError naming the first such domain in
-    that order.
+    overflows) raises NumericalError naming the first such domain found.
     """
     config = config or FitConfig()
-    config.validate()
     if model.n_entities != graph.n_entities \
             or model.n_relations != graph.n_relations:
         raise ConfigurationError("model entity/relation counts do not match "
@@ -106,7 +104,6 @@ def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
 
     ellipsoids: dict[tuple[int, str], Ellipsoid] = {}
     scores: dict[tuple[int, str], float] = {}
-    diverged: list[tuple[int, str]] = []
     for group in by_size.values():
         relations = np.array([r for r, _ in group], dtype=np.int64)
         sides = [side for _, side in group]
@@ -116,19 +113,16 @@ def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
         seeds = [_domain_seed(config.seed, r, _SIDE_FLAGS[side])
                  for r, side in group]
         centers, factors = fit_stack(points, config, seeds)
-        finite = (np.isfinite(centers).all(axis=1)
-                  & np.isfinite(factors).all(axis=(1, 2)))
-        if not finite.all():
-            diverged += [key for key, ok in zip(group, finite) if not ok]
-            continue
+        diverged = np.flatnonzero(~(np.isfinite(centers).all(axis=1)
+                                    & np.isfinite(factors).all(axis=(1, 2))))
+        if diverged.size:
+            relation, side = group[diverged[0]]
+            raise NumericalError(f"domain r{relation}/{side}: fit diverged "
+                                 f"(non-finite center or factor)")
         means = scores_train_stack(centers, factors, points).mean(axis=1)
         for i, key in enumerate(group):
             ellipsoids[key] = Ellipsoid(centers[i], factors[i])
             scores[key] = float(means[i])
-    if diverged:
-        relation, side = min(diverged, key=_domain_order)
-        raise NumericalError(f"domain r{relation}/{side}: fit diverged "
-                             f"(non-finite center or factor)")
 
     if on_domain is not None:
         for key in keys:

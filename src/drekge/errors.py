@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: configuration and usage problems exit
 with 1, broken input data or artifact files with 2, numerical failures
-(diverged training, non-finite candidate scores) with 3.
+(diverged training or domain fits, non-finite candidate scores) with 3.
 """
 
 from __future__ import annotations

@@ -279,12 +279,10 @@ class TestFit:
             FitConfig(lr=0.0).validate()
         with pytest.raises(ConfigurationError):
             FitConfig(diag_floor=-1.0).validate()
-
-    @pytest.mark.parametrize("name", ["lr", "diag_floor"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_rejects_non_finite_numbers(self, name, value):
-        with pytest.raises(ConfigurationError, match="finite"):
-            FitConfig(**{name: value}).validate()
+        for name in ("lr", "diag_floor"):
+            for value in (np.nan, np.inf):
+                with pytest.raises(ConfigurationError, match="finite"):
+                    FitConfig(**{name: value}).validate()
 
 
 def loop_fit(points, config):

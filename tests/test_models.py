@@ -43,12 +43,10 @@ class TestConfig:
             TrainConfig(margin=-1.0).validate()
         with pytest.raises(ConfigurationError):
             TrainConfig(epochs=0).validate()
-
-    @pytest.mark.parametrize("name", ["lr", "margin"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_rejects_non_finite_numbers(self, name, value):
-        with pytest.raises(ConfigurationError, match="finite"):
-            TrainConfig(**{name: value}).validate()
+        for name in ("lr", "margin"):
+            for value in (np.nan, np.inf):
+                with pytest.raises(ConfigurationError, match="finite"):
+                    TrainConfig(**{name: value}).validate()
 
     def test_translation_only_variant_rejects_projection_size(self):
         with pytest.raises(ConfigurationError):
