@@ -242,15 +242,18 @@ def load_domains(path: str) -> DomainModel:
     if k < 1 or n_fitted < 0 or n_skipped < 0:
         raise FormatError(f"{path}: bad header counts")
 
-    record = _fitted_record(k)
+    # sized in Python ints before any dtype is built: a huge k would
+    # not fit a dtype's shape
+    record_size = _SLOT.itemsize + 8 * (k + k * (k + 1) // 2)
     body = memoryview(raw)[nl + 1:]
-    expected = n_fitted * record.itemsize + n_skipped * _SLOT.itemsize
+    expected = n_fitted * record_size + n_skipped * _SLOT.itemsize
     if len(body) != expected:
         raise FormatError(f"{path}: body is {len(body)} bytes, expected "
                           f"{expected}")
+    record = _fitted_record(k)
     fitted = np.frombuffer(body, dtype=record, count=n_fitted)
     skipped = np.frombuffer(body, dtype=_SLOT, count=n_skipped,
-                            offset=n_fitted * record.itemsize)
+                            offset=n_fitted * record_size)
 
     # the first bad record decides the message, checked in the order
     # side flag, finiteness, diagonal sign

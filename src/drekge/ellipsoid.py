@@ -34,6 +34,10 @@ SURFACE_TOL = 1e-9
 
 DIAG_FLOOR = 1e-6
 
+# columns per block of ``scores_test``'s w = L^T v, counted from the
+# first column, so that w never needs a second (k, n) array
+_TEST_BLOCK = 8192
+
 
 @dataclass
 class Ellipsoid:
@@ -132,22 +136,37 @@ def scores_train_stack(centers: np.ndarray, factors: np.ndarray,
 def scores_test(ell: Ellipsoid, points: np.ndarray,
                 scratch: np.ndarray | None = None) -> np.ndarray:
     """Batch ``score_test``: zero inside (the center included), radial
-    distance outside. Only the outside rows get a distance computed.
+    distance outside. Only the outside points get a distance computed.
 
-    ``scratch``, a C-ordered float64 array of shape (2, n, k) for n
-    points, receives v = points - center and w = v L, so repeated calls
-    allocate only the returned scores; the scores are the same bits with
-    or without it.
+    The points are worked on as columns of their (k, n) transpose,
+    which is C-ordered for ``models.project_all`` output: v = X - a, then
+    w = L^T v and q = sum of w*w down each column, in fixed-offset blocks
+    of ``_TEST_BLOCK`` columns, so no second (k, n) array is held.
+    ``scratch``, an (n, k) float64 array stored column-major (its
+    transpose C-ordered), receives v, so repeated calls allocate only
+    the returned scores; the scores are the same bits with or without it.
     """
-    pts = _as_batch(points)
-    v_out, w_out = (None, None) if scratch is None else scratch
-    v = np.subtract(pts, ell.center, out=v_out)
-    w = np.matmul(v, ell.factor, out=w_out)  # row b is (L^T v_b)^T
-    q = np.einsum("bi,bi->b", w, w)
-    out = np.zeros(len(q))
-    outside = np.flatnonzero(q >= 1.0)
-    n = np.linalg.norm(v[outside], axis=1)
-    out[outside] = (1.0 - q[outside] ** -0.5) * n
+    cols = _as_batch(points).T
+    k, n = cols.shape
+    if scratch is None:
+        v = np.empty((k, n))
+    else:
+        v = scratch.T
+        if not v.flags.c_contiguous:
+            raise ValueError("penalty scratch must be stored column-major")
+    np.subtract(cols, ell.center[:, None], out=v)
+    lt = ell.factor.T
+    out = np.zeros(n)
+    for lo in range(0, n, _TEST_BLOCK):
+        v_blk = v[:, lo:lo + _TEST_BLOCK]
+        w = lt @ v_blk
+        q = np.multiply(w, w, out=w).sum(axis=0)
+        outside = np.flatnonzero(q >= 1.0)
+        # take keeps the copy C-ordered (v_blk[:, outside] would not), so
+        # its norms are sums down each column, like q
+        v_out = np.take(v_blk, outside, axis=1)
+        norm = np.sqrt(np.multiply(v_out, v_out, out=v_out).sum(axis=0))
+        out[lo + outside] = (1.0 - q[outside] ** -0.5) * norm
     return out
 
 

@@ -25,7 +25,8 @@ import numpy as np
 from .data import (CATEGORIES, HEAD, TAIL, KnowledgeGraph, classify_relations)
 from .domains import DomainModel, _slot_penalties, check_compatible
 from .errors import ConfigurationError, NumericalError
-from .models import EmbeddingModel, project_all, score_all
+from .models import (EmbeddingModel, _projection_key, project_all,
+                     score_all)
 
 SETTINGS = ("raw", "filtered")
 COMBINED = "combined"
@@ -94,49 +95,49 @@ _TERMS = ("gold_baseline", "median_baseline", "gold_penalty",
           "median_penalty")
 
 
-def _rank_relation_group(graph: KnowledgeGraph, model: EmbeddingModel,
-                         domain_model: DomainModel | None, relation: int,
-                         items: list[tuple[int, int, int]], tie_break: str,
-                         scratch: np.ndarray, ranks: np.ndarray,
-                         terms: np.ndarray, missing: np.ndarray) -> None:
-    """Rank every prediction for the test triples sharing one relation.
+def _rank_slot(graph: KnowledgeGraph, model: EmbeddingModel,
+               domain_model: DomainModel | None, relation: int, side: str,
+               cand: np.ndarray, items: list[tuple[int, int, int]],
+               tie_break: str, scratch: np.ndarray, ranks: np.ndarray,
+               terms: np.ndarray, missing: np.ndarray) -> None:
+    """Rank every prediction of one slot for the test triples sharing
+    its relation, from the slot's ``project_all`` candidates ``cand``.
 
     Triple ``i`` of the split predicts its head into row ``2 i`` and its
     tail into row ``2 i + 1`` of ``ranks`` (baseline and penalized
     ``_ranks``), ``terms`` (one row per ``_TERMS`` entry) and ``missing``.
-    Each slot is projected once and its penalties and their median are
-    computed once; each query is scored once, into ``scratch``, and the
-    baseline and penalized ranks both come from those scores.
+    The slot's penalties and their median are computed once; each query
+    is scored once, into ``scratch``, and the baseline and penalized
+    ranks both come from those scores.
     """
-    for col, side in enumerate((HEAD, TAIL)):
-        proj = project_all(model, relation, side)
-        # evaluate checked domain_model against the model once
-        pen = None if domain_model is None else \
-            _slot_penalties(domain_model, relation, side, proj, scratch)
-        med_pen = 0.0 if pen is None else float(np.median(pen))
-        for test_idx, h, t in items:
-            row = 2 * test_idx + col
-            if side == HEAD:
-                gold = h
-                base = score_all(model, relation, tail=t, projected=proj,
-                                 out=scratch[0])
-                known = graph.heads_by_rt[(relation, t)]
-            else:
-                gold = t
-                base = score_all(model, relation, head=h, projected=proj,
-                                 out=scratch[0])
-                known = graph.tails_by_hr[(h, relation)]
-            scores = base if pen is None else base + pen
-            # penalties are >= 0, so this also covers the baseline scores
-            if not np.isfinite(scores).all():
-                raise NumericalError(f"non-finite score for relation {relation}")
+    col = 0 if side == HEAD else 1
+    # evaluate checked domain_model against the model once
+    pen = None if domain_model is None else \
+        _slot_penalties(domain_model, relation, side, cand, scratch)
+    med_pen = 0.0 if pen is None else float(np.median(pen))
+    for test_idx, h, t in items:
+        row = 2 * test_idx + col
+        if side == HEAD:
+            gold = h
+            base = score_all(model, relation, tail=t, projected=cand,
+                             out=scratch)
+            known = graph.heads_by_rt[(relation, t)]
+        else:
+            gold = t
+            base = score_all(model, relation, head=h, projected=cand,
+                             out=scratch)
+            known = graph.tails_by_hr[(h, relation)]
+        scores = base if pen is None else base + pen
+        # penalties are >= 0, so this also covers the baseline scores
+        if not np.isfinite(scores).all():
+            raise NumericalError(f"non-finite score for relation {relation}")
 
-            ranks[0, row] = _ranks(base, gold, known, tie_break)
-            ranks[1, row] = ranks[0, row] if pen is None \
-                else _ranks(scores, gold, known, tie_break)
-            missing[row] = pen is None
-            terms[:, row] = (base[gold], np.median(base),
-                             0.0 if pen is None else pen[gold], med_pen)
+        ranks[0, row] = _ranks(base, gold, known, tie_break)
+        ranks[1, row] = ranks[0, row] if pen is None \
+            else _ranks(scores, gold, known, tie_break)
+        missing[row] = pen is None
+        terms[:, row] = (base[gold], np.median(base),
+                         0.0 if pen is None else pen[gold], med_pen)
 
 
 def _block(ranks: np.ndarray) -> MetricBlock:
@@ -194,9 +195,11 @@ def evaluate(graph: KnowledgeGraph, model: EmbeddingModel,
     """Rank the gold entity of every triple in the chosen split, both
     sides, raw and filtered, and aggregate overall and per category.
 
-    Work is grouped by relation so each slot's projection and penalties
-    are computed once per group, and every query is scored once, in one
-    serial pass whose scratch buffers are allocated once per call. With a
+    Work is grouped by relation so each slot's penalties are computed
+    once per group, and every query is scored once, in one serial pass
+    whose scratch buffer is allocated once per call. The candidates are
+    projected once per distinct projection: once per call for transe,
+    once per relation for transr, once per slot for stranse. With a
     domain model the returned report is the penalized one, and its
     ``baseline`` is the report without penalties, ranked from the same
     scores in the same pass (equal to ``evaluate(graph, model)``).
@@ -223,11 +226,19 @@ def evaluate(graph: KnowledgeGraph, model: EmbeddingModel,
     ranks = np.empty((2, n_pred, 4), dtype=np.int64)  # baseline, penalized
     terms = np.empty((len(_TERMS), n_pred))
     missing = np.empty(n_pred, dtype=bool)
-    scratch = np.empty((2, graph.n_entities, model.rel_dim))
+    # one candidate array and one scratch, both (k, E) in memory; a
+    # projection is made once and kept while the next slots share it
+    scratch = np.empty((model.rel_dim, graph.n_entities)).T
+    key = cand = None
     for relation in sorted(groups):
-        _rank_relation_group(graph, model, domain_model, relation,
-                             groups[relation], tie_break, scratch, ranks,
-                             terms, missing)
+        for side in (HEAD, TAIL):
+            slot_key = _projection_key(model, relation, side)
+            if cand is None or slot_key != key:
+                cand = None   # free the last candidates before the next
+                key, cand = slot_key, project_all(model, relation, side)
+            _rank_slot(graph, model, domain_model, relation, side, cand,
+                       groups[relation], tie_break, scratch, ranks, terms,
+                       missing)
 
     categories = classify_relations(graph)
     cats = np.repeat([categories[r] for _, r, _ in triples], 2)

@@ -143,17 +143,40 @@ def project_slots(model: EmbeddingModel, entities: np.ndarray,
 
 
 def project_all(model: EmbeddingModel, relation: int, side: str) -> np.ndarray:
-    """All entity vectors mapped into the relation's space for one slot."""
-    return project_entities(model, slice(None), relation, side)
+    """All entity vectors mapped into the relation's space for one slot,
+    as an (|E|, k) array whose row e is entity e.
+
+    It is stored column-major: its transpose is a C-ordered (k, |E|)
+    array, so each coordinate runs contiguously across every entity and
+    a sum over the coordinates is k row additions across |E|. transe's
+    result is a transposed copy of ``entity_vecs``; a projected variant
+    makes one product ``W @ entity_vecs.T``. The copy belongs to the
+    caller, so it goes stale once the parameters change.
+    """
+    proj = model.head_proj if side == HEAD else model.tail_proj
+    if proj is None:
+        return np.ascontiguousarray(model.entity_vecs.T).T
+    return (proj[relation] @ model.entity_vecs.T).T
+
+
+def _projection_key(model: EmbeddingModel, relation: int, side: str):
+    """Slots with equal keys get equal ``project_all`` results: every
+    transe slot, and the two slots of one transr relation, whose one
+    matrix serves both."""
+    if model.head_proj is None:
+        return None
+    if model.tail_proj is model.head_proj:
+        return relation
+    return relation, side
 
 
 def _norms(diff: np.ndarray, dissimilarity: str,
-           out: np.ndarray | None = None) -> np.ndarray:
-    """Norms over the last axis. ``out`` (which may be ``diff`` itself)
+           out: np.ndarray | None = None, axis: int = -1) -> np.ndarray:
+    """Norms over ``axis``. ``out`` (which may be ``diff`` itself)
     receives the elementwise |x| or x*x before the reduction."""
     if dissimilarity == "l1":
-        return np.abs(diff, out=out).sum(axis=-1)
-    return np.sqrt(np.multiply(diff, diff, out=out).sum(axis=-1))
+        return np.abs(diff, out=out).sum(axis=axis)
+    return np.sqrt(np.multiply(diff, diff, out=out).sum(axis=axis))
 
 
 def score_triple(model: EmbeddingModel, triple: tuple[int, int, int]) -> float:
@@ -170,25 +193,33 @@ def score_all(model: EmbeddingModel, relation: int, *, head: int | None = None,
 
     Exactly one of ``head`` and ``tail`` is fixed. ``projected`` lets a
     caller reuse ``project_all`` output for the open slot across many
-    queries with the same relation. ``out``, a C-ordered float64 array
-    of the candidates' (|E|, k) shape, is scratch for the residuals and
-    their reduction, so repeated calls allocate only the returned scores;
+    queries with the same relation. The residuals are formed in the
+    candidates' (k, |E|) layout and reduced over the leading axis, one
+    row addition per coordinate. ``out``, an (|E|, k) float64 array
+    stored like ``project_all`` output (column-major), is scratch for
+    the residuals, so repeated calls allocate only the returned scores;
     the scores are the same bits with or without it.
     """
     if (head is None) == (tail is None):
         raise ConfigurationError("fix exactly one of head and tail")
     r_vec = model.relation_vecs[relation]
+    if out is None:
+        scratch = np.empty((model.rel_dim, model.n_entities))
+    else:
+        scratch = out.T
+        if not scratch.flags.c_contiguous:
+            raise ValueError("score scratch must be stored column-major")
     if tail is None:
         cand = projected if projected is not None \
             else project_all(model, relation, TAIL)
         target = project_entities(model, head, relation, HEAD) + r_vec
-        diff = np.subtract(target, cand, out=out)
+        diff = np.subtract(target[:, None], cand.T, out=scratch)
     else:
         cand = projected if projected is not None \
             else project_all(model, relation, HEAD)
         offset = r_vec - project_entities(model, tail, relation, TAIL)
-        diff = np.add(cand, offset, out=out)
-    return _norms(diff, model.dissimilarity, out=diff)
+        diff = np.add(cand.T, offset[:, None], out=scratch)
+    return _norms(diff, model.dissimilarity, out=diff, axis=0)
 
 
 def _norm_grad(u: np.ndarray, dissimilarity: str) -> np.ndarray:
@@ -525,7 +556,9 @@ def load_model(path: str) -> EmbeddingModel:
         raise FormatError(f"{path}: bad header counts")
 
     shapes = [(n_e, d), (n_r, k)] + [(n_r, k, d)] * _N_MATRICES[variant]
-    expected = sum(int(np.prod(s)) for s in shapes) * 8
+    # Python ints, so that a huge header cannot wrap around
+    sizes = [math.prod(shape) for shape in shapes]
+    expected = sum(sizes) * 8
 
     body = raw[nl + 1:]
     if len(body) != expected + 8:
@@ -537,7 +570,7 @@ def load_model(path: str) -> EmbeddingModel:
                           f"({footer} != {expected})")
 
     flat = np.frombuffer(body, dtype="<f8", count=expected // 8)
-    cuts = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
+    cuts = np.cumsum(sizes)[:-1]
     arrays = [part.astype(np.float64).reshape(shape)
               for part, shape in zip(np.split(flat, cuts), shapes)]
     if not all(np.isfinite(arr).all() for arr in arrays):

@@ -29,17 +29,20 @@ def random_graph(rng: np.random.Generator, n_entities: int = 30,
 
 def random_model(rng: np.random.Generator, graph: KnowledgeGraph,
                  variant: str = "transe", dim: int = 6,
-                 dissimilarity: str = "l1") -> EmbeddingModel:
+                 dissimilarity: str = "l1",
+                 rel_dim: int | None = None) -> EmbeddingModel:
     """Unstructured random parameters; projections are random too so the
-    projected code paths differ from identity."""
+    projected code paths differ from identity. ``rel_dim`` (default
+    ``dim``) is the size of the relation space the projections map to."""
     n_e, n_r = graph.n_entities, graph.n_relations
+    k = dim if rel_dim is None else rel_dim
     ent = rng.normal(size=(n_e, dim))
-    rel = rng.normal(size=(n_r, dim))
+    rel = rng.normal(size=(n_r, k))
     head_proj = tail_proj = None
     if variant in ("transr", "stranse"):
-        head_proj = rng.normal(scale=0.6, size=(n_r, dim, dim))
+        head_proj = rng.normal(scale=0.6, size=(n_r, k, dim))
     if variant == "stranse":
-        tail_proj = rng.normal(scale=0.6, size=(n_r, dim, dim))
+        tail_proj = rng.normal(scale=0.6, size=(n_r, k, dim))
     return EmbeddingModel(variant, dissimilarity, ent, rel, head_proj,
                           tail_proj)
 

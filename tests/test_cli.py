@@ -312,6 +312,29 @@ class TestFailureModes:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("artifact", ["model", "domains"])
+    def test_oversized_headers_exit_two(self, dataset, tmp_path, capsys,
+                                        artifact):
+        # sizes that overflow a C int (a dtype's shape) or wrap an int64
+        # product must be refused by the length check, before any array
+        # is shaped from them
+        model = str(tmp_path / "m.bin")
+        run_train(dataset, model)
+        bad = tmp_path / "bad.bin"
+        if artifact == "model":
+            bad.write_bytes(b"DREKGE v1 transe 4294967296 1 4294967296 1 "
+                            b"l1\n" + bytes(8) + (8).to_bytes(8, "little"))
+            args = ["--model", str(bad)]
+        else:
+            bad.write_bytes(b"DREDOM v1 100000 1 0 0123456789abcdef\n")
+            args = ["--model", model, "--domains", str(bad)]
+        capsys.readouterr()
+        rc = main(["evaluate", *dataset["args"], *args])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "expected" in out.err
+
     def test_non_finite_model_exits_two_without_a_report(self, dataset,
                                                          tmp_path, capsys):
         model = str(tmp_path / "m.bin")

@@ -119,30 +119,44 @@ class TestDistance:
 
     def test_batch_is_the_full_size_formula(self):
         rng = np.random.default_rng(25)
-        for k in (1, 8, 50):
+        block = ellipsoid._TEST_BLOCK
+        for k, n in ((1, 3000), (8, 3000), (50, 3000), (50, 2 * block + 99)):
             ell = random_ellipsoid(rng, k)
-            pts = np.vstack([ell.center, rng.normal(size=(3000, k))])
-            # reference: distances of every row, kept only outside
-            v = pts - ell.center
-            q = quad_forms(ell, pts)
-            n = np.linalg.norm(v, axis=1)
+            pts = np.vstack([ell.center, rng.normal(size=(n, k))])
+            # reference: distances of every column of the (k, n) layout,
+            # w = L^T v formed in blocks of columns from the first, each
+            # sum taken down a column, kept only outside
+            v = np.ascontiguousarray((pts - ell.center).T)
+            w = np.hstack([ell.factor.T @ v[:, lo:lo + block]
+                           for lo in range(0, n + 1, block)])
+            q = (w * w).sum(axis=0)
+            n = np.sqrt((v * v).sum(axis=0))
             want = np.zeros(len(q))
             outside = q >= 1.0
             want[outside] = (1.0 - q[outside] ** -0.5) * n[outside]
             assert 0 < outside.sum() < len(q)
             assert np.array_equal(scores_test(ell, pts), want)
 
+            # the former row formula, to rounding
+            q_rows = quad_forms(ell, pts)
+            n_rows = np.linalg.norm(pts - ell.center, axis=1)
+            rows = np.zeros(len(q))
+            rows[q_rows >= 1.0] = (1.0 - q_rows[q_rows >= 1.0] ** -0.5) \
+                * n_rows[q_rows >= 1.0]
+            assert np.array_equal(q_rows >= 1.0, outside)
+            np.testing.assert_allclose(want, rows, rtol=1e-13)
+
     def test_scratch_gives_the_same_bits(self):
         rng = np.random.default_rng(26)
         for k in (1, 8, 50):
             ell = random_ellipsoid(rng, k)
             pts = rng.normal(size=(500, k))
-            scratch = np.full((2, 500, k), np.nan)
+            scratch = np.full((k, 500), np.nan).T   # column-major
             assert np.array_equal(scores_test(ell, pts, scratch),
                                   scores_test(ell, pts))
-            v = pts - ell.center
-            assert np.array_equal(scratch[0], v)
-            assert np.array_equal(scratch[1], v @ ell.factor)
+            assert np.array_equal(scratch, pts - ell.center)
+        with pytest.raises(ValueError, match="column-major"):
+            scores_test(ell, pts, np.empty((500, k)))
 
     def test_ray_monotonicity(self):
         rng = np.random.default_rng(23)

@@ -166,6 +166,24 @@ class TestEvaluate:
         assert validation_hits10(g, m) == rep.overall[("filtered",
                                                        "combined")].hits[10]
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_validation_sees_in_place_updates(self, variant):
+        # train moves entity_vecs in place between validations, so no
+        # projection of them may outlive the call that made it
+        rng = np.random.default_rng(129)
+        g = random_graph(rng, n_entities=40, n_valid=20)
+        m = random_model(rng, g, variant=variant)
+        before = validation_hits10(g, m)
+        m.entity_vecs[:] = m.entity_vecs[0]   # every score ties: rank 1
+        fresh = EmbeddingModel(
+            variant, m.dissimilarity, m.entity_vecs.copy(),
+            m.relation_vecs.copy(),
+            None if m.head_proj is None else m.head_proj.copy(),
+            m.tail_proj.copy() if variant == "stranse" else None)
+        after = validation_hits10(g, m)
+        assert before < 100.0
+        assert after == validation_hits10(g, fresh) == 100.0
+
     def test_bad_arguments_rejected(self):
         rng = np.random.default_rng(128)
         g = random_graph(rng)
@@ -177,6 +195,47 @@ class TestEvaluate:
         with pytest.raises(ConfigurationError):
             evaluate(g, random_model(rng, random_graph(
                 np.random.default_rng(2), n_entities=5)), split="test")
+
+
+class TestOracleShapes:
+    """The oracle comparison where candidates laid out (k, E) differ most
+    from rows: projections to a smaller or a larger relation space
+    (d = 9, k = 6 and d = 6, k = 9), and transe at d = k = 12, where a
+    sum down the leading axis adds in another order than a row's
+    pairwise sum. Every second entity copies a vector, so both tie
+    breaks have ties to break."""
+
+    @pytest.mark.parametrize("tie_break", evaluation.TIE_BREAKS)
+    @pytest.mark.parametrize("with_domains", [False, True],
+                             ids=["plain", "domains"])
+    @pytest.mark.parametrize("variant,dim,rel_dim", [
+        ("transr", 9, 6), ("transr", 6, 9), ("stranse", 9, 6),
+        ("stranse", 6, 9), ("transe", 12, 12)])
+    @pytest.mark.parametrize("dissim", ["l1", "l2"])
+    def test_matches_reference(self, variant, dim, rel_dim, dissim,
+                               with_domains, tie_break):
+        rng = np.random.default_rng(
+            [dim, rel_dim, VARIANTS.index(variant), dissim == "l2"])
+        g = random_graph(rng, n_entities=31, n_relations=3, n_train=60,
+                         n_test=10)
+        m = random_model(rng, g, variant=variant, dim=dim,
+                         dissimilarity=dissim, rel_dim=rel_dim)
+        m.entity_vecs[1::2] = m.entity_vecs[::2][:g.n_entities // 2]
+        params = {"entity": m.entity_vecs, "relation": m.relation_vecs,
+                  "head_proj": m.head_proj, "tail_proj": m.tail_proj}
+        dm = ells = None
+        if with_domains:
+            dm = random_domain_model(rng, g, m)
+            ells = {key: (ell.center, ell.factor)
+                    for key, ell in dm.ellipsoids.items()}
+        ref = ref_evaluate(g.n_entities, g.train, g.valid, g.test, variant,
+                           dissim, params, ellipsoids=ells,
+                           tie_break=tie_break)
+        rep = evaluate(g, m, dm, tie_break=tie_break)
+        assert rep.tie_rate > 0
+        for key, block in rep.overall.items():
+            assert block.mean_rank == ref[key]["mean_rank"], key
+            assert block.hits == ref[key]["hits"], key
 
 
 class TestDomainPenalties:

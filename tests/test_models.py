@@ -91,6 +91,24 @@ class TestScoring:
                     assert heads[e] == pytest.approx(
                         score_triple(m, (e, r, t)), rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("dim,rel_dim", [(9, 6), (6, 9)])
+    def test_rectangular_projections_score_every_candidate(self, dim,
+                                                           rel_dim):
+        rng = np.random.default_rng(64)
+        g = random_graph(rng, n_entities=12)
+        for variant in ("transr", "stranse"):
+            for dissim in models.DISSIMILARITIES:
+                m = random_model(rng, g, variant=variant, dim=dim,
+                                 dissimilarity=dissim, rel_dim=rel_dim)
+                assert project_all(m, 1, "tail").shape == (12, rel_dim)
+                tails = score_all(m, 1, head=3)
+                heads = score_all(m, 1, tail=5)
+                for e in range(g.n_entities):
+                    assert tails[e] == pytest.approx(
+                        score_triple(m, (3, 1, e)), rel=1e-12, abs=1e-12)
+                    assert heads[e] == pytest.approx(
+                        score_triple(m, (e, 1, 5)), rel=1e-12, abs=1e-12)
+
     def test_member_rows_match_the_full_projection(self):
         rng = np.random.default_rng(62)
         g = random_graph(rng, n_entities=12)
@@ -114,28 +132,41 @@ class TestScoring:
                          dissimilarity=dissim)
         r_vec = m.relation_vecs[2]
 
-        def norms(diff):  # reference: reduce a fresh residual array
+        def norms(diff):  # reference: reduce a fresh (k, E) residual array
+            diff = np.ascontiguousarray(diff)  # over its leading axis
+            if dissim == "l1":
+                return np.abs(diff).sum(axis=0)
+            return np.sqrt((diff ** 2).sum(axis=0))
+
+        def row_norms(diff):  # the former (E, k) formula, one row each
+            diff = np.ascontiguousarray(diff.T)
             if dissim == "l1":
                 return np.abs(diff).sum(axis=-1)
             return np.sqrt((diff ** 2).sum(axis=-1))
 
-        buf = np.full((g.n_entities, m.rel_dim), np.nan)
+        buf = np.full((m.rel_dim, g.n_entities), np.nan).T  # column-major
         for e in (0, 7, g.n_entities - 1):
             tails = project_all(m, 2, "tail")
-            want = norms((project_entities(m, e, 2, "head") + r_vec)[None, :]
-                         - tails)
+            diff = (project_entities(m, e, 2, "head") + r_vec)[:, None] \
+                - tails.T
+            want = norms(diff)
             assert np.array_equal(score_all(m, 2, head=e), want)
             assert np.array_equal(score_all(m, 2, head=e, out=buf), want)
             assert np.array_equal(
                 score_all(m, 2, head=e, projected=tails, out=buf), want)
+            np.testing.assert_allclose(want, row_norms(diff), rtol=1e-13)
 
             heads = project_all(m, 2, "head")
-            want = norms(heads + (r_vec - project_entities(m, e, 2, "tail"))
-                         [None, :])
+            diff = heads.T + (r_vec - project_entities(m, e, 2, "tail")
+                              )[:, None]
+            want = norms(diff)
             assert np.array_equal(score_all(m, 2, tail=e), want)
             assert np.array_equal(score_all(m, 2, tail=e, out=buf), want)
             assert np.array_equal(
                 score_all(m, 2, tail=e, projected=heads, out=buf), want)
+            np.testing.assert_allclose(want, row_norms(diff), rtol=1e-13)
+        with pytest.raises(ValueError, match="column-major"):
+            score_all(m, 2, head=0, out=np.empty((g.n_entities, m.rel_dim)))
 
 
 class TestScoreGradients:
