@@ -57,6 +57,26 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def config_value(self, key: str, value):
+        """A config file value for ``key``, checked with the ``type`` and
+        ``choices`` of the flag that sets it. The value must already be
+        of the type that flag parses to (a number will do for a float),
+        so ``"2"`` or ``1.5`` is no value for an int flag."""
+        action = next(a for a in self._actions if a.dest == key)
+        convert = action.type or str
+        try:
+            parsed = convert(value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            parsed = None
+        want = (int, float) if convert is float else type(parsed)
+        if parsed is None or isinstance(value, bool) \
+                or not isinstance(value, want) \
+                or (action.choices is not None
+                    and parsed not in action.choices):
+            raise _UsageError(f"config file key {key!r}: invalid "
+                              f"{action.option_strings[0]} value {value!r}")
+        return parsed
+
 
 @contextmanager
 def _atomic_output(path: str):
@@ -114,7 +134,9 @@ def _resolve(args: argparse.Namespace, option_names: list[str],
     """Merge flag values over config file values over preset values."""
     resolved = dict(presets or {})
     if getattr(args, "config", None):
-        resolved.update(_load_config_file(args.config, set(option_names)))
+        raw = _load_config_file(args.config, set(option_names))
+        resolved.update({key: args.parser.config_value(key, value)
+                         for key, value in raw.items()})
     for name in option_names:
         value = getattr(args, name, None)
         if value is not None:
@@ -333,7 +355,7 @@ def build_parser() -> _Parser:
                    help="trained transe model to stage from (required for "
                         "transr/stranse)")
     p.add_argument("--out", required=True, help="output model file")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, parser=p)
 
     p = sub.add_parser("fit-domains", help="fit per-relation domain ellipsoids")
     _add_data_args(p)
@@ -345,7 +367,7 @@ def build_parser() -> _Parser:
     p.add_argument("--min-members", type=int, default=None, dest="min_members")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output domain file")
-    p.set_defaults(func=cmd_fit_domains)
+    p.set_defaults(func=cmd_fit_domains, parser=p)
 
     p = sub.add_parser("evaluate", help="run link-prediction evaluation")
     _add_data_args(p)
@@ -357,7 +379,7 @@ def build_parser() -> _Parser:
                    default="optimistic", dest="tie_break")
     p.add_argument("--report-out", default=None, dest="report_out")
     p.add_argument("--csv-out", default=None, dest="csv_out")
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, parser=p)
 
     p = sub.add_parser("predict", help="rank completions for a partial triple")
     _add_data_args(p)
@@ -367,7 +389,7 @@ def build_parser() -> _Parser:
     p.add_argument("--head", default=None)
     p.add_argument("--tail", default=None)
     p.add_argument("--top", type=_positive_int, default=10)
-    p.set_defaults(func=cmd_predict)
+    p.set_defaults(func=cmd_predict, parser=p)
     return parser
 
 

@@ -162,13 +162,11 @@ def penalties_all(domain_model: DomainModel, model: EmbeddingModel,
 
 
 def _slot_penalties(domain_model: DomainModel, relation: int, side: str,
-                    projected: np.ndarray,
-                    scratch: np.ndarray) -> np.ndarray | None:
+                    projected: np.ndarray) -> np.ndarray | None:
     """``penalties_all`` of points already projected into the slot,
-    without the compatibility check, for a caller that made it once;
-    ``scratch`` is ``scores_test``'s."""
+    without the compatibility check, for a caller that made it once."""
     ell = domain_model.ellipsoids.get((relation, side))
-    return None if ell is None else scores_test(ell, projected, scratch)
+    return None if ell is None else scores_test(ell, projected)
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,6 @@ class Ellipsoid:
     center: np.ndarray   # (k,)
     factor: np.ndarray   # (k, k) lower triangular, diag >= DIAG_FLOOR
 
-    @property
-    def dim(self) -> int:
-        return self.center.shape[0]
-
     def copy(self) -> "Ellipsoid":
         return Ellipsoid(self.center.copy(), self.factor.copy())
 
@@ -75,28 +71,43 @@ def _as_batch(points: np.ndarray) -> np.ndarray:
     return pts[None, :] if pts.ndim == 1 else pts
 
 
-def quad_forms(ell: Ellipsoid, points: np.ndarray) -> np.ndarray:
-    """q = (e - a)^T L L^T (e - a) for each row of ``points``."""
-    v = _as_batch(points) - ell.center
-    w = v @ ell.factor  # row b is (L^T v_b)^T
-    return np.einsum("bi,bi->b", w, w)
+def _quad_stack(centers: np.ndarray, factors: np.ndarray,
+                points: np.ndarray):
+    """For each row of each (b, k) batch of a (G, b, k) stack, at its
+    own ellipsoid: v = e - a and w = (L^T v)^T as (G, b, k) arrays, and
+    q = w^T w as a (G, b) array."""
+    v = points - centers[:, None, :]
+    w = v @ factors
+    return v, w, np.einsum("gbi,gbi->gb", w, w)
+
+
+def _off_center_row(ell: Ellipsoid, point: np.ndarray):
+    """``_quad_stack`` of one point at one ellipsoid; raises
+    DegeneratePointError when the point sits at the center."""
+    v, w, q = _quad_stack(ell.center[None], ell.factor[None],
+                          _as_batch(point)[None])
+    if q[0, 0] < Q_FLOOR:
+        raise DegeneratePointError(f"quadratic form {q[0, 0]:.3e} below "
+                                   "floor")
+    return v, w, q
+
+
+def _radial(q, n):
+    """D = |1 - q^{-1/2}| n, from q and n = ||e - a||."""
+    return np.abs(1.0 - q ** -0.5) * n
 
 
 def quad_form(ell: Ellipsoid, point: np.ndarray) -> float:
-    return float(quad_forms(ell, point)[0])
+    """q = (e - a)^T L L^T (e - a)."""
+    return float(_quad_stack(ell.center[None], ell.factor[None],
+                             _as_batch(point)[None])[2][0, 0])
 
 
 def distance(ell: Ellipsoid, point: np.ndarray) -> float:
-    """Radial distance from ``point`` to the surface.
-
-    Raises DegeneratePointError when the point sits at the center, where
-    no ray direction exists.
-    """
-    q = quad_form(ell, point)
-    if q < Q_FLOOR:
-        raise DegeneratePointError(f"quadratic form {q:.3e} below floor")
-    n = float(np.linalg.norm(np.asarray(point, dtype=np.float64) - ell.center))
-    return abs(1.0 - q ** -0.5) * n
+    """Radial distance from ``point`` to the surface. Raises
+    DegeneratePointError at the center, where no ray direction exists."""
+    v, _, q = _off_center_row(ell, point)
+    return float(_radial(q[0, 0], np.linalg.norm(v[0, 0])))
 
 
 def score_train(ell: Ellipsoid, point: np.ndarray) -> float:
@@ -112,88 +123,59 @@ def score_test(ell: Ellipsoid, point: np.ndarray) -> float:
 def scores_train(ell: Ellipsoid, points: np.ndarray) -> np.ndarray:
     """Batch ``score_train`` with zero substituted at degenerate points."""
     return scores_train_stack(ell.center[None], ell.factor[None],
-                               _as_batch(points)[None])[0]
+                              _as_batch(points)[None])[0]
 
 
 def scores_train_stack(centers: np.ndarray, factors: np.ndarray,
-                        points: np.ndarray) -> np.ndarray:
+                       points: np.ndarray) -> np.ndarray:
     """``scores_train`` of each (m, k) cloud of a (G, m, k) stack at its
     own ellipsoid, as a (G, m) array."""
+    v, w, q = _quad_stack(centers, factors, points)
     # each (G, m, k) temporary is dropped once used: a stack of large
-    # domains is several times the size of one domain
-    v = points - centers[:, None, :]
-    n = np.linalg.norm(v, axis=2)
-    w = v @ factors
-    del v
-    q = np.einsum("gbi,gbi->gb", w, w)
+    # domains is several times the size of one domain, and the norm
+    # makes one more
     del w
+    n = np.linalg.norm(v, axis=2)
+    del v
     out = np.zeros(q.shape)
     ok = q >= Q_FLOOR
-    out[ok] = np.abs(1.0 - q[ok] ** -0.5) * n[ok]
+    out[ok] = _radial(q[ok], n[ok])
     return out
 
 
-def scores_test(ell: Ellipsoid, points: np.ndarray,
-                scratch: np.ndarray | None = None) -> np.ndarray:
+def scores_test(ell: Ellipsoid, points: np.ndarray) -> np.ndarray:
     """Batch ``score_test``: zero inside (the center included), radial
     distance outside. Only the outside points get a distance computed.
 
     The points are worked on as columns of their (k, n) transpose,
-    which is C-ordered for ``models.project_all`` output: v = X - a, then
-    w = L^T v and q = sum of w*w down each column, in fixed-offset blocks
-    of ``_TEST_BLOCK`` columns, so no second (k, n) array is held.
-    ``scratch``, an (n, k) float64 array stored column-major (its
-    transpose C-ordered), receives v, so repeated calls allocate only
-    the returned scores; the scores are the same bits with or without it.
+    which is C-ordered for ``models.project_all`` output, in fixed-offset
+    blocks of ``_TEST_BLOCK`` columns: v = X - a, then w = L^T v and
+    q = sum of w*w down each column. No (k, n) temporary is held.
     """
     cols = _as_batch(points).T
-    k, n = cols.shape
-    if scratch is None:
-        v = np.empty((k, n))
-    else:
-        v = scratch.T
-        if not v.flags.c_contiguous:
-            raise ValueError("penalty scratch must be stored column-major")
-    np.subtract(cols, ell.center[:, None], out=v)
+    n = cols.shape[1]
     lt = ell.factor.T
     out = np.zeros(n)
     for lo in range(0, n, _TEST_BLOCK):
-        v_blk = v[:, lo:lo + _TEST_BLOCK]
-        w = lt @ v_blk
+        v = np.subtract(cols[:, lo:lo + _TEST_BLOCK], ell.center[:, None],
+                        order="C")
+        w = lt @ v
         q = np.multiply(w, w, out=w).sum(axis=0)
         outside = np.flatnonzero(q >= 1.0)
-        # take keeps the copy C-ordered (v_blk[:, outside] would not), so
-        # its norms are sums down each column, like q
-        v_out = np.take(v_blk, outside, axis=1)
+        # take keeps the copy C-ordered (v[:, outside] would not), so its
+        # norms are sums down each column, like q
+        v_out = np.take(v, outside, axis=1)
         norm = np.sqrt(np.multiply(v_out, v_out, out=v_out).sum(axis=0))
-        out[lo + outside] = (1.0 - q[outside] ** -0.5) * norm
+        out[lo + outside] = _radial(q[outside], norm)
     return out
 
 
 def gradient(ell: Ellipsoid, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic (dD/d​center, dD/d​factor) at one point.
-
-    With v = e - a, w = L^T v, q = w^T w, n = ||v|| and s = sign(q - 1):
-
-        dD/da = -s [ n q^{-3/2} L w + (1 - q^{-1/2}) v / n ]
-        dD/dL =  s n q^{-3/2} tril(v w^T)
-
-    Only the lower triangle of the factor is a free parameter, so the
-    factor gradient is masked to it. Exactly on the surface s = 0 and
-    both gradients vanish. Raises DegeneratePointError at the center.
-    """
-    v = np.asarray(point, dtype=np.float64) - ell.center
-    w = ell.factor.T @ v
-    q = float(w @ w)
-    if q < Q_FLOOR:
-        raise DegeneratePointError(f"quadratic form {q:.3e} below floor")
-    n = float(np.linalg.norm(v))
-    s = float(np.sign(q - 1.0))
-    q_m12 = q ** -0.5
-    q_m32 = q_m12 / q
-    grad_center = -s * (n * q_m32 * (ell.factor @ w) + (1.0 - q_m12) * v / n)
-    grad_factor = s * n * q_m32 * np.tril(np.outer(v, w))
-    return grad_center, grad_factor
+    """Analytic (dD/da, dD/dL) at one point, as ``_gradients`` gives
+    it. Raises DegeneratePointError at the center."""
+    v, w, q = _off_center_row(ell, point)
+    grad_center, grad_factor = _gradients(ell.factor[None], v, w, q)
+    return grad_center[0], grad_factor[0]
 
 
 def _init_stack(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,10 +224,24 @@ def _diagonals(factors: np.ndarray) -> np.ndarray:
 
 def _gradients(factors: np.ndarray, v: np.ndarray, w: np.ndarray,
                q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per ellipsoid of a stack, the summed ``gradient`` over its batch
-    rows: v = e - a and w = L^T v are (G, b, k), q is (G, b)."""
+    """Per ellipsoid of a stack, the summed analytic gradients of D over
+    its batch rows, as (dD/da (G, k), dD/dL (G, k, k)); v, w and q are
+    ``_quad_stack``'s.
+
+    With v = e - a, w = L^T v, q = w^T w, n = ||v|| and s = sign(q - 1),
+    one row contributes
+
+        dD/da = -s [ n q^{-3/2} L w + (1 - q^{-1/2}) v / n ]
+        dD/dL =  s n q^{-3/2} tril(v w^T)
+
+    Only the lower triangle of the factor is a free parameter, so the
+    factor gradient is masked to it. Where q = 1, s = 0 and the row's
+    terms are exactly zero; n is taken as 1 there, so that the row at
+    the center which a caller set to q = 1 gives 0 and not 0/0.
+    """
     n = np.linalg.norm(v, axis=2)
     s = np.sign(q - 1.0)
+    n[s == 0] = 1.0
     q_m12 = q ** -0.5
     c1 = s * n * q_m12 / q            # weight on the L w term
     c2 = s * (1.0 - q_m12) / n        # weight on the v / n term
@@ -262,31 +258,17 @@ def _step_stack(centers: np.ndarray, factors: np.ndarray, batch: np.ndarray,
 
     Each sample contributes a full lr-sized step; steps in a batch are
     evaluated at the same parameters and summed. Samples at the center
-    or within SURFACE_TOL of the surface are skipped: an ellipsoid whose
-    batch has such rows is stepped on its own, on its kept rows only, so
-    every ellipsoid moves exactly as if it were fitted alone. The factor
-    diagonal is clamped to the floor after the update, which is what
-    keeps L L^T positive definite through any number of steps.
+    or within SURFACE_TOL of the surface are skipped: they get q = 1,
+    whose terms are exactly zero, so every ellipsoid moves exactly as if
+    it were fitted alone on its kept rows. The factor diagonal is
+    clamped to the floor after the update, which is what keeps L L^T
+    positive definite through any number of steps.
     """
-    v = batch - centers[:, None, :]
-    w = v @ factors
-    q = np.einsum("gbi,gbi->gb", w, w)
-    keep = (q >= Q_FLOOR) & (np.abs(q - 1.0) >= SURFACE_TOL)
-    if keep.all():
-        parts = [(slice(None), v, w, q)]
-    else:
-        whole = keep.all(axis=1)
-        parts = [(whole, v[whole], w[whole], q[whole])]
-        for i in np.flatnonzero(~whole & keep.any(axis=1)):
-            rows = keep[i]
-            parts.append(([i], v[i, rows][None], w[i, rows][None],
-                          q[i, rows][None]))
-    for at, v_at, w_at, q_at in parts:
-        if len(q_at):
-            grad_center, grad_factor = _gradients(factors[at], v_at, w_at,
-                                                  q_at)
-            centers[at] -= lr * grad_center
-            factors[at] -= lr * grad_factor
+    v, w, q = _quad_stack(centers, factors, batch)
+    q[~((q >= Q_FLOOR) & (np.abs(q - 1.0) >= SURFACE_TOL))] = 1.0
+    grad_center, grad_factor = _gradients(factors, v, w, q)
+    centers -= lr * grad_center
+    factors -= lr * grad_factor
     diag = _diagonals(factors)
     np.maximum(diag, diag_floor, out=diag)
 

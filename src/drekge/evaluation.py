@@ -98,8 +98,8 @@ _TERMS = ("gold_baseline", "median_baseline", "gold_penalty",
 def _rank_slot(graph: KnowledgeGraph, model: EmbeddingModel,
                domain_model: DomainModel | None, relation: int, side: str,
                cand: np.ndarray, items: list[tuple[int, int, int]],
-               tie_break: str, scratch: np.ndarray, ranks: np.ndarray,
-               terms: np.ndarray, missing: np.ndarray) -> None:
+               tie_break: str, ranks: np.ndarray, terms: np.ndarray,
+               missing: np.ndarray) -> None:
     """Rank every prediction of one slot for the test triples sharing
     its relation, from the slot's ``project_all`` candidates ``cand``.
 
@@ -107,25 +107,23 @@ def _rank_slot(graph: KnowledgeGraph, model: EmbeddingModel,
     tail into row ``2 i + 1`` of ``ranks`` (baseline and penalized
     ``_ranks``), ``terms`` (one row per ``_TERMS`` entry) and ``missing``.
     The slot's penalties and their median are computed once; each query
-    is scored once, into ``scratch``, and the baseline and penalized
-    ranks both come from those scores.
+    is scored once, and the baseline and penalized ranks both come from
+    those scores.
     """
     col = 0 if side == HEAD else 1
     # evaluate checked domain_model against the model once
     pen = None if domain_model is None else \
-        _slot_penalties(domain_model, relation, side, cand, scratch)
+        _slot_penalties(domain_model, relation, side, cand)
     med_pen = 0.0 if pen is None else float(np.median(pen))
     for test_idx, h, t in items:
         row = 2 * test_idx + col
         if side == HEAD:
             gold = h
-            base = score_all(model, relation, tail=t, projected=cand,
-                             out=scratch)
+            base = score_all(model, relation, tail=t, projected=cand)
             known = graph.heads_by_rt[(relation, t)]
         else:
             gold = t
-            base = score_all(model, relation, head=h, projected=cand,
-                             out=scratch)
+            base = score_all(model, relation, head=h, projected=cand)
             known = graph.tails_by_hr[(h, relation)]
         scores = base if pen is None else base + pen
         # penalties are >= 0, so this also covers the baseline scores
@@ -197,7 +195,7 @@ def evaluate(graph: KnowledgeGraph, model: EmbeddingModel,
 
     Work is grouped by relation so each slot's penalties are computed
     once per group, and every query is scored once, in one serial pass
-    whose scratch buffer is allocated once per call. The candidates are
+    that holds no (k, |E|) array besides the candidates. These are
     projected once per distinct projection: once per call for transe,
     once per relation for transr, once per slot for stranse. With a
     domain model the returned report is the penalized one, and its
@@ -226,9 +224,8 @@ def evaluate(graph: KnowledgeGraph, model: EmbeddingModel,
     ranks = np.empty((2, n_pred, 4), dtype=np.int64)  # baseline, penalized
     terms = np.empty((len(_TERMS), n_pred))
     missing = np.empty(n_pred, dtype=bool)
-    # one candidate array and one scratch, both (k, E) in memory; a
-    # projection is made once and kept while the next slots share it
-    scratch = np.empty((model.rel_dim, graph.n_entities)).T
+    # one candidate array, (k, E) in memory: a projection is made once
+    # and kept while the next slots share it
     key = cand = None
     for relation in sorted(groups):
         for side in (HEAD, TAIL):
@@ -237,8 +234,7 @@ def evaluate(graph: KnowledgeGraph, model: EmbeddingModel,
                 cand = None   # free the last candidates before the next
                 key, cand = slot_key, project_all(model, relation, side)
             _rank_slot(graph, model, domain_model, relation, side, cand,
-                       groups[relation], tie_break, scratch, ranks, terms,
-                       missing)
+                       groups[relation], tie_break, ranks, terms, missing)
 
     categories = classify_relations(graph)
     cats = np.repeat([categories[r] for _, r, _ in triples], 2)

@@ -170,13 +170,11 @@ def _projection_key(model: EmbeddingModel, relation: int, side: str):
     return relation, side
 
 
-def _norms(diff: np.ndarray, dissimilarity: str,
-           out: np.ndarray | None = None, axis: int = -1) -> np.ndarray:
-    """Norms over ``axis``. ``out`` (which may be ``diff`` itself)
-    receives the elementwise |x| or x*x before the reduction."""
+def _norms(diff: np.ndarray, dissimilarity: str) -> np.ndarray:
+    """Norms over the last axis."""
     if dissimilarity == "l1":
-        return np.abs(diff, out=out).sum(axis=axis)
-    return np.sqrt(np.multiply(diff, diff, out=out).sum(axis=axis))
+        return np.abs(diff).sum(axis=-1)
+    return np.sqrt((diff * diff).sum(axis=-1))
 
 
 def score_triple(model: EmbeddingModel, triple: tuple[int, int, int]) -> float:
@@ -187,39 +185,39 @@ def score_triple(model: EmbeddingModel, triple: tuple[int, int, int]) -> float:
 
 
 def score_all(model: EmbeddingModel, relation: int, *, head: int | None = None,
-              tail: int | None = None, projected: np.ndarray | None = None,
-              out: np.ndarray | None = None) -> np.ndarray:
+              tail: int | None = None,
+              projected: np.ndarray | None = None) -> np.ndarray:
     """Scores with every entity substituted into the open slot.
 
     Exactly one of ``head`` and ``tail`` is fixed. ``projected`` lets a
     caller reuse ``project_all`` output for the open slot across many
-    queries with the same relation. The residuals are formed in the
-    candidates' (k, |E|) layout and reduced over the leading axis, one
-    row addition per coordinate. ``out``, an (|E|, k) float64 array
-    stored like ``project_all`` output (column-major), is scratch for
-    the residuals, so repeated calls allocate only the returned scores;
-    the scores are the same bits with or without it.
+    queries with the same relation. Each coordinate's |t_i - X_i| (or
+    its square) is formed across all |E| candidates, one row of their
+    (k, |E|) layout at a time, and added into one |E|-length sum, so no
+    (k, |E|) residual is ever held.
     """
     if (head is None) == (tail is None):
         raise ConfigurationError("fix exactly one of head and tail")
     r_vec = model.relation_vecs[relation]
-    if out is None:
-        scratch = np.empty((model.rel_dim, model.n_entities))
-    else:
-        scratch = out.T
-        if not scratch.flags.c_contiguous:
-            raise ValueError("score scratch must be stored column-major")
     if tail is None:
-        cand = projected if projected is not None \
-            else project_all(model, relation, TAIL)
-        target = project_entities(model, head, relation, HEAD) + r_vec
-        diff = np.subtract(target[:, None], cand.T, out=scratch)
+        # t - x is -(x - t): the same magnitude, so the same |.| and square
+        side = TAIL
+        anchor = -(project_entities(model, head, relation, HEAD) + r_vec)
     else:
-        cand = projected if projected is not None \
-            else project_all(model, relation, HEAD)
-        offset = r_vec - project_entities(model, tail, relation, TAIL)
-        diff = np.add(cand.T, offset[:, None], out=scratch)
-    return _norms(diff, model.dissimilarity, out=diff, axis=0)
+        side = HEAD
+        anchor = r_vec - project_entities(model, tail, relation, TAIL)
+    cand = projected if projected is not None \
+        else project_all(model, relation, side)
+    term = np.empty(model.n_entities)
+    total = np.zeros(model.n_entities)
+    for row, offset in zip(cand.T, anchor):
+        np.add(row, offset, out=term)
+        if model.dissimilarity == "l1":
+            np.abs(term, out=term)
+        else:
+            np.multiply(term, term, out=term)
+        total += term
+    return total if model.dissimilarity == "l1" else np.sqrt(total, out=total)
 
 
 def _norm_grad(u: np.ndarray, dissimilarity: str) -> np.ndarray:

@@ -257,6 +257,53 @@ class TestFailureModes:
         assert rc == 1
         assert "dims" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("epochs", "2"), ("dim", 7.5), ("dim", True), ("lr", "0.01"),
+        ("dissim", "l3"), ("dissim", 1), ("test", None)])
+    def test_config_file_train_values_need_their_flag_type(
+            self, dataset, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "x.bin"
+        rc = main(["train", *dataset["args"], "--config", str(cfg),
+                   "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"error: config file key {key!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("fit_epochs", 1.5), ("fit_batch", "8"), ("seed", [1])])
+    def test_config_file_fit_values_need_their_flag_type(
+            self, dataset, tmp_path, capsys, key, value):
+        model = str(tmp_path / "m.bin")
+        run_train(dataset, model)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        doms = tmp_path / "d.bin"
+        capsys.readouterr()
+        rc = main(["fit-domains", *dataset["args"], "--model", model,
+                   "--config", str(cfg), "--out", str(doms)])
+        assert rc == 1
+        assert not doms.exists()
+        assert f"error: config file key {key!r}" in capsys.readouterr().err
+
+    def test_config_file_numbers_parse_as_their_flags(self, dataset,
+                                                      tmp_path):
+        # an integer stands for a float flag, as "1" does on the command
+        # line; both runs write the same model
+        cfg = tmp_path / "cfg.json"
+        out = str(tmp_path / "cfg.bin")
+        cfg.write_text(json.dumps({"lr": 0.01, "margin": 1, "epochs": 1}))
+        assert main(["train", *dataset["args"], "--config", str(cfg),
+                     "--out", out]) == 0
+        flags = str(tmp_path / "flags.bin")
+        assert main(["train", *dataset["args"], "--lr", "0.01", "--margin",
+                     "1", "--epochs", "1", "--out", flags]) == 0
+        with open(out, "rb") as a, open(flags, "rb") as b:
+            assert a.read() == b.read()
+
     def test_missing_data_files_exit_two(self, tmp_path, capsys):
         rc = main(["train", "--train", str(tmp_path / "no.txt"),
                    "--valid", str(tmp_path / "no.txt"),

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from drekge import ellipsoid
 from drekge.ellipsoid import (DIAG_FLOOR, Q_FLOOR, SURFACE_TOL, Ellipsoid,
                               FitConfig, distance, fit, fit_stack, gradient,
-                              quad_form, quad_forms, score_test, score_train,
-                              scores_test, scores_train)
+                              quad_form, score_test, score_train, scores_test,
+                              scores_train)
 from drekge.errors import ConfigurationError, DegeneratePointError
 
 from generators import random_ellipsoid, surface_points
@@ -15,6 +16,12 @@ from generators import random_ellipsoid, surface_points
 
 def unit_sphere(k=2):
     return Ellipsoid(np.zeros(k), np.eye(k))
+
+
+def row_quad_forms(ell, pts):
+    """q = ||L^T (e - a)||^2 of each row of ``pts``, one row each."""
+    w = (pts - ell.center) @ ell.factor
+    return np.einsum("bi,bi->b", w, w)
 
 
 class TestQuadForm:
@@ -27,7 +34,7 @@ class TestQuadForm:
         rng = np.random.default_rng(11)
         ell = random_ellipsoid(rng, 5)
         pts = rng.normal(size=(20, 5))
-        qs = quad_forms(ell, pts)
+        qs = row_quad_forms(ell, pts)
         for i in range(20):
             assert qs[i] == pytest.approx(quad_form(ell, pts[i]), rel=1e-14)
 
@@ -138,7 +145,7 @@ class TestDistance:
             assert np.array_equal(scores_test(ell, pts), want)
 
             # the former row formula, to rounding
-            q_rows = quad_forms(ell, pts)
+            q_rows = row_quad_forms(ell, pts)
             n_rows = np.linalg.norm(pts - ell.center, axis=1)
             rows = np.zeros(len(q))
             rows[q_rows >= 1.0] = (1.0 - q_rows[q_rows >= 1.0] ** -0.5) \
@@ -146,17 +153,24 @@ class TestDistance:
             assert np.array_equal(q_rows >= 1.0, outside)
             np.testing.assert_allclose(want, rows, rtol=1e-13)
 
-    def test_scratch_gives_the_same_bits(self):
+    def test_batch_holds_no_full_size_temporary(self):
         rng = np.random.default_rng(26)
-        for k in (1, 8, 50):
-            ell = random_ellipsoid(rng, k)
-            pts = rng.normal(size=(500, k))
-            scratch = np.full((k, 500), np.nan).T   # column-major
-            assert np.array_equal(scores_test(ell, pts, scratch),
-                                  scores_test(ell, pts))
-            assert np.array_equal(scratch, pts - ell.center)
-        with pytest.raises(ValueError, match="column-major"):
-            scores_test(ell, pts, np.empty((500, k)))
+        k, block = 16, ellipsoid._TEST_BLOCK
+        ell = random_ellipsoid(rng, k)
+        peaks = {}
+        for n in (2 * block, 8 * block):
+            # candidates as project_all lays them out: column-major
+            pts = np.asfortranarray(ell.center + rng.normal(size=(n, k)))
+            tracemalloc.start()
+            try:
+                scores_test(ell, pts)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the blocks cost the same at any n; only the returned n-length
+        # scores grow, where a (k, n) v would grow k times as fast
+        grown = 6 * block * 8
+        assert peaks[8 * block] - peaks[2 * block] <= 2 * grown
 
     def test_ray_monotonicity(self):
         rng = np.random.default_rng(23)
@@ -252,7 +266,7 @@ class TestFit:
         pts = rng.normal(size=(40, 6)) * np.array([3.0, 1.0, 1.0, 0.5, 2.0, 1.0])
         centers, factors = ellipsoid._init_stack(pts[None])
         ell = Ellipsoid(centers[0], factors[0])
-        assert (quad_forms(ell, pts) <= 1.0).mean() >= 0.95
+        assert (row_quad_forms(ell, pts) <= 1.0).mean() >= 0.95
 
     def test_degenerate_axis_gets_thickness_floor(self):
         rng = np.random.default_rng(43)

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,16 +145,14 @@ class TestScoring:
                 return np.abs(diff).sum(axis=-1)
             return np.sqrt((diff ** 2).sum(axis=-1))
 
-        buf = np.full((m.rel_dim, g.n_entities), np.nan).T  # column-major
         for e in (0, 7, g.n_entities - 1):
             tails = project_all(m, 2, "tail")
             diff = (project_entities(m, e, 2, "head") + r_vec)[:, None] \
                 - tails.T
             want = norms(diff)
             assert np.array_equal(score_all(m, 2, head=e), want)
-            assert np.array_equal(score_all(m, 2, head=e, out=buf), want)
-            assert np.array_equal(
-                score_all(m, 2, head=e, projected=tails, out=buf), want)
+            assert np.array_equal(score_all(m, 2, head=e, projected=tails),
+                                  want)
             np.testing.assert_allclose(want, row_norms(diff), rtol=1e-13)
 
             heads = project_all(m, 2, "head")
@@ -161,12 +160,26 @@ class TestScoring:
                               )[:, None]
             want = norms(diff)
             assert np.array_equal(score_all(m, 2, tail=e), want)
-            assert np.array_equal(score_all(m, 2, tail=e, out=buf), want)
-            assert np.array_equal(
-                score_all(m, 2, tail=e, projected=heads, out=buf), want)
+            assert np.array_equal(score_all(m, 2, tail=e, projected=heads),
+                                  want)
             np.testing.assert_allclose(want, row_norms(diff), rtol=1e-13)
-        with pytest.raises(ValueError, match="column-major"):
-            score_all(m, 2, head=0, out=np.empty((g.n_entities, m.rel_dim)))
+
+    @pytest.mark.parametrize("dissim", models.DISSIMILARITIES)
+    def test_score_all_holds_no_residual_array(self, dissim):
+        rng = np.random.default_rng(65)
+        n, k = 20000, 50
+        m = EmbeddingModel("transe", dissim, rng.normal(size=(n, k)),
+                           rng.normal(size=(3, k)), None, None)
+        cand = project_all(m, 2, "tail")
+        tracemalloc.start()
+        try:
+            score_all(m, 2, head=0, projected=cand)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a (k, E) residual would be k * E doubles; the kernel needs a
+        # few E-length vectors
+        assert peak < 4 * n * 8
 
 
 class TestScoreGradients:
