@@ -1,14 +1,20 @@
 """Knowledge-graph data handling.
 
-Triple files are UTF-8 text, one ``head<TAB>relation<TAB>tail`` per line.
-Labels are opaque strings; integer ids are assigned by first appearance
-while scanning train, then valid, then test. Duplicate triples are kept
-in the per-split lists and collapsed in the gold index.
+Triple files are UTF-8 text, one ``head<TAB>relation<TAB>tail`` per line,
+blank lines ignored. A line without exactly three non-empty fields, or a
+byte that is not valid UTF-8, raises ``ParseError`` with the path and the
+1-based line number. Lines end where file iteration ends them (``\n``,
+``\r\n`` or a lone ``\r``); any other character, form feeds and Unicode
+line separators included, is part of a label. Labels are opaque strings;
+integer ids are assigned by first appearance while scanning train, then
+valid, then test, in one pass that also writes each label's id. Duplicate
+triples are kept in the per-split lists and collapsed in the gold index.
 
 The filter index (the known tails of each (h, r) and the known heads of
-each (r, t), over all splits) is built from sorted int64 codes: one sort
-per side, one candidate array per side, and each key's candidates a
-slice of it.
+each (r, t), over all splits) is built on first use, so only ranking
+pays for it: ``evaluate`` and validation during training. It is built
+from sorted int64 codes: one sort per side, one candidate array per
+side, and each key's candidates a slice of it.
 """
 
 from __future__ import annotations
@@ -16,10 +22,12 @@ from __future__ import annotations
 import gc
 import operator
 import os
+from collections import defaultdict
 from collections.abc import Iterable, Mapping, Set
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import cached_property
+from itertools import chain, count, cycle
 
 import numpy as np
 
@@ -46,6 +54,15 @@ class Vocab:
         self.labels: list[str] = list(dict.fromkeys(labels))
         self._index: dict[str, int] = dict(zip(self.labels,
                                                range(len(self.labels))))
+
+    @classmethod
+    def _of(cls, index: dict[str, int]) -> Vocab:
+        """The vocabulary of an index that maps its labels, in insertion
+        order, to 0, 1, 2, ..."""
+        vocab = cls.__new__(cls)
+        vocab._index = index
+        vocab.labels = list(index)
+        return vocab
 
     def add(self, label: str) -> int:
         idx = self._index.get(label)
@@ -165,11 +182,9 @@ class KnowledgeGraph:
     train: list[tuple[int, int, int]]
     valid: list[tuple[int, int, int]]
     test: list[tuple[int, int, int]]
-    gold: Set[tuple[int, int, int]] = field(repr=False)
-    # filtered-evaluation lookup: known tails of (h, r), known heads of (r, t)
-    tails_by_hr: Mapping[tuple[int, int], np.ndarray] = field(repr=False)
-    heads_by_rt: Mapping[tuple[int, int], np.ndarray] = field(repr=False)
-    # read-only (n_train, 3) int64 ids of the training split
+    # read-only (n_train + n_valid + n_test, 3) int64 ids of all splits,
+    # in split order, and the training split's rows of it
+    ids: np.ndarray = field(repr=False)
     train_ids: np.ndarray = field(repr=False)
 
     @property
@@ -180,20 +195,94 @@ class KnowledgeGraph:
     def n_relations(self) -> int:
         return len(self.relations)
 
+    # filtered-evaluation lookup, built on first use: known tails of
+    # (h, r), known heads of (r, t)
+    @cached_property
+    def tails_by_hr(self) -> Mapping[tuple[int, int], np.ndarray]:
+        h, r, t = self.ids.T
+        return _FilterIndex(h, r, t, self.n_entities, self.n_relations,
+                            self.n_entities)
+
+    @cached_property
+    def heads_by_rt(self) -> Mapping[tuple[int, int], np.ndarray]:
+        h, r, t = self.ids.T
+        return _FilterIndex(r, t, h, self.n_relations, self.n_entities,
+                            self.n_entities)
+
+    @cached_property
+    def gold(self) -> Set[tuple[int, int, int]]:
+        return _GoldSet(self.tails_by_hr)
+
+
+def _read_text(path: str) -> str:
+    """The whole file in one text-mode read (universal newlines); a byte
+    that is not UTF-8 raises ``ParseError`` naming its line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        # read() decodes the whole file in one call, so err.object holds
+        # all of its bytes and everything before err.start is valid
+        before = err.object[:err.start].decode("utf-8")
+        breaks = before.count("\n") + before.count("\r") \
+            - before.count("\r\n")
+        bad = err.object[err.start]
+        raise ParseError(path, breaks + 1, f"not valid UTF-8: byte "
+                         f"0x{bad:02x} ({err.reason})") from None
+
+
+def _raise_first_bad_line(path: str, text: str) -> None:
+    """Rescan ``text`` line by line and raise ``ParseError`` for the first
+    line without exactly three non-empty fields."""
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(path, line_no,
+                             f"expected 3 tab-separated fields, got {len(fields)}")
+        if "" in fields:
+            name = ("head", "relation", "tail")[fields.index("")]
+            raise ParseError(path, line_no, f"empty {name} field")
+
+
+def _well_formed(text: str) -> bool:
+    """True when every non-blank line of ``text`` has two tabs and no
+    empty field, tested on all lines at once from the positions of the
+    tabs and line ends (single bytes in UTF-8)."""
+    code = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    seps = np.flatnonzero((code == ord("\t")) | (code == ord("\n")))
+    # every separator, between a line end before the text and one after it
+    pos = np.concatenate(([-1], seps, [len(code)]))
+    is_end = np.concatenate(([True], code[seps] == ord("\n"), [True]))
+    # two neighbouring separators with nothing between them enclose an
+    # empty field, unless both are line ends (a blank line)
+    if ((np.diff(pos) == 1) & ~(is_end[:-1] & is_end[1:])).any():
+        return False
+    # per line: the separators inside it are its tabs
+    ends = np.flatnonzero(is_end)
+    tabs = np.diff(ends) - 1
+    blank = np.diff(pos[ends]) == 1
+    return bool(((tabs == 2) | blank).all())
+
 
 def _parse_file(path: str) -> list[tuple[str, str, str]]:
-    triples = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(path, line_no,
-                                 f"expected 3 tab-separated fields, got {len(fields)}")
-            triples.append((fields[0], fields[1], fields[2]))
-    return triples
+    """The (head, relation, tail) label triples of one file, in line order.
+
+    One read, one test of every line at once (``_well_formed``), and one
+    split of the text into fields on tabs and line ends: ``\n`` is the
+    only line end the text-mode read leaves, so no label is split on a
+    form feed or a Unicode line separator as ``str.splitlines`` would.
+    Only a file that fails the test is rescanned line by line, to name
+    its first bad line.
+    """
+    text = _read_text(path)
+    if not _well_formed(text):
+        _raise_first_bad_line(path, text)
+    # blank lines, and the end of the last line, leave empty pieces
+    fields = list(filter(None, text.replace("\n", "\t").split("\t")))
+    columns = iter(fields)
+    return list(zip(columns, columns, columns))
 
 
 @contextmanager
@@ -217,29 +306,32 @@ def _gc_paused():
 def build_graph(train: list[tuple[str, str, str]],
                 valid: list[tuple[str, str, str]],
                 test: list[tuple[str, str, str]]) -> KnowledgeGraph:
-    """Assemble a graph from label triples already split three ways."""
+    """Assemble a graph from label triples already split three ways.
+
+    One pass over every label, in first-seen order (train, then valid,
+    then test; in each triple head, relation, tail), looks it up in its
+    vocabulary's index, which gives a new label the next id, and writes
+    the id into the int64 id array. No label is looked up twice.
+    """
     with _gc_paused():
-        rows = [*train, *valid, *test]
-        heads, rels, tails = zip(*rows) if rows else ((), (), ())
-        entities = Vocab(chain.from_iterable(zip(heads, tails)))
-        relations = Vocab(rels)
-        ids = np.empty((len(rows), 3), dtype=np.int64)
-        for col, labels, vocab in ((0, heads, entities), (1, rels, relations),
-                                   (2, tails, entities)):
-            ids[:, col] = np.fromiter(map(vocab._index.__getitem__, labels),
-                                      dtype=np.int64, count=len(rows))
+        sizes = (len(train), len(valid), len(test))
+        n = sum(sizes)
+        entity_index = defaultdict(count().__next__)
+        relation_index = defaultdict(count().__next__)
+        # dict.__getitem__ on a defaultdict falls back to its factory,
+        # which hands a missing label the next id
+        ids = np.fromiter(
+            map(dict.__getitem__,
+                cycle((entity_index, relation_index, entity_index)),
+                chain.from_iterable(chain(train, valid, test))),
+            dtype=np.int64, count=3 * n).reshape(n, 3)
         ids.flags.writeable = False
 
-        ends = np.cumsum([len(train), len(valid), len(test)])
         splits = [list(zip(*part.T.tolist()))
-                  for part in np.split(ids, ends[:2])]
-        n_e, n_r = len(entities), len(relations)
-        h, r, t = ids.T
-        tails_by_hr = _FilterIndex(h, r, t, n_e, n_r, n_e)
-        heads_by_rt = _FilterIndex(r, t, h, n_r, n_e, n_e)
-        return KnowledgeGraph(entities, relations, *splits,
-                              _GoldSet(tails_by_hr), tails_by_hr, heads_by_rt,
-                              ids[:ends[0]])
+                  for part in np.split(ids, np.cumsum(sizes)[:2])]
+        return KnowledgeGraph(Vocab._of(dict(entity_index)),
+                              Vocab._of(dict(relation_index)), *splits,
+                              ids, ids[:sizes[0]])
 
 
 def load_graph(train_path: str, valid_path: str,

@@ -23,8 +23,9 @@ class DataError(DrekgeError):
 
 
 class ParseError(DataError):
-    """A triple file line that does not have exactly three tab-separated
-    fields. Carries the offending path and 1-based line number."""
+    """A triple file line that does not have exactly three non-empty
+    tab-separated fields, or that holds a byte that is not valid UTF-8.
+    Carries the offending path and 1-based line number."""
 
     def __init__(self, path: str, line_no: int, message: str):
         super().__init__(f"{path}:{line_no}: {message}")

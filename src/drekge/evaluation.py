@@ -98,20 +98,20 @@ _TERMS = ("gold_baseline", "median_baseline", "gold_penalty",
 def _rank_slot(graph: KnowledgeGraph, model: EmbeddingModel,
                domain_model: DomainModel | None, relation: int, side: str,
                cand: np.ndarray, items: list[tuple[int, int, int]],
-               tie_break: str, ranks: np.ndarray, terms: np.ndarray,
+               tie_break: str, ranks: np.ndarray, terms: np.ndarray | None,
                missing: np.ndarray) -> None:
-    """Rank every prediction of one slot for the test triples sharing
-    its relation, from the slot's ``project_all`` candidates ``cand``.
+    """Rank every prediction of one slot for the triples sharing its
+    relation, from the slot's ``project_all`` candidates ``cand``.
 
     Triple ``i`` of the split predicts its head into row ``2 i`` and its
     tail into row ``2 i + 1`` of ``ranks`` (baseline and penalized
-    ``_ranks``), ``terms`` (one row per ``_TERMS`` entry) and ``missing``.
-    The slot's penalties and their median are computed once; each query
-    is scored once, and the baseline and penalized ranks both come from
-    those scores.
+    ``_ranks``), ``terms`` (one row per ``_TERMS`` entry; not computed
+    when ``None``) and ``missing``. The slot's penalties and their median
+    are computed once; each query is scored once, and the baseline and
+    penalized ranks both come from those scores.
     """
     col = 0 if side == HEAD else 1
-    # evaluate checked domain_model against the model once
+    # the caller checked domain_model against the model once
     pen = None if domain_model is None else \
         _slot_penalties(domain_model, relation, side, cand)
     med_pen = 0.0 if pen is None else float(np.median(pen))
@@ -134,8 +134,60 @@ def _rank_slot(graph: KnowledgeGraph, model: EmbeddingModel,
         ranks[1, row] = ranks[0, row] if pen is None \
             else _ranks(scores, gold, known, tie_break)
         missing[row] = pen is None
-        terms[:, row] = (base[gold], np.median(base),
-                         0.0 if pen is None else pen[gold], med_pen)
+        if terms is not None:
+            terms[:, row] = (base[gold], np.median(base),
+                             0.0 if pen is None else pen[gold], med_pen)
+
+
+def _split_triples(graph: KnowledgeGraph, model: EmbeddingModel,
+                   split: str) -> list[tuple[int, int, int]]:
+    """The triples of ``split``, after checking that ``model`` fits the
+    graph and that the split has triples."""
+    if split not in ("test", "valid"):
+        raise ConfigurationError(f"unknown evaluation split {split!r}")
+    if model.n_entities != graph.n_entities \
+            or model.n_relations != graph.n_relations:
+        raise ConfigurationError("model entity/relation counts do not match "
+                                 "the graph")
+    triples = graph.test if split == "test" else graph.valid
+    if not triples:
+        raise ConfigurationError(f"{split} split is empty")
+    return triples
+
+
+def _rank_split(graph: KnowledgeGraph, model: EmbeddingModel,
+                domain_model: DomainModel | None,
+                triples: list[tuple[int, int, int]], tie_break: str,
+                with_terms: bool) \
+        -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The one ranking pass over ``triples``: (ranks, terms, missing) as
+    ``_rank_slot`` fills them, ``terms`` only ``with_terms``.
+
+    Work is grouped by relation so each slot's penalties are computed
+    once per group. Candidates are projected once per distinct
+    projection (once per call for transe, once per relation for transr,
+    once per slot for stranse), and no other (k, |E|) array is held.
+    """
+    groups: dict[int, list[tuple[int, int, int]]] = {}
+    for idx, (h, r, t) in enumerate(triples):
+        groups.setdefault(r, []).append((idx, h, t))
+
+    n_pred = 2 * len(triples)
+    ranks = np.empty((2, n_pred, 4), dtype=np.int64)  # baseline, penalized
+    terms = np.empty((len(_TERMS), n_pred)) if with_terms else None
+    missing = np.empty(n_pred, dtype=bool)
+    # one candidate array, (k, E) in memory: a projection is made once
+    # and kept while the next slots share it
+    key = cand = None
+    for relation in sorted(groups):
+        for side in (HEAD, TAIL):
+            slot_key = _projection_key(model, relation, side)
+            if cand is None or slot_key != key:
+                cand = None   # free the last candidates before the next
+                key, cand = slot_key, project_all(model, relation, side)
+            _rank_slot(graph, model, domain_model, relation, side, cand,
+                       groups[relation], tie_break, ranks, terms, missing)
+    return ranks, terms, missing
 
 
 def _block(ranks: np.ndarray) -> MetricBlock:
@@ -193,48 +245,18 @@ def evaluate(graph: KnowledgeGraph, model: EmbeddingModel,
     """Rank the gold entity of every triple in the chosen split, both
     sides, raw and filtered, and aggregate overall and per category.
 
-    Work is grouped by relation so each slot's penalties are computed
-    once per group, and every query is scored once, in one serial pass
-    that holds no (k, |E|) array besides the candidates. These are
-    projected once per distinct projection: once per call for transe,
-    once per relation for transr, once per slot for stranse. With a
-    domain model the returned report is the penalized one, and its
+    Every query is scored once, in one serial ``_rank_split`` pass. With
+    a domain model the returned report is the penalized one, and its
     ``baseline`` is the report without penalties, ranked from the same
     scores in the same pass (equal to ``evaluate(graph, model)``).
     """
-    if split not in ("test", "valid"):
-        raise ConfigurationError(f"unknown evaluation split {split!r}")
+    triples = _split_triples(graph, model, split)
     if tie_break not in TIE_BREAKS:
         raise ConfigurationError(f"unknown tie break mode {tie_break!r}")
-    if model.n_entities != graph.n_entities \
-            or model.n_relations != graph.n_relations:
-        raise ConfigurationError("model entity/relation counts do not match "
-                                 "the graph")
     if domain_model is not None:
         check_compatible(domain_model, model)
-    triples = graph.test if split == "test" else graph.valid
-    if not triples:
-        raise ConfigurationError(f"{split} split is empty")
-
-    groups: dict[int, list[tuple[int, int, int]]] = {}
-    for idx, (h, r, t) in enumerate(triples):
-        groups.setdefault(r, []).append((idx, h, t))
-
-    n_pred = 2 * len(triples)
-    ranks = np.empty((2, n_pred, 4), dtype=np.int64)  # baseline, penalized
-    terms = np.empty((len(_TERMS), n_pred))
-    missing = np.empty(n_pred, dtype=bool)
-    # one candidate array, (k, E) in memory: a projection is made once
-    # and kept while the next slots share it
-    key = cand = None
-    for relation in sorted(groups):
-        for side in (HEAD, TAIL):
-            slot_key = _projection_key(model, relation, side)
-            if cand is None or slot_key != key:
-                cand = None   # free the last candidates before the next
-                key, cand = slot_key, project_all(model, relation, side)
-            _rank_slot(graph, model, domain_model, relation, side, cand,
-                       groups[relation], tie_break, ranks, terms, missing)
+    ranks, terms, missing = _rank_split(graph, model, domain_model, triples,
+                                        tie_break, with_terms=True)
 
     categories = classify_relations(graph)
     cats = np.repeat([categories[r] for _, r, _ in triples], 2)
@@ -252,10 +274,14 @@ def evaluate(graph: KnowledgeGraph, model: EmbeddingModel,
 
 
 def validation_hits10(graph: KnowledgeGraph, model: EmbeddingModel) -> float:
-    """Filtered combined Hits@10 on the validation split (early stopping),
-    from one serial ``evaluate`` pass without domains."""
-    report = evaluate(graph, model, None, split="valid")
-    return report.overall[("filtered", COMBINED)].hits[10]
+    """Filtered combined Hits@10 on the validation split (early stopping):
+    the value ``evaluate(graph, model, split="valid")`` reports, read
+    from the ranks of the same pass without the report's categories and
+    score terms."""
+    triples = _split_triples(graph, model, "valid")
+    ranks, _, _ = _rank_split(graph, model, None, triples, "optimistic",
+                              with_terms=False)
+    return _block(ranks[0, :, 2]).hits[10]   # filtered rank column of _ranks
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,20 @@ class TestFailureModes:
         assert rc == 2
         assert "bad.txt:1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", [b"a\tr\tb\na\tr\t\xff\n",
+                                      b"a\tr\tb\n\tr\tc\n"],
+                             ids=["not-utf8", "empty-field"])
+    def test_unreadable_triples_exit_two(self, dataset, tmp_path, capsys,
+                                         body):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(body)
+        rc = main(["train", "--train", str(bad), *dataset["args"][2:],
+                   "--out", str(tmp_path / "x.bin")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "bad.txt:2" in err
+        assert not os.path.exists(tmp_path / "x.bin")
+
     def test_predict_needs_exactly_one_anchor(self, dataset, tmp_path, capsys):
         model = str(tmp_path / "m.bin")
         run_train(dataset, model)
@@ -542,3 +556,52 @@ class TestFailureModes:
         assert not out.exists()
         assert list(tmp_path.iterdir()) == [tmp_path / "data"]
         capsys.readouterr()
+
+
+class _IndexBuilt(Exception):
+    pass
+
+
+class TestFilterIndexIsLazy:
+    """Only ranking reads the filter index, so only ``evaluate`` and
+    validation during ``train`` build it."""
+
+    @pytest.fixture()
+    def artifacts(self, dataset, tmp_path):
+        model = str(tmp_path / "m.bin")
+        doms = str(tmp_path / "d.bin")
+        assert run_train(dataset, model) == 0
+        assert main(["fit-domains", *dataset["args"], "--model", model,
+                     "--fit-epochs", "2", "--out", doms]) == 0
+        return model, doms
+
+    @pytest.fixture()
+    def no_index(self, artifacts, monkeypatch):
+        """The artifacts, made before any index build is refused."""
+        def refuse(self, *args):
+            raise _IndexBuilt
+        monkeypatch.setattr(data._FilterIndex, "__init__", refuse)
+        return artifacts
+
+    def test_stages_that_never_rank_never_build_it(self, dataset, tmp_path,
+                                                   no_index):
+        model, doms = no_index
+        g = dataset["graph"]
+        assert main(["fit-domains", *dataset["args"], "--model", model,
+                     "--fit-epochs", "2",
+                     "--out", str(tmp_path / "d2.bin")]) == 0
+        for extra in ([], ["--domains", doms]):
+            assert main(["predict", *dataset["args"], "--model", model,
+                         *extra, "--relation", g.relations.labels[0],
+                         "--head", g.entities.labels[0]]) == 0
+        assert run_train(dataset, str(tmp_path / "t.bin"),
+                         ["--eval-every", "0"]) == 0
+
+    def test_ranking_stages_build_it(self, dataset, tmp_path, no_index):
+        model, doms = no_index
+        with pytest.raises(_IndexBuilt):
+            main(["evaluate", *dataset["args"], "--model", model,
+                  "--domains", doms])
+        with pytest.raises(_IndexBuilt):
+            run_train(dataset, str(tmp_path / "t.bin"),
+                      ["--eval-every", "1"])

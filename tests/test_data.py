@@ -5,6 +5,7 @@ from drekge import data
 from drekge.errors import ParseError
 
 from generators import random_graph
+from refparse import ref_build_ids, ref_parse_file
 
 
 def write_triples(path, triples):
@@ -50,6 +51,103 @@ class TestParsing:
         p.write_text("a\tr\tb\textra\n")
         with pytest.raises(ParseError):
             data.load_graph(str(p), str(p), str(p))
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("body, line_no", [
+        (b"a\tr\t\xff\n", 1),
+        (b"a\tr\tb\r\nb\tr\rc\tr\td\xe9\n", 3),   # CRLF, lone CR
+        (b"a\tr\tb\n\n\xc3\n", 3),                 # truncated sequence
+        (b"a\tr\tb\n\tr\tc\n\xff\n", 3),           # before a bad line
+    ])
+    def test_invalid_utf8_names_its_line(self, tmp_path, body, line_no):
+        p = tmp_path / "t.txt"
+        p.write_bytes(body)
+        with pytest.raises(ParseError) as err:
+            data.load_graph(str(p), str(p), str(p))
+        assert err.value.line_no == line_no
+        assert err.value.path == str(p)
+        assert "UTF-8" in str(err.value)
+
+    @pytest.mark.parametrize("line", ["\tr\tc", "a\t\tc", "a\tr\t",
+                                      "\t\t"])
+    def test_empty_field_rejected(self, tmp_path, line):
+        p = tmp_path / "t.txt"
+        p.write_text(f"a\tr\tb\n\n{line}\nb\tr\tc\n")
+        with pytest.raises(ParseError) as err:
+            data.load_graph(str(p), str(p), str(p))
+        assert err.value.line_no == 3
+        assert "empty" in str(err.value)
+
+
+# labels that file iteration keeps whole and str.splitlines would split
+_ODD_LABELS = ["a\x0cb", "x\x85", "\u2028y", "z\x1cz", "\x1d", "\x1e\x1e",
+               "\x0b", "\u2029q"]
+_PLAIN_LABELS = ["e1", "e2", "e3", "r0", "r1", "caf\u00e9", "\u65e5\u672c",
+                 "stra\u00dfe", "e 4", "\U0001f600", "e1 "]
+
+
+def fuzz_file(rng, labels, malformed):
+    """One triple file's text: random line ends (LF, CRLF, lone CR),
+    blank lines, maybe no final newline, and, when ``malformed``, some
+    lines of 2 or 4 fields."""
+    lines = []
+    for _ in range(int(rng.integers(0, 25))):
+        kind = rng.random()
+        if kind < 0.15:
+            lines.append("")
+        else:
+            n_fields = 3
+            if malformed and kind > 0.85:
+                n_fields = int(rng.choice([2, 4]))
+            lines.append("\t".join(labels[int(i)] for i in
+                                   rng.integers(0, len(labels), n_fields)))
+    ends = rng.choice(["\n", "\r\n", "\r"], size=len(lines),
+                      p=[0.6, 0.25, 0.15])
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and rng.random() < 0.3:
+        text = text[:-1]   # drop the final newline (or the CR of a CRLF)
+    return text
+
+
+class TestParserEquivalence:
+    """The one-pass parser and id assignment against the per-line
+    reference in ``refparse``, on seeded random files."""
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_matches_the_per_line_parser(self, tmp_path, seed):
+        rng = np.random.default_rng(5000 + seed)
+        labels = _PLAIN_LABELS + _ODD_LABELS
+        labels = [labels[i] for i in rng.permutation(len(labels))[
+            :int(rng.integers(2, len(labels) + 1))]]
+        malformed = rng.random() < 0.3
+        paths = []
+        for name in ("train", "valid", "test"):
+            path = tmp_path / f"{name}.txt"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(fuzz_file(rng, labels, malformed))
+            paths.append(str(path))
+
+        try:
+            ref = [ref_parse_file(p) for p in paths]
+        except ParseError as ref_err:
+            with pytest.raises(ParseError) as err:
+                data.load_graph(*paths)
+            assert (err.value.path, err.value.line_no) == \
+                (ref_err.path, ref_err.line_no)
+            return
+        assert [data._parse_file(p) for p in paths] == ref
+        entities, relations, splits = ref_build_ids(*ref)
+        g = data.load_graph(*paths)
+        assert g.entities.labels == entities
+        assert g.relations.labels == relations
+        assert [g.train, g.valid, g.test] == splits
+        assert g.train_ids.tolist() == [list(row) for row in splits[0]]
+        assert g.ids.tolist() == [list(row) for split in splits
+                                  for row in split]
+        assert not g.ids.flags.writeable and not g.train_ids.flags.writeable
+        assert all(g.entities.id(label) == i
+                   for i, label in enumerate(entities))
 
 
 class TestBuildGraph:
@@ -142,6 +240,22 @@ class TestFilterIndex:
             for r in range(n_r):
                 for t in range(n_e):
                     assert data.is_gold(g, (h, r, t)) == ((h, r, t) in gold)
+
+    def test_built_on_first_use_once_per_graph(self, monkeypatch):
+        built = []
+        init = data._FilterIndex.__init__
+
+        def counting(self, *args):
+            built.append(args[3:])   # n_a, n_b, n_entities
+            init(self, *args)
+        monkeypatch.setattr(data._FilterIndex, "__init__", counting)
+        g = random_graph(np.random.default_rng(7))
+        assert built == []
+        for _ in range(2):
+            assert len(g.gold) > 0
+            assert len(g.tails_by_hr) > 0 and len(g.heads_by_rt) > 0
+        n_e, n_r = g.n_entities, g.n_relations
+        assert built == [(n_e, n_r, n_e), (n_r, n_e, n_e)]
 
     def test_train_ids_are_the_training_split(self):
         g = duplicate_heavy_graph(np.random.default_rng(9))

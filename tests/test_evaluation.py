@@ -166,6 +166,17 @@ class TestEvaluate:
         assert validation_hits10(g, m) == rep.overall[("filtered",
                                                        "combined")].hits[10]
 
+    def test_validation_reads_the_filtered_ranks(self):
+        # a dense graph, so that filtering moves Hits@10
+        rng = np.random.default_rng(128)
+        g = random_graph(rng, n_entities=20, n_train=150, n_valid=20)
+        m = random_model(rng, g)
+        rep = evaluate(g, m, split="valid")
+        raw, filtered = (rep.overall[(setting, "combined")].hits[10]
+                         for setting in ("raw", "filtered"))
+        assert raw != filtered
+        assert validation_hits10(g, m) == filtered
+
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_validation_sees_in_place_updates(self, variant):
         # train moves entity_vecs in place between validations, so no
