@@ -2,12 +2,11 @@
 ellipsoid penalties for link prediction."""
 
 from .data import (Domain, KnowledgeGraph, Vocab, build_graph,
-                   classify_relations, extract_domains, is_gold, load_graph,
-                   save_graph)
-from .domains import (DomainModel, fit_all_domains, load_domains, penalty,
-                      save_domains)
+                   classify_relations, extract_domains, load_graph)
+from .domains import (DomainModel, fit_all_domains, load_domains,
+                      penalties_all, save_domains)
 from .ellipsoid import (Ellipsoid, FitConfig, distance, fit, gradient,
-                        quad_form, score_test, score_train)
+                        quad_form, score_test)
 from .errors import (ConfigurationError, DataError, DegeneratePointError,
                      DrekgeError, FormatError, NumericalError, ParseError,
                      StaleDomainModelError, TrainingDivergedError,
@@ -20,11 +19,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Domain", "KnowledgeGraph", "Vocab", "build_graph", "classify_relations",
-    "extract_domains", "is_gold", "load_graph", "save_graph",
-    "DomainModel", "fit_all_domains", "load_domains", "penalty",
+    "extract_domains", "load_graph",
+    "DomainModel", "fit_all_domains", "load_domains", "penalties_all",
     "save_domains",
     "Ellipsoid", "FitConfig", "distance", "fit", "gradient", "quad_form",
-    "score_test", "score_train",
+    "score_test",
     "ConfigurationError", "DataError", "DegeneratePointError", "DrekgeError",
     "FormatError", "NumericalError", "ParseError", "StaleDomainModelError",
     "TrainingDivergedError", "UnknownLabelError",

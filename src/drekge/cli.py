@@ -206,7 +206,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         log.info("epoch %d mean loss %.6f", epoch, mean_loss)
 
     validator = None
-    if graph.valid and config.eval_every > 0:
+    if len(graph.valid) and config.eval_every > 0:
         def validator(model: models.EmbeddingModel) -> float:
             hits = evaluation.validation_hits10(graph, model)
             log.info("validation filtered hits@10 %.2f", hits)

@@ -7,8 +7,9 @@ byte that is not valid UTF-8, raises ``ParseError`` with the path and the
 ``\r\n`` or a lone ``\r``); any other character, form feeds and Unicode
 line separators included, is part of a label. Labels are opaque strings;
 integer ids are assigned by first appearance while scanning train, then
-valid, then test, in one pass that also writes each label's id. Duplicate
-triples are kept in the per-split lists and collapsed in the gold index.
+valid, then test, in one pass that also writes each label's id. Each
+split is a read-only block of rows of one int64 id array; duplicate
+triples are kept there and collapsed in the filter index.
 
 The filter index (the known tails of each (h, r) and the known heads of
 each (r, t), over all splits) is built on first use, so only ranking
@@ -21,9 +22,8 @@ from __future__ import annotations
 
 import gc
 import operator
-import os
 from collections import defaultdict
-from collections.abc import Iterable, Mapping, Set
+from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -63,14 +63,6 @@ class Vocab:
         vocab._index = index
         vocab.labels = list(index)
         return vocab
-
-    def add(self, label: str) -> int:
-        idx = self._index.get(label)
-        if idx is None:
-            idx = len(self.labels)
-            self._index[label] = idx
-            self.labels.append(label)
-        return idx
 
     def id(self, label: str) -> int | None:
         return self._index.get(label)
@@ -143,49 +135,17 @@ class _FilterIndex(Mapping):
         n_b = self._shape[1]
         return (divmod(code, n_b) for code in self._keys.tolist())
 
-    @property
-    def n_pairs(self) -> int:
-        return len(self._entities)
-
-
-class _GoldSet(Set):
-    """Read-only set of the distinct (h, r, t) of all splits, answered
-    from the known-tails index: (h, r, t) is gold when t is among the
-    known tails of (h, r)."""
-
-    def __init__(self, tails_by_hr: _FilterIndex):
-        self._tails = tails_by_hr
-
-    def __contains__(self, triple) -> bool:
-        try:
-            h, r, t = triple
-            t = operator.index(t)
-            tails = self._tails[(h, r)]
-        except (TypeError, ValueError, KeyError):
-            return False
-        i = int(tails.searchsorted(t))
-        return i < len(tails) and tails[i] == t
-
-    def __len__(self) -> int:
-        return self._tails.n_pairs
-
-    def __iter__(self):
-        for (h, r), tails in self._tails.items():
-            for t in tails.tolist():
-                yield h, r, t
-
 
 @dataclass
 class KnowledgeGraph:
     entities: Vocab
     relations: Vocab
-    train: list[tuple[int, int, int]]
-    valid: list[tuple[int, int, int]]
-    test: list[tuple[int, int, int]]
-    # read-only (n_train + n_valid + n_test, 3) int64 ids of all splits,
-    # in split order, and the training split's rows of it
+    # read-only (n_train + n_valid + n_test, 3) int64 (h, r, t) ids of all
+    # splits, in split order, and each split's block of rows of it
     ids: np.ndarray = field(repr=False)
-    train_ids: np.ndarray = field(repr=False)
+    train: np.ndarray = field(repr=False)
+    valid: np.ndarray = field(repr=False)
+    test: np.ndarray = field(repr=False)
 
     @property
     def n_entities(self) -> int:
@@ -208,10 +168,6 @@ class KnowledgeGraph:
         h, r, t = self.ids.T
         return _FilterIndex(r, t, h, self.n_relations, self.n_entities,
                             self.n_entities)
-
-    @cached_property
-    def gold(self) -> Set[tuple[int, int, int]]:
-        return _GoldSet(self.tails_by_hr)
 
 
 def _read_text(path: str) -> str:
@@ -326,12 +282,9 @@ def build_graph(train: list[tuple[str, str, str]],
                 chain.from_iterable(chain(train, valid, test))),
             dtype=np.int64, count=3 * n).reshape(n, 3)
         ids.flags.writeable = False
-
-        splits = [list(zip(*part.T.tolist()))
-                  for part in np.split(ids, np.cumsum(sizes)[:2])]
         return KnowledgeGraph(Vocab._of(dict(entity_index)),
-                              Vocab._of(dict(relation_index)), *splits,
-                              ids, ids[:sizes[0]])
+                              Vocab._of(dict(relation_index)), ids,
+                              *np.split(ids, np.cumsum(sizes)[:2]))
 
 
 def load_graph(train_path: str, valid_path: str,
@@ -339,28 +292,6 @@ def load_graph(train_path: str, valid_path: str,
     with _gc_paused():
         return build_graph(_parse_file(train_path), _parse_file(valid_path),
                            _parse_file(test_path))
-
-
-def save_graph(graph: KnowledgeGraph, directory: str) -> None:
-    """Write the three splits back as triple files, plus id-map files."""
-    os.makedirs(directory, exist_ok=True)
-    ent = graph.entities.labels
-    rel = graph.relations.labels
-    for name, split in (("train", graph.train), ("valid", graph.valid),
-                        ("test", graph.test)):
-        with open(os.path.join(directory, f"{name}.txt"), "w", encoding="utf-8") as fh:
-            for h, r, t in split:
-                fh.write(f"{ent[h]}\t{rel[r]}\t{ent[t]}\n")
-    for name, labels in (("entity2id", ent), ("relation2id", rel)):
-        with open(os.path.join(directory, f"{name}.txt"), "w", encoding="utf-8") as fh:
-            for idx, label in enumerate(labels):
-                fh.write(f"{label}\t{idx}\n")
-
-
-def is_gold(graph: KnowledgeGraph, triple: tuple[int, int, int]) -> bool:
-    """True if the triple appears in any split; False for an id outside
-    the graph's entities or relations."""
-    return tuple(triple) in graph.gold
 
 
 def extract_domains(graph: KnowledgeGraph) -> dict[tuple[int, str], Domain]:
@@ -381,7 +312,7 @@ def extract_domains(graph: KnowledgeGraph) -> dict[tuple[int, str], Domain]:
 
 def _slot_codes(graph: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:
     """Per training triple, its (r, h) and its (r, t) as r * |E| + entity."""
-    h, r, t = graph.train_ids.T
+    h, r, t = graph.train.T
     base = r * graph.n_entities
     return base + h, base + t
 
@@ -393,7 +324,7 @@ def _relation_stats(graph: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:
     heads. Relations absent from training get 0 for both.
     """
     n_e, n_r = graph.n_entities, graph.n_relations
-    t = graph.train_ids[:, 2]
+    t = graph.train[:, 2]
     rh, rt = _slot_codes(graph)
     # distinct (r, h) and (r, t) codes, and distinct (r, h, t) as
     # (index of its (r, h) code) * |E| + t

@@ -10,23 +10,35 @@ skipped and contribute a zero penalty.
 A fitted set of ellipsoids is only valid against the exact embedding
 model it was fitted on; a 64-bit fingerprint of the serialized model is
 stored and checked on use.
+
+In memory a ``DomainModel`` holds the records of its file, and this is
+the only module that knows their layout:
+
+    DREDOM v1 <rel_dim> <n_fitted> <n_skipped> <fingerprint hex16>\\n
+    per fitted domain, sorted by the slot code 2 * relation + side flag:
+      int64 relation, int64 side flag (0 head / 1 tail),
+      center (k float64), packed lower triangle (k(k+1)/2 float64)
+    per skipped domain, sorted the same way: int64 relation, int64 side flag
+    all numbers little-endian
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
-from .data import HEAD, TAIL, KnowledgeGraph, extract_domains
-from .ellipsoid import (Ellipsoid, FitConfig, fit_stack, score_test,
-                        scores_test, scores_train_stack)
+from .data import HEAD, SIDES, TAIL, KnowledgeGraph, extract_domains
+from .ellipsoid import (Ellipsoid, FitConfig, fit_stack, scores_test,
+                        scores_train_stack)
 from .errors import (ConfigurationError, FormatError, NumericalError,
                      StaleDomainModelError)
-from .models import (EmbeddingModel, project_all, project_entities,
-                     project_slots)
+from .models import EmbeddingModel, project_all, project_slots
 
 DOMAIN_MAGIC = "DREDOM"
 DOMAIN_VERSION = "v1"
@@ -34,24 +46,85 @@ DOMAIN_VERSION = "v1"
 MIN_MEMBERS = 2
 
 _SIDE_FLAGS = {HEAD: 0, TAIL: 1}
-_FLAG_SIDES = {0: HEAD, 1: TAIL}
+
+_FINGERPRINT = re.compile("[0-9a-fA-F]{16}")
+_SLOT = np.dtype([("relation", "<i8"), ("flag", "<i8")])
 
 
-@dataclass
+def _fitted_record(k: int) -> np.dtype:
+    return np.dtype([*_SLOT.descr, ("center", "<f8", (k,)),
+                     ("tril", "<f8", (k * (k + 1) // 2,))])
+
+
+def _codes(relation: np.ndarray, flag: np.ndarray) -> np.ndarray:
+    """The slot codes 2 * relation + side flag, unsigned, so that no
+    non-negative relation id wraps and codes sort as (relation, flag)
+    pairs do."""
+    return 2 * relation.astype(np.uint64) + flag.astype(np.uint64)
+
+
+class _Ellipsoids(Mapping):
+    """Read-only map from (relation, side) to the ellipsoid of a fitted
+    record, found by binary search on the sorted slot codes. Each access
+    expands the record into a fresh center and a fresh C-ordered (k, k)
+    factor."""
+
+    def __init__(self, fitted: np.ndarray, k: int):
+        self._fitted = fitted
+        self._codes = _codes(fitted["relation"], fitted["flag"])
+        self._k = k
+        # with no records, a header's k may be too large to index
+        self._tril = np.tril_indices(k) if len(fitted) else None
+
+    def __getitem__(self, key) -> Ellipsoid:
+        try:
+            relation, side = key
+            code = 2 * operator.index(relation) + _SIDE_FLAGS[side]
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(key) from None
+        codes = self._codes
+        i = int(codes.searchsorted(code)) if 0 <= code < 2 ** 64 \
+            else len(codes)
+        if i == len(codes) or codes[i] != code:
+            raise KeyError(key)
+        record = self._fitted[i]
+        factor = np.zeros((self._k, self._k))
+        factor[self._tril] = record["tril"]
+        return Ellipsoid(record["center"].copy(), factor)
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __iter__(self):
+        return ((code >> 1, SIDES[code & 1]) for code in self._codes.tolist())
+
+
+@dataclass(frozen=True, eq=False)
 class DomainModel:
+    """The records of a domain file: ``fitted`` (relation, flag, center,
+    packed lower-triangular factor) and ``skipped`` (relation, flag),
+    each sorted by slot code, with no negative relation id. Compared by
+    identity: record arrays have no single truth value."""
+
     rel_dim: int
     model_fingerprint: int
-    ellipsoids: dict[tuple[int, str], Ellipsoid]
-    skipped: tuple[tuple[int, str], ...]
+    fitted: np.ndarray
+    skipped: np.ndarray
 
     @property
     def n_fitted(self) -> int:
-        return len(self.ellipsoids)
+        return len(self.fitted)
+
+    @cached_property
+    def ellipsoids(self) -> Mapping[tuple[int, str], Ellipsoid]:
+        return _Ellipsoids(self.fitted, self.rel_dim)
 
 
 def check_compatible(domain_model: DomainModel, model: EmbeddingModel) -> None:
     """Stale ellipsoids (fingerprint mismatch) or a domain file whose
-    size or relation ids cannot belong to ``model`` are refused."""
+    size or relation ids cannot belong to ``model`` are refused. Records
+    are sorted by slot code, so the first and last hold the least and
+    greatest relation ids."""
     if domain_model.model_fingerprint != model.fingerprint():
         raise StaleDomainModelError(
             "domain ellipsoids were fitted against a different embedding "
@@ -59,10 +132,11 @@ def check_compatible(domain_model: DomainModel, model: EmbeddingModel) -> None:
     if domain_model.rel_dim != model.rel_dim:
         raise FormatError(f"domain ellipsoids have dimension "
                           f"{domain_model.rel_dim}, the model {model.rel_dim}")
-    rels = [r for r, _ in (*domain_model.ellipsoids, *domain_model.skipped)]
-    if rels and (min(rels) < 0 or max(rels) >= model.n_relations):
-        raise FormatError(f"domain relation id outside the model's "
-                          f"{model.n_relations} relations")
+    for slots in (domain_model.fitted, domain_model.skipped):
+        if len(slots) and not (0 <= slots["relation"][0]
+                               and slots["relation"][-1] < model.n_relations):
+            raise FormatError(f"domain relation id outside the model's "
+                              f"{model.n_relations} relations")
 
 
 def _domain_seed(base: int, relation: int, flag: int) -> int:
@@ -83,12 +157,14 @@ def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
     The paper fits each domain on its own, so all domains with the same
     member count are fitted together as one stack, one size at a time;
     each still draws its batches from its own seed and ends exactly as a
-    lone ``fit`` of its projected members would. After the fits,
-    ``on_domain(relation, side, n_members, mean_score)`` is called once
-    per domain in (relation, side) order, with the mean training score of
-    its members at the fitted surface, or None when it was skipped. A fit
-    that ends with a non-finite center or factor (a learning rate that
-    overflows) raises NumericalError naming the first such domain found.
+    lone ``fit`` of its projected members would. Each stack's centers and
+    factor triangles are packed straight into the fitted records. After
+    the fits, ``on_domain(relation, side, n_members, mean_score)`` is
+    called once per domain in (relation, side) order, with the mean
+    training score of its members at the fitted surface, or None when it
+    was skipped. A fit that ends with a non-finite center or factor (a
+    learning rate that overflows) raises NumericalError naming the first
+    such domain found.
     """
     config = config or FitConfig()
     if model.n_entities != graph.n_entities \
@@ -97,61 +173,53 @@ def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
                                  "the graph")
     domains = extract_domains(graph)
     keys = sorted(domains, key=_domain_order)
-    by_size: dict[int, list[tuple[int, str]]] = {}
-    for key in keys:
-        if len(domains[key].members) >= min_members:
-            by_size.setdefault(len(domains[key].members), []).append(key)
+    slots = np.array([_domain_order(key) for key in keys], dtype=_SLOT)
+    is_fitted = np.array([len(domains[key].members) >= min_members
+                          for key in keys], dtype=bool)
+    fitted_keys = list(compress(keys, is_fitted))
+    fitted = np.zeros(len(fitted_keys), dtype=_fitted_record(model.rel_dim))
+    fitted[["relation", "flag"]] = slots[is_fitted]
+    by_size: dict[int, list[int]] = {}
+    for i, key in enumerate(fitted_keys):
+        by_size.setdefault(len(domains[key].members), []).append(i)
 
-    ellipsoids: dict[tuple[int, str], Ellipsoid] = {}
-    scores: dict[tuple[int, str], float] = {}
+    tril = np.tril_indices(model.rel_dim)
+    means = np.empty(len(fitted))
     for group in by_size.values():
-        relations = np.array([r for r, _ in group], dtype=np.int64)
-        sides = [side for _, side in group]
+        group_keys = [fitted_keys[i] for i in group]
         points = project_slots(
-            model, np.array([domains[key].members for key in group],
-                            dtype=np.int64), relations, sides)
-        seeds = [_domain_seed(config.seed, r, _SIDE_FLAGS[side])
-                 for r, side in group]
+            model, np.array([domains[key].members for key in group_keys],
+                            dtype=np.int64),
+            fitted["relation"][group], [side for _, side in group_keys])
+        seeds = [_domain_seed(config.seed, *_domain_order(key))
+                 for key in group_keys]
         centers, factors = fit_stack(points, config, seeds)
         diverged = np.flatnonzero(~(np.isfinite(centers).all(axis=1)
                                     & np.isfinite(factors).all(axis=(1, 2))))
         if diverged.size:
-            relation, side = group[diverged[0]]
+            relation, side = group_keys[diverged[0]]
             raise NumericalError(f"domain r{relation}/{side}: fit diverged "
                                  f"(non-finite center or factor)")
-        means = scores_train_stack(centers, factors, points).mean(axis=1)
-        for i, key in enumerate(group):
-            ellipsoids[key] = Ellipsoid(centers[i], factors[i])
-            scores[key] = float(means[i])
+        means[group] = scores_train_stack(centers, factors, points).mean(axis=1)
+        fitted["center"][group] = centers
+        fitted["tril"][group] = factors[:, tril[0], tril[1]]
 
     if on_domain is not None:
-        for key in keys:
-            on_domain(*key, len(domains[key].members), scores.get(key))
-    return DomainModel(model.rel_dim, model.fingerprint(),
-                       {key: ellipsoids[key] for key in keys
-                        if key in ellipsoids},
-                       tuple(key for key in keys if key not in ellipsoids))
-
-
-def penalty(domain_model: DomainModel, model: EmbeddingModel, entity: int,
-            relation: int, side: str) -> float:
-    """Out-of-domain penalty for one entity in one slot of a relation.
-
-    Zero for anything inside the domain surface, and for domains that
-    were skipped or never observed in training.
-    """
-    check_compatible(domain_model, model)
-    ell = domain_model.ellipsoids.get((relation, side))
-    if ell is None:
-        return 0.0
-    return score_test(ell, project_entities(model, entity, relation, side))
+        scores = iter(means.tolist())
+        for key, fit in zip(keys, is_fitted):
+            on_domain(*key, len(domains[key].members),
+                      next(scores) if fit else None)
+    return DomainModel(model.rel_dim, model.fingerprint(), fitted,
+                       slots[~is_fitted])
 
 
 def penalties_all(domain_model: DomainModel, model: EmbeddingModel,
                   relation: int, side: str,
                   projected: np.ndarray | None = None) -> np.ndarray | None:
-    """Penalties for every entity in one slot, or None when the domain
-    has no ellipsoid (callers can then skip the addition entirely)."""
+    """Out-of-domain penalties for every entity in one slot of a
+    relation: zero anywhere inside the domain surface, the radial
+    distance outside. None when the slot has no ellipsoid (it was skipped
+    or never observed in training), so callers can skip the addition."""
     check_compatible(domain_model, model)
     ell = domain_model.ellipsoids.get((relation, side))
     if ell is None:
@@ -171,51 +239,23 @@ def _slot_penalties(domain_model: DomainModel, relation: int, side: str,
 
 # ---------------------------------------------------------------------------
 # serialization
-#
-#   DREDOM v1 <rel_dim> <n_fitted> <n_skipped> <fingerprint hex16>\n
-#   per fitted domain, sorted by (relation, side flag):
-#     int64 relation, int64 side flag (0 head / 1 tail),
-#     center (k float64), packed lower triangle (k(k+1)/2 float64)
-#   per skipped domain: int64 relation, int64 side flag
-#   all numbers little-endian
 # ---------------------------------------------------------------------------
 
-_FINGERPRINT = re.compile("[0-9a-fA-F]{16}")
-_SLOT = np.dtype([("relation", "<i8"), ("flag", "<i8")])
-_SAVE_BLOCK = 256
-
-
-def _fitted_record(k: int) -> np.dtype:
-    return np.dtype([*_SLOT.descr, ("center", "<f8", (k,)),
-                     ("tril", "<f8", (k * (k + 1) // 2,))])
-
-
-def _with_slots(records: np.ndarray, keys) -> np.ndarray:
-    records["relation"] = [relation for relation, _ in keys]
-    records["flag"] = [_SIDE_FLAGS[side] for _, side in keys]
-    return records
-
-
 def save_domains(domain_model: DomainModel, path: str) -> None:
-    k = domain_model.rel_dim
-    record = _fitted_record(k)
-    rows, cols = np.tril_indices(k)
-    keys = sorted(domain_model.ellipsoids, key=_domain_order)
-    skipped = _with_slots(np.empty(len(domain_model.skipped), dtype=_SLOT),
-                          sorted(domain_model.skipped, key=_domain_order))
     with open(path, "wb") as fh:
-        fh.write(f"{DOMAIN_MAGIC} {DOMAIN_VERSION} {k} "
-                 f"{len(keys)} {len(skipped)} "
+        fh.write(f"{DOMAIN_MAGIC} {DOMAIN_VERSION} {domain_model.rel_dim} "
+                 f"{domain_model.n_fitted} {len(domain_model.skipped)} "
                  f"{domain_model.model_fingerprint:016x}\n".encode("ascii"))
-        # in blocks, so the copy being written stays a few MiB
-        for lo in range(0, len(keys), _SAVE_BLOCK):
-            block = keys[lo:lo + _SAVE_BLOCK]
-            ells = [domain_model.ellipsoids[key] for key in block]
-            fitted = _with_slots(np.empty(len(block), dtype=record), block)
-            fitted["center"] = [ell.center for ell in ells]
-            fitted["tril"] = [ell.factor[rows, cols] for ell in ells]
-            fh.write(fitted.tobytes())
-        fh.write(skipped.tobytes())
+        fh.write(domain_model.fitted)
+        fh.write(domain_model.skipped)
+
+
+def _by_code(records: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """``records`` sorted by their slot ``codes``; records already in
+    order are returned as they are."""
+    if (codes[1:] < codes[:-1]).any():
+        return records[np.argsort(codes, kind="stable")]
+    return records
 
 
 def load_domains(path: str) -> DomainModel:
@@ -248,50 +288,39 @@ def load_domains(path: str) -> DomainModel:
     if len(body) != expected:
         raise FormatError(f"{path}: body is {len(body)} bytes, expected "
                           f"{expected}")
-    record = _fitted_record(k)
+    try:
+        record = _fitted_record(k)
+    except ValueError:
+        # a file with no fitted records can pass the length check with
+        # any k
+        raise FormatError(f"{path}: dimension {k} is too large for a "
+                          f"domain record") from None
     fitted = np.frombuffer(body, dtype=record, count=n_fitted)
     skipped = np.frombuffer(body, dtype=_SLOT, count=n_skipped,
                             offset=n_fitted * record_size)
 
+    relation = np.concatenate([fitted["relation"], skipped["relation"]])
+    flag = np.concatenate([fitted["flag"], skipped["flag"]])
+    bad = np.flatnonzero((relation < 0) | ((flag != 0) & (flag != 1)))
+    if bad.size:
+        raise FormatError(f"{path}: bad domain slot: relation "
+                          f"{relation[bad[0]]}, side flag {flag[bad[0]]}")
     # the first bad record decides the message, checked in the order
-    # side flag, finiteness, diagonal sign
+    # finiteness, diagonal sign
     diag = fitted["tril"][:, np.cumsum(np.arange(1, k + 1)) - 1]
-    bad_flag = (fitted["flag"] != 0) & (fitted["flag"] != 1)
     non_finite = ~(np.isfinite(fitted["center"]).all(axis=1)
                    & np.isfinite(fitted["tril"]).all(axis=1))
-    bad = np.flatnonzero(bad_flag | non_finite | (diag <= 0).any(axis=1))
+    bad = np.flatnonzero(non_finite | (diag <= 0).any(axis=1))
     if bad.size:
-        i = bad[0]
-        if bad_flag[i]:
-            raise FormatError(f"{path}: bad side flag {fitted['flag'][i]}")
-        if non_finite[i]:
-            raise FormatError(f"{path}: non-finite ellipsoid values")
-        raise FormatError(f"{path}: factor diagonal must be positive")
-    bad_flag = (skipped["flag"] != 0) & (skipped["flag"] != 1)
-    if bad_flag.any():
-        raise FormatError(f"{path}: bad side flag "
-                          f"{skipped['flag'][np.argmax(bad_flag)]}")
-    fitted_keys, skipped_keys = _slot_keys(fitted), _slot_keys(skipped)
-    slots = Counter(fitted_keys + skipped_keys)
-    if len(slots) < n_fitted + n_skipped:
-        relation, side = next(key for key, n in slots.items() if n > 1)
-        raise FormatError(f"{path}: domain r{relation}/{side} is listed "
-                          f"twice")
-
-    centers = fitted["center"].astype(np.float64)
-    factors = np.zeros((n_fitted, k, k))
-    packed = fitted["tril"]
-    # row by row: k slice copies take under half the time of one
-    # fancy-indexed triangle assignment
-    for i in range(k):
-        start = i * (i + 1) // 2
-        factors[:, i, :i + 1] = packed[:, start:start + i + 1]
-    return DomainModel(k, fingerprint,
-                       {key: Ellipsoid(centers[i], factors[i])
-                        for i, key in enumerate(fitted_keys)},
-                       tuple(skipped_keys))
-
-
-def _slot_keys(records: np.ndarray) -> list[tuple[int, str]]:
-    return [(relation, _FLAG_SIDES[flag]) for relation, flag
-            in zip(records["relation"].tolist(), records["flag"].tolist())]
+        raise FormatError(f"{path}: non-finite ellipsoid values"
+                          if non_finite[bad[0]] else
+                          f"{path}: factor diagonal must be positive")
+    codes = _codes(relation, flag)
+    ordered = np.sort(codes)
+    twice = np.flatnonzero(np.diff(ordered) == 0)
+    if twice.size:
+        code = int(ordered[twice[0]])
+        raise FormatError(f"{path}: domain r{code >> 1}/{SIDES[code & 1]} "
+                          f"is listed twice")
+    return DomainModel(k, fingerprint, _by_code(fitted, codes[:n_fitted]),
+                       _by_code(skipped, codes[n_fitted:]))

@@ -110,18 +110,14 @@ def distance(ell: Ellipsoid, point: np.ndarray) -> float:
     return float(_radial(q[0, 0], np.linalg.norm(v[0, 0])))
 
 
-def score_train(ell: Ellipsoid, point: np.ndarray) -> float:
-    """Fitting objective for one point: distance, penalizing both sides."""
-    return distance(ell, point)
-
-
 def score_test(ell: Ellipsoid, point: np.ndarray) -> float:
     """Link-prediction penalty: zero anywhere inside, distance outside."""
     return float(scores_test(ell, point)[0])
 
 
 def scores_train(ell: Ellipsoid, points: np.ndarray) -> np.ndarray:
-    """Batch ``score_train`` with zero substituted at degenerate points."""
+    """Batch ``distance`` (the fitting objective, penalizing both sides)
+    with zero substituted at degenerate points."""
     return scores_train_stack(ell.center[None], ell.factor[None],
                               _as_batch(points)[None])[0]
 

@@ -25,8 +25,8 @@ import numpy as np
 from .data import (CATEGORIES, HEAD, TAIL, KnowledgeGraph, classify_relations)
 from .domains import DomainModel, _slot_penalties, check_compatible
 from .errors import ConfigurationError, NumericalError
-from .models import (EmbeddingModel, _projection_key, project_all,
-                     score_all)
+from .models import (EmbeddingModel, _projection_key, _relation_groups,
+                     project_all, score_all)
 
 SETTINGS = ("raw", "filtered")
 COMBINED = "combined"
@@ -97,11 +97,12 @@ _TERMS = ("gold_baseline", "median_baseline", "gold_penalty",
 
 def _rank_slot(graph: KnowledgeGraph, model: EmbeddingModel,
                domain_model: DomainModel | None, relation: int, side: str,
-               cand: np.ndarray, items: list[tuple[int, int, int]],
+               cand: np.ndarray, rows: np.ndarray, triples: np.ndarray,
                tie_break: str, ranks: np.ndarray, terms: np.ndarray | None,
                missing: np.ndarray) -> None:
     """Rank every prediction of one slot for the triples sharing its
-    relation, from the slot's ``project_all`` candidates ``cand``.
+    relation (rows ``rows`` of the split ``triples``), from the slot's
+    ``project_all`` candidates ``cand``.
 
     Triple ``i`` of the split predicts its head into row ``2 i`` and its
     tail into row ``2 i + 1`` of ``ranks`` (baseline and penalized
@@ -115,7 +116,7 @@ def _rank_slot(graph: KnowledgeGraph, model: EmbeddingModel,
     pen = None if domain_model is None else \
         _slot_penalties(domain_model, relation, side, cand)
     med_pen = 0.0 if pen is None else float(np.median(pen))
-    for test_idx, h, t in items:
+    for test_idx, (h, _, t) in zip(rows.tolist(), triples[rows].tolist()):
         row = 2 * test_idx + col
         if side == HEAD:
             gold = h
@@ -140,7 +141,7 @@ def _rank_slot(graph: KnowledgeGraph, model: EmbeddingModel,
 
 
 def _split_triples(graph: KnowledgeGraph, model: EmbeddingModel,
-                   split: str) -> list[tuple[int, int, int]]:
+                   split: str) -> np.ndarray:
     """The triples of ``split``, after checking that ``model`` fits the
     graph and that the split has triples."""
     if split not in ("test", "valid"):
@@ -150,28 +151,25 @@ def _split_triples(graph: KnowledgeGraph, model: EmbeddingModel,
         raise ConfigurationError("model entity/relation counts do not match "
                                  "the graph")
     triples = graph.test if split == "test" else graph.valid
-    if not triples:
+    if len(triples) == 0:
         raise ConfigurationError(f"{split} split is empty")
     return triples
 
 
 def _rank_split(graph: KnowledgeGraph, model: EmbeddingModel,
                 domain_model: DomainModel | None,
-                triples: list[tuple[int, int, int]], tie_break: str,
+                triples: np.ndarray, tie_break: str,
                 with_terms: bool) \
         -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """The one ranking pass over ``triples``: (ranks, terms, missing) as
     ``_rank_slot`` fills them, ``terms`` only ``with_terms``.
 
-    Work is grouped by relation so each slot's penalties are computed
-    once per group. Candidates are projected once per distinct
-    projection (once per call for transe, once per relation for transr,
-    once per slot for stranse), and no other (k, |E|) array is held.
+    Work is grouped by relation, each group in split order, so each
+    slot's penalties are computed once per group. Candidates are
+    projected once per distinct projection (once per call for transe,
+    once per relation for transr, once per slot for stranse), and no
+    other (k, |E|) array is held.
     """
-    groups: dict[int, list[tuple[int, int, int]]] = {}
-    for idx, (h, r, t) in enumerate(triples):
-        groups.setdefault(r, []).append((idx, h, t))
-
     n_pred = 2 * len(triples)
     ranks = np.empty((2, n_pred, 4), dtype=np.int64)  # baseline, penalized
     terms = np.empty((len(_TERMS), n_pred)) if with_terms else None
@@ -179,14 +177,14 @@ def _rank_split(graph: KnowledgeGraph, model: EmbeddingModel,
     # one candidate array, (k, E) in memory: a projection is made once
     # and kept while the next slots share it
     key = cand = None
-    for relation in sorted(groups):
+    for relation, rows in _relation_groups(triples[:, 1]):
         for side in (HEAD, TAIL):
             slot_key = _projection_key(model, relation, side)
             if cand is None or slot_key != key:
                 cand = None   # free the last candidates before the next
                 key, cand = slot_key, project_all(model, relation, side)
             _rank_slot(graph, model, domain_model, relation, side, cand,
-                       groups[relation], tie_break, ranks, terms, missing)
+                       rows, triples, tie_break, ranks, terms, missing)
     return ranks, terms, missing
 
 
@@ -259,7 +257,7 @@ def evaluate(graph: KnowledgeGraph, model: EmbeddingModel,
                                         tie_break, with_terms=True)
 
     categories = classify_relations(graph)
-    cats = np.repeat([categories[r] for _, r, _ in triples], 2)
+    cats = np.repeat([categories[r] for r in triples[:, 1].tolist()], 2)
     sides = np.tile([HEAD, TAIL], len(triples))
     stats = {term: _summary(values) for term, values in zip(_TERMS, terms)}
     baseline = _report(ranks[0], sides, cats, len(triples), 0,

@@ -403,7 +403,7 @@ def train(graph: KnowledgeGraph, config: TrainConfig,
     rng = np.random.default_rng(config.seed)
     model = _init_model(graph, config, init, rng)
 
-    triples = graph.train_ids
+    triples = graph.train
     n = len(triples)
     head_probs = None
     if config.negative_sampling == "bernoulli":

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
+from drekge import domains
 from drekge.data import KnowledgeGraph, build_graph
 from drekge.domains import DomainModel
 from drekge.ellipsoid import Ellipsoid
@@ -25,6 +28,24 @@ def random_graph(rng: np.random.Generator, n_entities: int = 30,
     valid = [triple() for _ in range(n_valid)]
     test = [triple() for _ in range(n_test)]
     return build_graph(train, valid, test)
+
+
+def save_graph(graph: KnowledgeGraph, directory: str) -> None:
+    """Write the three splits back as triple files, plus id-map files."""
+    os.makedirs(directory, exist_ok=True)
+    ent = graph.entities.labels
+    rel = graph.relations.labels
+    for name, split in (("train", graph.train), ("valid", graph.valid),
+                        ("test", graph.test)):
+        with open(os.path.join(directory, f"{name}.txt"), "w",
+                  encoding="utf-8") as fh:
+            for h, r, t in split.tolist():
+                fh.write(f"{ent[h]}\t{rel[r]}\t{ent[t]}\n")
+    for name, labels in (("entity2id", ent), ("relation2id", rel)):
+        with open(os.path.join(directory, f"{name}.txt"), "w",
+                  encoding="utf-8") as fh:
+            for idx, label in enumerate(labels):
+                fh.write(f"{label}\t{idx}\n")
 
 
 def random_model(rng: np.random.Generator, graph: KnowledgeGraph,
@@ -54,6 +75,25 @@ def random_ellipsoid(rng: np.random.Generator, k: int,
     return Ellipsoid(rng.normal(scale=center_scale, size=k), factor)
 
 
+def domain_model(rel_dim: int, fingerprint: int,
+                 ellipsoids: dict[tuple[int, str], Ellipsoid],
+                 skipped=()) -> DomainModel:
+    """The domain model of ``ellipsoids`` ((relation, side) -> Ellipsoid)
+    and ``skipped`` (relation, side) slots, packed into the records a
+    domain file holds, each sorted by slot."""
+    flags = {"head": 0, "tail": 1}
+    keys = sorted(ellipsoids, key=lambda key: (key[0], flags[key[1]]))
+    fitted = np.zeros(len(keys), dtype=domains._fitted_record(rel_dim))
+    rows, cols = np.tril_indices(rel_dim)
+    for i, key in enumerate(keys):
+        fitted[i]["relation"], fitted[i]["flag"] = key[0], flags[key[1]]
+        fitted[i]["center"] = ellipsoids[key].center
+        fitted[i]["tril"] = ellipsoids[key].factor[rows, cols]
+    slots = sorted((r, flags[side]) for r, side in skipped)
+    return DomainModel(rel_dim, fingerprint, fitted,
+                       np.array(slots, dtype=domains._SLOT))
+
+
 def random_domain_model(rng: np.random.Generator, graph: KnowledgeGraph,
                         model: EmbeddingModel,
                         coverage: float = 0.7) -> DomainModel:
@@ -66,8 +106,8 @@ def random_domain_model(rng: np.random.Generator, graph: KnowledgeGraph,
                 ellipsoids[(r, side)] = random_ellipsoid(rng, model.rel_dim)
             else:
                 skipped.append((r, side))
-    return DomainModel(model.rel_dim, model.fingerprint(), ellipsoids,
-                       tuple(skipped))
+    return domain_model(model.rel_dim, model.fingerprint(), ellipsoids,
+                        skipped)
 
 
 def surface_points(rng: np.random.Generator, n: int, center: np.ndarray,

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,12 +8,11 @@ import pytest
 from drekge import data
 from drekge.cli import main
 from drekge.evaluation import evaluate, format_report
-from drekge.domains import (DomainModel, load_domains, penalties_all,
-                            save_domains)
+from drekge.domains import load_domains, penalties_all, save_domains
 from drekge.ellipsoid import Ellipsoid
 from drekge.models import load_model, save_model, score_all
 
-from generators import random_graph
+from generators import domain_model, random_graph, save_graph
 
 
 @pytest.fixture()
@@ -21,7 +21,7 @@ def dataset(tmp_path):
     g = random_graph(rng, n_entities=16, n_relations=2, n_train=40,
                      n_valid=5, n_test=6)
     d = tmp_path / "data"
-    data.save_graph(g, str(d))
+    save_graph(g, str(d))
     return {"graph": g,
             "args": ["--train", str(d / "train.txt"),
                      "--valid", str(d / "valid.txt"),
@@ -373,28 +373,35 @@ class TestFailureModes:
         assert rc == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("artifact", ["model", "domains"])
+    @pytest.mark.parametrize("artifact", ["model", "domains",
+                                          "empty-domains"])
     def test_oversized_headers_exit_two(self, dataset, tmp_path, capsys,
                                         artifact):
         # sizes that overflow a C int (a dtype's shape) or wrap an int64
         # product must be refused by the length check, before any array
-        # is shaped from them
+        # is shaped from them; a domain file with no fitted records
+        # passes that check with any k, and its k must still be refused
         model = str(tmp_path / "m.bin")
         run_train(dataset, model)
         bad = tmp_path / "bad.bin"
+        message = "expected"
         if artifact == "model":
             bad.write_bytes(b"DREKGE v1 transe 4294967296 1 4294967296 1 "
                             b"l1\n" + bytes(8) + (8).to_bytes(8, "little"))
             args = ["--model", str(bad)]
         else:
-            bad.write_bytes(b"DREDOM v1 100000 1 0 0123456789abcdef\n")
+            if artifact == "domains":
+                bad.write_bytes(b"DREDOM v1 100000 1 0 0123456789abcdef\n")
+            else:
+                bad.write_bytes(b"DREDOM v1 1000000 0 0 0123456789abcdef\n")
+                message = "dimension 1000000 is too large"
             args = ["--model", model, "--domains", str(bad)]
         capsys.readouterr()
         rc = main(["evaluate", *dataset["args"], *args])
         assert rc == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert "expected" in out.err
+        assert message in out.err
 
     def test_non_finite_model_exits_two_without_a_report(self, dataset,
                                                          tmp_path, capsys):
@@ -418,8 +425,9 @@ class TestFailureModes:
         assert main(["fit-domains", *dataset["args"], "--model", model,
                      "--fit-epochs", "2", "--out", doms]) == 0
         dm = load_domains(doms)
-        next(iter(dm.ellipsoids.values())).center[:] = np.nan
-        save_domains(dm, doms)
+        fitted = dm.fitted.copy()
+        fitted["center"][0] = np.nan
+        save_domains(replace(dm, fitted=fitted), doms)
         capsys.readouterr()
         rc = main(["predict", *dataset["args"], "--model", model,
                    "--domains", doms,
@@ -453,11 +461,11 @@ class TestFailureModes:
     def test_domains_of_another_size_exit_two(self, dataset, tmp_path,
                                               capsys, command):
         def shrink(dm):
-            return DomainModel(3, dm.model_fingerprint,
-                               {key: Ellipsoid(e.center[:3],
-                                               e.factor[:3, :3])
-                                for key, e in dm.ellipsoids.items()},
-                               dm.skipped)
+            small = domain_model(3, dm.model_fingerprint,
+                                 {key: Ellipsoid(e.center[:3],
+                                                 e.factor[:3, :3])
+                                  for key, e in dm.ellipsoids.items()})
+            return replace(small, skipped=dm.skipped)
 
         model, doms = self.rewrite_domains(dataset, tmp_path, shrink)
         capsys.readouterr()
@@ -474,12 +482,15 @@ class TestFailureModes:
         n_relations = dataset["graph"].n_relations
 
         def add_foreign(dm):
+            # the foreign slot sorts last in its records
             if where == "fitted":
-                dm.ellipsoids[(99, "head")] = \
-                    next(iter(dm.ellipsoids.values()))
-            else:
-                dm.skipped += ((n_relations, "tail"),)
-            return dm
+                foreign = dm.fitted[:1].copy()
+                foreign["relation"], foreign["flag"] = 99, 0
+                return replace(dm, fitted=np.concatenate([dm.fitted,
+                                                          foreign]))
+            foreign = np.array([(n_relations, 1)], dtype=dm.skipped.dtype)
+            return replace(dm, skipped=np.concatenate([dm.skipped,
+                                                       foreign]))
 
         model, doms = self.rewrite_domains(dataset, tmp_path, add_foreign)
         capsys.readouterr()
@@ -493,14 +504,15 @@ class TestFailureModes:
     def test_a_domain_listed_twice_exits_two(self, dataset, tmp_path, capsys,
                                              command, where):
         def skip_last(dm):
-            last = sorted(dm.ellipsoids)[-1]
-            del dm.ellipsoids[last]
-            dm.skipped += (last,)
-            return dm
+            last = dm.fitted[-1:][["relation", "flag"]].astype(
+                dm.skipped.dtype)
+            return replace(dm, fitted=dm.fitted[:-1],
+                           skipped=np.sort(np.concatenate([dm.skipped,
+                                                           last])))
 
         model, doms = self.rewrite_domains(dataset, tmp_path, skip_last)
         dm = load_domains(doms)
-        assert len(dm.ellipsoids) >= 2 and dm.skipped
+        assert len(dm.ellipsoids) >= 2 and len(dm.skipped)
         header, body = open(doms, "rb").read().split(b"\n", 1)
         k = dm.rel_dim
         rec = 16 + 8 * (k + k * (k + 1) // 2)

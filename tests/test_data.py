@@ -4,7 +4,7 @@ import pytest
 from drekge import data
 from drekge.errors import ParseError
 
-from generators import random_graph
+from generators import random_graph, save_graph
 from refparse import ref_build_ids, ref_parse_file
 
 
@@ -141,11 +141,12 @@ class TestParserEquivalence:
         g = data.load_graph(*paths)
         assert g.entities.labels == entities
         assert g.relations.labels == relations
-        assert [g.train, g.valid, g.test] == splits
-        assert g.train_ids.tolist() == [list(row) for row in splits[0]]
+        assert [g.train.tolist(), g.valid.tolist(), g.test.tolist()] == \
+            [[list(row) for row in split] for split in splits]
         assert g.ids.tolist() == [list(row) for split in splits
                                   for row in split]
-        assert not g.ids.flags.writeable and not g.train_ids.flags.writeable
+        assert not any(split.flags.writeable
+                       for split in (g.ids, g.train, g.valid, g.test))
         assert all(g.entities.id(label) == i
                    for i, label in enumerate(entities))
 
@@ -161,9 +162,10 @@ class TestBuildGraph:
     def test_gold_covers_all_splits(self):
         g = data.build_graph([("a", "r", "b")], [("b", "r", "c")],
                              [("c", "r", "a")])
-        for triple in g.train + g.valid + g.test:
-            assert data.is_gold(g, triple)
-        assert not data.is_gold(g, (0, 0, 0))
+        for h, r, t in g.ids.tolist():
+            assert t in g.tails_by_hr[(h, r)]
+            assert h in g.heads_by_rt[(r, t)]
+        assert 0 not in g.tails_by_hr[(0, 0)]
 
     def test_candidate_indexes_are_sorted_arrays(self):
         rng = np.random.default_rng(3)
@@ -175,24 +177,23 @@ class TestBuildGraph:
     def test_index_agrees_with_gold_set(self):
         rng = np.random.default_rng(4)
         g = random_graph(rng)
-        for (h, r), tails in g.tails_by_hr.items():
-            for t in tails:
-                assert (h, r, int(t)) in g.gold
+        gold = set(map(tuple, g.ids.tolist()))
+        assert gold == {(h, r, t) for (h, r), tails in g.tails_by_hr.items()
+                        for t in tails.tolist()}
 
 
 def set_reference(graph):
-    """The per-key Python set construction the filter index, the gold set
-    and the training domains were first written as."""
-    gold, tails, heads, domains = set(), {}, {}, {}
+    """The per-key Python set construction the filter index and the
+    training domains were first written as."""
+    tails, heads, domains = {}, {}, {}
     for split in (graph.train, graph.valid, graph.test):
-        for h, r, t in split:
-            gold.add((h, r, t))
+        for h, r, t in split.tolist():
             tails.setdefault((h, r), set()).add(t)
             heads.setdefault((r, t), set()).add(h)
-    for h, r, t in graph.train:
+    for h, r, t in graph.train.tolist():
         domains.setdefault((r, data.HEAD), set()).add(h)
         domains.setdefault((r, data.TAIL), set()).add(t)
-    return gold, tails, heads, domains
+    return tails, heads, domains
 
 
 def duplicate_heavy_graph(rng):
@@ -217,10 +218,8 @@ class TestFilterIndex:
     def test_equals_the_set_construction(self, seed):
         g = data.build_graph([("a", "r", "b")], [], []) if seed is None \
             else duplicate_heavy_graph(np.random.default_rng(300 + seed))
-        gold, tails, heads, domains = set_reference(g)
+        tails, heads, domains = set_reference(g)
 
-        assert len(g.gold) == len(gold)
-        assert set(g.gold) == gold
         for index, ref in ((g.tails_by_hr, tails), (g.heads_by_rt, heads)):
             assert len(index) == len(ref)
             keys = list(index)
@@ -235,12 +234,6 @@ class TestFilterIndex:
             key: data.Domain(key[0], key[1], tuple(sorted(ids)))
             for key, ids in domains.items()}
 
-        n_e, n_r = g.n_entities, g.n_relations
-        for h in range(n_e):
-            for r in range(n_r):
-                for t in range(n_e):
-                    assert data.is_gold(g, (h, r, t)) == ((h, r, t) in gold)
-
     def test_built_on_first_use_once_per_graph(self, monkeypatch):
         built = []
         init = data._FilterIndex.__init__
@@ -252,16 +245,16 @@ class TestFilterIndex:
         g = random_graph(np.random.default_rng(7))
         assert built == []
         for _ in range(2):
-            assert len(g.gold) > 0
             assert len(g.tails_by_hr) > 0 and len(g.heads_by_rt) > 0
         n_e, n_r = g.n_entities, g.n_relations
         assert built == [(n_e, n_r, n_e), (n_r, n_e, n_e)]
 
     def test_train_ids_are_the_training_split(self):
         g = duplicate_heavy_graph(np.random.default_rng(9))
-        assert g.train_ids.dtype == np.int64
-        assert not g.train_ids.flags.writeable
-        assert g.train_ids.tolist() == [list(row) for row in g.train]
+        splits = (g.train, g.valid, g.test)
+        assert all(split.dtype == np.int64 and not split.flags.writeable
+                   and np.shares_memory(split, g.ids) for split in splits)
+        assert np.concatenate(splits).tolist() == g.ids.tolist()
 
     def test_wrapped_ids_are_not_gold(self):
         # every (h, r, t) is gold, so any wrapped id would alias one
@@ -269,14 +262,18 @@ class TestFilterIndex:
         g = data.build_graph([(h, r, t) for h in ents for r in rels
                               for t in ents], [], [])
         n_e, n_r = g.n_entities, g.n_relations
-        assert len(g.gold) == n_e * n_r * n_e
-        for h, r, t in g.train:
-            assert data.is_gold(g, (h, r, t))
+
+        def known(h, r, t):
+            tails = g.tails_by_hr.get((h, r))
+            return tails is not None and t in tails.tolist()
+
+        assert sum(map(len, g.tails_by_hr.values())) == n_e * n_r * n_e
+        for h, r, t in g.train.tolist():
+            assert known(h, r, t)
             for bad in ((h, r, t + n_e), (h, r, t - n_e), (h + n_e, r, t),
                         (h - n_e, r, t), (h, r + n_r, t), (h, r - n_r, t),
                         (h, -1, t), (-1, r, t), (h, r, -1)):
-                assert not data.is_gold(g, bad)
-                assert bad not in g.gold
+                assert not known(*bad)
 
     def test_unknown_keys_raise_key_error(self):
         g = data.build_graph([("a", "r", "b"), ("b", "r", "c")], [],
@@ -301,19 +298,18 @@ class TestSaveGraph:
     def test_save_then_load_is_identity(self, tmp_path):
         rng = np.random.default_rng(5)
         g = random_graph(rng)
-        data.save_graph(g, str(tmp_path))
+        save_graph(g, str(tmp_path))
         g2 = data.load_graph(str(tmp_path / "train.txt"),
                              str(tmp_path / "valid.txt"),
                              str(tmp_path / "test.txt"))
         assert g2.entities.labels == g.entities.labels
-        assert g2.train == g.train
-        assert g2.valid == g.valid
-        assert g2.test == g.test
+        assert g2.ids.tolist() == g.ids.tolist()
+        assert [len(g2.train), len(g2.valid)] == [len(g.train), len(g.valid)]
 
     def test_id_map_files_written(self, tmp_path):
         g = data.build_graph([("a", "r", "b")], [("a", "r", "b")],
                              [("a", "r", "b")])
-        data.save_graph(g, str(tmp_path))
+        save_graph(g, str(tmp_path))
         lines = (tmp_path / "entity2id.txt").read_text().splitlines()
         assert lines == ["a\t0", "b\t1"]
 

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from drekge import data, domains
-from drekge.domains import (DomainModel, fit_all_domains, load_domains,
-                            penalties_all, penalty, save_domains)
-from drekge.ellipsoid import Ellipsoid, FitConfig, fit, scores_train
+from drekge.domains import (fit_all_domains, load_domains, penalties_all,
+                            save_domains)
+from drekge.ellipsoid import (Ellipsoid, FitConfig, fit, score_test,
+                              scores_train)
 from drekge.errors import (ConfigurationError, FormatError,
                            NumericalError, StaleDomainModelError)
-from drekge.models import TrainConfig, project_all, train
+from drekge.models import TrainConfig, project_all, project_entities, train
 
-from generators import random_domain_model, random_graph, random_model
+from generators import (domain_model, random_domain_model, random_graph,
+                        random_model)
 
 
 def quick_fit(graph, model, **kw):
@@ -27,11 +29,12 @@ class TestFitAllDomains:
         m = random_model(rng, g)
         dm = quick_fit(g, m)
         doms = data.extract_domains(g)
+        flags = {data.HEAD: 0, data.TAIL: 1}
         for key, d in doms.items():
             if len(d.members) >= domains.MIN_MEMBERS:
                 assert key in dm.ellipsoids
             else:
-                assert key in dm.skipped
+                assert (key[0], flags[key[1]]) in dm.skipped.tolist()
         assert dm.rel_dim == m.rel_dim
         assert dm.model_fingerprint == m.fingerprint()
 
@@ -43,9 +46,8 @@ class TestFitAllDomains:
         m = random_model(rng, g)
         dm = quick_fit(g, m)
         solo = g.relations.id("solo")
-        assert (solo, data.HEAD) in dm.skipped
-        assert (solo, data.TAIL) in dm.skipped
-        assert penalty(dm, m, g.entities.id("c"), solo, data.HEAD) == 0.0
+        assert [(solo, 0), (solo, 1)] == [
+            slot for slot in dm.skipped.tolist() if slot[0] == solo]
         assert penalties_all(dm, m, solo, data.HEAD) is None
 
     def test_min_members_is_adjustable(self):
@@ -53,7 +55,7 @@ class TestFitAllDomains:
                              [], [("a", "r", "b")])
         rng = np.random.default_rng(93)
         m = random_model(rng, g)
-        assert (g.relations.id("r"), data.TAIL) in quick_fit(g, m).skipped
+        assert (g.relations.id("r"), 1) in quick_fit(g, m).skipped.tolist()
         dm = quick_fit(g, m, min_members=1)
         assert (g.relations.id("r"), data.TAIL) in dm.ellipsoids
 
@@ -206,7 +208,7 @@ class TestPenalty:
     def sphere_domain(self, model, rel=0):
         ells = {(rel, data.HEAD): Ellipsoid(np.zeros(model.rel_dim),
                                             np.eye(model.rel_dim))}
-        return DomainModel(model.rel_dim, model.fingerprint(), ells, ())
+        return domain_model(model.rel_dim, model.fingerprint(), ells)
 
     def test_inside_zero_outside_positive(self):
         rng = np.random.default_rng(101)
@@ -215,19 +217,19 @@ class TestPenalty:
         m.entity_vecs[0] = 0.1
         m.entity_vecs[1] = 5.0
         dm = self.sphere_domain(m)
-        assert penalty(dm, m, 0, 0, data.HEAD) == 0.0
-        assert penalty(dm, m, 1, 0, data.HEAD) > 0.0
+        assert penalties_all(dm, m, 0, data.HEAD)[0] == 0.0
+        assert penalties_all(dm, m, 0, data.HEAD)[1] > 0.0
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(102)
         g = random_graph(rng, n_entities=15)
         m = random_model(rng, g, variant="transr")
         dm = random_domain_model(rng, g, m)
-        for (r, side), _ in dm.ellipsoids.items():
+        for (r, side), ell in dm.ellipsoids.items():
             pens = penalties_all(dm, m, r, side)
             for e in range(g.n_entities):
-                assert pens[e] == pytest.approx(penalty(dm, m, e, r, side),
-                                                rel=1e-12, abs=1e-12)
+                alone = score_test(ell, project_entities(m, e, r, side))
+                assert pens[e] == pytest.approx(alone, rel=1e-12, abs=1e-12)
 
     def test_stale_model_is_refused(self):
         rng = np.random.default_rng(103)
@@ -235,8 +237,6 @@ class TestPenalty:
         m = random_model(rng, g)
         dm = random_domain_model(rng, g, m)
         m2 = random_model(rng, g)  # different weights, same shapes
-        with pytest.raises(StaleDomainModelError):
-            penalty(dm, m2, 0, 0, data.HEAD)
         with pytest.raises(StaleDomainModelError):
             penalties_all(dm, m2, 0, data.HEAD)
 
@@ -255,7 +255,8 @@ class TestSerialization:
         back = self.roundtrip(dm, tmp_path)
         assert back.rel_dim == dm.rel_dim
         assert back.model_fingerprint == dm.model_fingerprint
-        assert back.skipped == dm.skipped
+        assert back.skipped.tolist() == dm.skipped.tolist()
+        assert back.fitted.tobytes() == dm.fitted.tobytes()
         assert back.ellipsoids.keys() == dm.ellipsoids.keys()
         for key, ell in dm.ellipsoids.items():
             other = back.ellipsoids[key]
@@ -323,38 +324,66 @@ class TestSerialization:
         g = random_graph(rng)
         m = random_model(rng, g)
         path = str(tmp_path / "dom.bin")
-        for attr, index, value in (("center", 0, np.nan),
-                                   ("factor", (1, 0), np.inf),
-                                   ("factor", (2, 2), 0.0),
-                                   ("factor", (0, 0), -0.5)):
+        # packed triangle entries 1, 5 and 0 are L[1, 0], L[2, 2], L[0, 0]
+        for field, index, value in (("center", 0, np.nan),
+                                    ("tril", 1, np.inf),
+                                    ("tril", 5, 0.0),
+                                    ("tril", 0, -0.5)):
             dm = random_domain_model(rng, g, m, coverage=1.0)
-            getattr(next(iter(dm.ellipsoids.values())), attr)[index] = value
+            dm.fitted[field][0, index] = value
             save_domains(dm, path)
             with pytest.raises(FormatError):
                 load_domains(path)
 
-    @pytest.mark.parametrize("where", ["fitted", "skipped"])
+    @pytest.mark.parametrize("where", ["fitted", "skipped",
+                                       "last-fitted-as-skipped"])
     def test_a_slot_listed_twice_is_rejected(self, tmp_path, where):
         rng = np.random.default_rng(116)
         g = random_graph(rng)
         m = random_model(rng, g)
         dm = random_domain_model(rng, g, m)
-        assert len(dm.ellipsoids) >= 2 and dm.skipped
+        assert len(dm.ellipsoids) >= 2 and len(dm.skipped)
         path = str(tmp_path / "dom.bin")
         save_domains(dm, path)
         header, body = open(path, "rb").read().split(b"\n", 1)
         k = dm.rel_dim
         rec = 16 + 8 * (k + k * (k + 1) // 2)
         first = body[:16]                   # the first fitted slot
+        at = len(dm.ellipsoids) * rec       # the first skipped slot
         if where == "fitted":
             body = body[:rec] + first + body[rec + 16:]
-        else:
-            at = len(dm.ellipsoids) * rec
+        elif where == "skipped":
             body = body[:at] + first + body[at + 16:]
+        else:
+            # the skipped records no longer sort, and the copy is not
+            # next to the fitted slot it repeats
+            body = body[:at] + body[at - rec:at - rec + 16] + body[at + 16:]
         with open(path, "wb") as fh:
             fh.write(header + b"\n" + body)
         with pytest.raises(FormatError, match="listed twice"):
             load_domains(path)
+
+    def test_records_out_of_order_load_to_the_same_lookups(self, tmp_path):
+        rng = np.random.default_rng(118)
+        g = random_graph(rng)
+        m = random_model(rng, g)
+        dm = random_domain_model(rng, g, m, coverage=0.6)
+        assert dm.n_fitted >= 2 and len(dm.skipped) >= 2
+        path = tmp_path / "dom.bin"
+        save_domains(replace(dm, fitted=dm.fitted[::-1].copy(),
+                             skipped=dm.skipped[::-1].copy()), str(path))
+        reversed_bytes = path.read_bytes()
+        save_domains(dm, str(path))
+        assert reversed_bytes != path.read_bytes()
+
+        path.write_bytes(reversed_bytes)
+        back = load_domains(str(path))
+        assert back.fitted.tobytes() == dm.fitted.tobytes()
+        assert back.skipped.tolist() == dm.skipped.tolist()
+        assert list(back.ellipsoids) == list(dm.ellipsoids)
+        for key, ell in dm.ellipsoids.items():
+            assert (back.ellipsoids[key].center == ell.center).all()
+            assert (back.ellipsoids[key].factor == ell.factor).all()
 
     def test_fingerprint_survives_the_file(self, tmp_path):
         rng = np.random.default_rng(114)

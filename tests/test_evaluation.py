@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from drekge import data, evaluation
-from drekge.domains import DomainModel, penalties_all
-from drekge.ellipsoid import Ellipsoid
+from drekge.domains import fit_all_domains, penalties_all
+from drekge.ellipsoid import Ellipsoid, FitConfig
 from drekge.errors import ConfigurationError, StaleDomainModelError
 from drekge.evaluation import (EvalReport, comparison_rows, csv_rows,
                                evaluate, format_comparison, format_report,
                                rank_of_gold, validation_hits10)
 from drekge.models import VARIANTS, EmbeddingModel, score_all
 
-from generators import random_domain_model, random_graph, random_model
+from generators import (domain_model, random_domain_model, random_graph,
+                        random_model)
 from refeval import ref_evaluate
 
 
@@ -250,6 +251,42 @@ class TestOracleShapes:
 
 
 class TestDomainPenalties:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_degenerate_fitted_domains_match_reference(self, variant):
+        # fitted with min_members=1 at k = 5: the head slot of r0 has
+        # three members that share one vector, the slots of r1 have two
+        # members, and those of r2 one
+        rng = np.random.default_rng([136, VARIANTS.index(variant)])
+        filler = [(f"e{h}", "r3", f"e{t}")
+                  for h, t in rng.integers(0, 12, size=(30, 2))]
+        train = [("a0", "r0", "x0"), ("a1", "r0", "x1"), ("a2", "r0", "x2"),
+                 ("y0", "r1", "b0"), ("y1", "r1", "b1"),
+                 ("c", "r2", "d"), *filler]
+        test = [("a0", "r0", "x1"), ("a2", "r0", "e4"), ("e3", "r0", "x0"),
+                ("y1", "r1", "b0"), ("e1", "r1", "b1"), ("y0", "r1", "e7"),
+                ("c", "r2", "e2"), ("e5", "r2", "d")]
+        g = data.build_graph(train, [], test)
+        m = random_model(rng, g, variant=variant, dim=5)
+        shared = [g.entities.id(label) for label in ("a0", "a1", "a2")]
+        m.entity_vecs[shared] = m.entity_vecs[shared[0]]
+        dm = fit_all_domains(g, m, FitConfig(lr=0.01, epochs=20,
+                                             batch_size=2, seed=4),
+                             min_members=1)
+        assert dm.n_fitted == 2 * g.n_relations and len(dm.skipped) == 0
+        params = {"entity": m.entity_vecs, "relation": m.relation_vecs,
+                  "head_proj": m.head_proj, "tail_proj": m.tail_proj}
+        ells = {key: (ell.center, ell.factor)
+                for key, ell in dm.ellipsoids.items()}
+        for tie_break in ("optimistic", "pessimistic"):
+            ref = ref_evaluate(g.n_entities, g.train, g.valid, g.test,
+                               variant, "l1", params, ellipsoids=ells,
+                               tie_break=tie_break)
+            rep = evaluate(g, m, dm, tie_break=tie_break)
+            assert rep.missing_domain_predictions == 0
+            for key, block in rep.overall.items():
+                assert block.mean_rank == ref[key]["mean_rank"], key
+                assert block.hits == ref[key]["hits"], key
+
     def test_enclosing_domains_change_nothing(self):
         rng = np.random.default_rng(131)
         g = random_graph(rng, n_entities=20)
@@ -258,7 +295,7 @@ class TestDomainPenalties:
         for r in range(g.n_relations):
             for side in ("head", "tail"):
                 huge[(r, side)] = Ellipsoid(np.zeros(4), np.eye(4) * 1e-4)
-        dm = DomainModel(4, m.fingerprint(), huge, ())
+        dm = domain_model(4, m.fingerprint(), huge)
         base = evaluate(g, m)
         dre = evaluate(g, m, dm)
         assert dre.overall == base.overall
@@ -268,7 +305,7 @@ class TestDomainPenalties:
         rng = np.random.default_rng(132)
         g = random_graph(rng)
         m = random_model(rng, g)
-        dm = DomainModel(m.rel_dim, m.fingerprint(), {}, ())
+        dm = domain_model(m.rel_dim, m.fingerprint(), {})
         rep = evaluate(g, m, dm)
         assert rep.missing_domain_predictions == 2 * len(g.test)
         assert rep.overall == evaluate(g, m).overall
@@ -310,7 +347,7 @@ class TestDomainPenalties:
         # head domain: tiny sphere around gold's embedding
         ells = {(0, "head"): Ellipsoid(np.array([1.0, 0.0]),
                                        np.eye(2) / 0.05)}
-        dm = DomainModel(dim, m.fingerprint(), ells, ())
+        dm = domain_model(dim, m.fingerprint(), ells)
         dre = evaluate(g, m, dm)
         assert dre.overall[("raw", "head")].mean_rank == 1.0
 
