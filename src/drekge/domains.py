@@ -45,6 +45,11 @@ DOMAIN_VERSION = "v1"
 
 MIN_MEMBERS = 2
 
+# most bytes in one (G, k, k) factor stack: the fit's per-step
+# temporaries have that shape, so capping G keeps a fit's memory flat
+# however many domains share a member count
+STACK_BYTES = 4 << 20
+
 _SIDE_FLAGS = {HEAD: 0, TAIL: 1}
 
 _FINGERPRINT = re.compile("[0-9a-fA-F]{16}")
@@ -155,16 +160,17 @@ def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
     """Fit ellipsoids for every training domain with enough members.
 
     The paper fits each domain on its own, so all domains with the same
-    member count are fitted together as one stack, one size at a time;
-    each still draws its batches from its own seed and ends exactly as a
-    lone ``fit`` of its projected members would. Each stack's centers and
-    factor triangles are packed straight into the fitted records. After
-    the fits, ``on_domain(relation, side, n_members, mean_score)`` is
-    called once per domain in (relation, side) order, with the mean
-    training score of its members at the fitted surface, or None when it
-    was skipped. A fit that ends with a non-finite center or factor (a
-    learning rate that overflows) raises NumericalError naming the first
-    such domain found.
+    member count are fitted together, one size at a time, in stacks of
+    at most ``STACK_BYTES`` of factors; each still draws its batches from
+    its own seed and ends exactly as a lone ``fit`` of its projected
+    members would. Each stack's centers and factor triangles are packed
+    straight into the fitted records. After the fits,
+    ``on_domain(relation, side, n_members, mean_score)`` is called once
+    per domain in (relation, side) order, with the mean training score
+    of its members at the fitted surface, or None when it was skipped. A
+    fit that ends with a non-finite center or factor (a learning rate
+    that overflows) raises NumericalError naming the first such domain
+    found.
     """
     config = config or FitConfig()
     if model.n_entities != graph.n_entities \
@@ -182,10 +188,13 @@ def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
     by_size: dict[int, list[int]] = {}
     for i, key in enumerate(fitted_keys):
         by_size.setdefault(len(domains[key].members), []).append(i)
+    cap = max(1, STACK_BYTES // (8 * model.rel_dim ** 2))
+    stacks = [group[at:at + cap] for group in by_size.values()
+              for at in range(0, len(group), cap)]
 
     tril = np.tril_indices(model.rel_dim)
     means = np.empty(len(fitted))
-    for group in by_size.values():
+    for group in stacks:
         group_keys = [fitted_keys[i] for i in group]
         points = project_slots(
             model, np.array([domains[key].members for key in group_keys],

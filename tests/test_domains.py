@@ -175,6 +175,25 @@ class TestFitAllDomains:
             assert (ell.center == alone.center).all()
             assert (ell.factor == alone.factor).all()
 
+    def test_capped_stacks_fit_the_same_records(self, monkeypatch):
+        # one domain per stack gives byte-identical records and scores
+        rng = np.random.default_rng(109)
+        g = random_graph(rng, n_relations=6)
+        m = random_model(rng, g)
+        sizes = [len(d.members) for d in data.extract_domains(g).values()]
+        assert len(set(sizes)) < len(sizes)     # some stack holds two
+        seen = {}
+
+        def fit_with(stack_bytes):
+            monkeypatch.setattr(domains, "STACK_BYTES", stack_bytes)
+            scores = seen.setdefault(stack_bytes, [])
+            return quick_fit(g, m, on_domain=lambda *a: scores.append(a))
+
+        whole, split = fit_with(domains.STACK_BYTES), fit_with(1)
+        assert whole.fitted.tobytes() == split.fitted.tobytes()
+        assert whole.skipped.tobytes() == split.skipped.tobytes()
+        assert seen[domains.STACK_BYTES] == seen[1]
+
     def test_callback_runs_in_slot_order(self):
         rng = np.random.default_rng(105)
         g = random_graph(rng, n_relations=6)
