@@ -4,7 +4,10 @@ Four subcommands cover the pipeline: ``train`` fits an embedding model,
 ``fit-domains`` fits the per-relation ellipsoids over a trained model,
 ``evaluate`` runs link prediction (baseline, and side by side with the
 domain penalty when a domain file is given), ``predict`` ranks
-completions for one partial triple.
+completions for one partial triple. Every score comes from the
+``evaluation`` module, so ``evaluate`` and ``predict`` make the same
+model-graph, domain-model and finiteness checks; this module resolves
+labels, orders the results and writes them.
 
 Option precedence is command line > config file (``--config``, JSON) >
 built-in dataset presets > library defaults. Logs go to stderr; output
@@ -301,22 +304,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
     relation = _resolve_label(args.relation, graph.relations, "relation")
     if args.head is not None:
-        side = data.TAIL
         anchor = {"head": _resolve_label(args.head, graph.entities, "entity")}
     else:
-        side = data.HEAD
         anchor = {"tail": _resolve_label(args.tail, graph.entities, "entity")}
-    # the open slot is projected once, for the scores and the penalties
-    projected = models.project_all(model, relation, side)
-    base = models.score_all(model, relation, projected=projected, **anchor)
-
-    pens = None
-    if domain_model is not None:
-        pens = domains.penalties_all(domain_model, model, relation, side,
-                                     projected=projected)
-    combined = base if pens is None else base + pens
-    if not np.isfinite(combined).all():
-        raise NumericalError(f"non-finite score for {args.relation!r}")
+    base, pens, combined = evaluation.score_query(graph, model, domain_model,
+                                                  relation, **anchor)
 
     top = min(args.top, graph.n_entities)
     order = np.argsort(combined, kind="stable")[:top]

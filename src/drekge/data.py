@@ -23,7 +23,7 @@ from __future__ import annotations
 import gc
 import operator
 from collections import defaultdict
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,19 +50,11 @@ CATEGORY_THRESHOLD = 1.5
 class Vocab:
     """Bidirectional label <-> integer id mapping, insertion ordered."""
 
-    def __init__(self, labels: Iterable[str] = ()):
-        self.labels: list[str] = list(dict.fromkeys(labels))
-        self._index: dict[str, int] = dict(zip(self.labels,
-                                               range(len(self.labels))))
-
-    @classmethod
-    def _of(cls, index: dict[str, int]) -> Vocab:
+    def __init__(self, index: dict[str, int]):
         """The vocabulary of an index that maps its labels, in insertion
         order, to 0, 1, 2, ..."""
-        vocab = cls.__new__(cls)
-        vocab._index = index
-        vocab.labels = list(index)
-        return vocab
+        self._index = index
+        self.labels: list[str] = list(index)
 
     def id(self, label: str) -> int | None:
         return self._index.get(label)
@@ -282,8 +274,8 @@ def build_graph(train: list[tuple[str, str, str]],
                 chain.from_iterable(chain(train, valid, test))),
             dtype=np.int64, count=3 * n).reshape(n, 3)
         ids.flags.writeable = False
-        return KnowledgeGraph(Vocab._of(dict(entity_index)),
-                              Vocab._of(dict(relation_index)), ids,
+        return KnowledgeGraph(Vocab(dict(entity_index)),
+                              Vocab(dict(relation_index)), ids,
                               *np.split(ids, np.cumsum(sizes)[:2]))
 
 

@@ -36,9 +36,8 @@ import numpy as np
 from .data import HEAD, SIDES, TAIL, KnowledgeGraph, extract_domains
 from .ellipsoid import (Ellipsoid, FitConfig, fit_stack, scores_test,
                         scores_train_stack)
-from .errors import (ConfigurationError, FormatError, NumericalError,
-                     StaleDomainModelError)
-from .models import EmbeddingModel, project_all, project_slots
+from .errors import FormatError, NumericalError, StaleDomainModelError
+from .models import EmbeddingModel, check_fits, project_all, project_slots
 
 DOMAIN_MAGIC = "DREDOM"
 DOMAIN_VERSION = "v1"
@@ -173,10 +172,7 @@ def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
     found.
     """
     config = config or FitConfig()
-    if model.n_entities != graph.n_entities \
-            or model.n_relations != graph.n_relations:
-        raise ConfigurationError("model entity/relation counts do not match "
-                                 "the graph")
+    check_fits(model, graph)
     domains = extract_domains(graph)
     keys = sorted(domains, key=_domain_order)
     slots = np.array([_domain_order(key) for key in keys], dtype=_SLOT)
@@ -236,14 +232,6 @@ def penalties_all(domain_model: DomainModel, model: EmbeddingModel,
     if projected is None:
         projected = project_all(model, relation, side)
     return scores_test(ell, projected)
-
-
-def _slot_penalties(domain_model: DomainModel, relation: int, side: str,
-                    projected: np.ndarray) -> np.ndarray | None:
-    """``penalties_all`` of points already projected into the slot,
-    without the compatibility check, for a caller that made it once."""
-    ell = domain_model.ellipsoids.get((relation, side))
-    return None if ell is None else scores_test(ell, projected)
 
 
 # ---------------------------------------------------------------------------

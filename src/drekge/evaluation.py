@@ -14,6 +14,13 @@ for the slot being filled is added onto its baseline score, unscaled, so
 the two terms can be compared directly in the scale diagnostic. Each
 query is scored once: the baseline ranks and the penalized ranks are both
 taken from those scores, and both reports come out of the one pass.
+
+This module is the one place a query becomes scores: ``evaluate`` and
+``validation_hits10`` rank whole splits, and ``score_query`` scores one
+partial triple (``drekge predict``). Every path checks that the model
+fits the graph, takes its penalties from ``domains.penalties_all`` (which
+checks the domain model against the embedding model) and refuses a
+non-finite score.
 """
 
 from __future__ import annotations
@@ -23,10 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import (CATEGORIES, HEAD, TAIL, KnowledgeGraph, classify_relations)
-from .domains import DomainModel, _slot_penalties, check_compatible
+from .domains import DomainModel, penalties_all
 from .errors import ConfigurationError, NumericalError
 from .models import (EmbeddingModel, _projection_key, _relation_groups,
-                     project_all, score_all)
+                     check_fits, project_all, score_all)
 
 SETTINGS = ("raw", "filtered")
 COMBINED = "combined"
@@ -95,6 +102,35 @@ _TERMS = ("gold_baseline", "median_baseline", "gold_penalty",
           "median_penalty")
 
 
+def _combined(base: np.ndarray, pen: np.ndarray | None,
+              relation: int) -> np.ndarray:
+    """Baseline scores plus the slot's penalties (``base`` itself when
+    there are none), refused unless every one is finite. Penalties are
+    >= 0, so this also covers the baseline scores."""
+    scores = base if pen is None else base + pen
+    if not np.isfinite(scores).all():
+        raise NumericalError(f"non-finite score for relation {relation}")
+    return scores
+
+
+def score_query(graph: KnowledgeGraph, model: EmbeddingModel,
+                domain_model: DomainModel | None, relation: int, *,
+                head: int | None = None, tail: int | None = None) \
+        -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """(baseline, penalties, combined) scores of every entity in the
+    open slot of one query, with exactly one of ``head`` and ``tail``
+    fixed. ``penalties`` is None without a domain model or when the slot
+    has no ellipsoid; ``combined`` is then the baseline. The open slot is
+    projected once, for the scores and the penalties."""
+    check_fits(model, graph)
+    side = TAIL if tail is None else HEAD
+    cand = project_all(model, relation, side)
+    base = score_all(model, relation, head=head, tail=tail, projected=cand)
+    pen = None if domain_model is None else \
+        penalties_all(domain_model, model, relation, side, cand)
+    return base, pen, _combined(base, pen, relation)
+
+
 def _rank_slot(graph: KnowledgeGraph, model: EmbeddingModel,
                domain_model: DomainModel | None, relation: int, side: str,
                cand: np.ndarray, rows: np.ndarray, triples: np.ndarray,
@@ -112,9 +148,8 @@ def _rank_slot(graph: KnowledgeGraph, model: EmbeddingModel,
     penalized ranks both come from those scores.
     """
     col = 0 if side == HEAD else 1
-    # the caller checked domain_model against the model once
     pen = None if domain_model is None else \
-        _slot_penalties(domain_model, relation, side, cand)
+        penalties_all(domain_model, model, relation, side, cand)
     med_pen = 0.0 if pen is None else float(np.median(pen))
     for test_idx, (h, _, t) in zip(rows.tolist(), triples[rows].tolist()):
         row = 2 * test_idx + col
@@ -126,10 +161,7 @@ def _rank_slot(graph: KnowledgeGraph, model: EmbeddingModel,
             gold = t
             base = score_all(model, relation, head=h, projected=cand)
             known = graph.tails_by_hr[(h, relation)]
-        scores = base if pen is None else base + pen
-        # penalties are >= 0, so this also covers the baseline scores
-        if not np.isfinite(scores).all():
-            raise NumericalError(f"non-finite score for relation {relation}")
+        scores = _combined(base, pen, relation)
 
         ranks[0, row] = _ranks(base, gold, known, tie_break)
         ranks[1, row] = ranks[0, row] if pen is None \
@@ -146,10 +178,7 @@ def _split_triples(graph: KnowledgeGraph, model: EmbeddingModel,
     graph and that the split has triples."""
     if split not in ("test", "valid"):
         raise ConfigurationError(f"unknown evaluation split {split!r}")
-    if model.n_entities != graph.n_entities \
-            or model.n_relations != graph.n_relations:
-        raise ConfigurationError("model entity/relation counts do not match "
-                                 "the graph")
+    check_fits(model, graph)
     triples = graph.test if split == "test" else graph.valid
     if len(triples) == 0:
         raise ConfigurationError(f"{split} split is empty")
@@ -251,8 +280,6 @@ def evaluate(graph: KnowledgeGraph, model: EmbeddingModel,
     triples = _split_triples(graph, model, split)
     if tie_break not in TIE_BREAKS:
         raise ConfigurationError(f"unknown tie break mode {tie_break!r}")
-    if domain_model is not None:
-        check_compatible(domain_model, model)
     ranks, terms, missing = _rank_split(graph, model, domain_model, triples,
                                         tie_break, with_terms=True)
 

@@ -116,22 +116,21 @@ class EmbeddingModel:
         return self._fingerprint
 
 
-def project_entities(model: EmbeddingModel, entities: np.ndarray | int,
-                     relation: int, side: str) -> np.ndarray:
-    """Selected entity vectors (one (k,) vector for a scalar id) mapped
-    into the relation's space for one slot: the rows are gathered first,
-    then projected in one product."""
-    vecs = model.entity_vecs[entities]
-    proj = model.head_proj if side == HEAD else model.tail_proj
-    return vecs if proj is None else vecs @ proj[relation].T
+def check_fits(model: EmbeddingModel, graph: KnowledgeGraph) -> None:
+    """Refuse a model whose entity or relation count is not the graph's:
+    its ids could not name the graph's entities and relations."""
+    if model.n_entities != graph.n_entities \
+            or model.n_relations != graph.n_relations:
+        raise ConfigurationError("model entity/relation counts do not match "
+                                 "the graph")
 
 
 def project_slots(model: EmbeddingModel, entities: np.ndarray,
                   relations: np.ndarray, sides) -> np.ndarray:
     """Rows of entity ids (G, m), row g mapped into the space of slot
     ``sides[g]`` of ``relations[g]``, as a (G, m, k) stack: the rows are
-    gathered first, then projected in one stacked product. Each slice is
-    the same product ``project_entities`` makes for that slot alone."""
+    gathered first, then projected in one stacked product. A (1, 1)
+    block projects one entity into one slot."""
     vecs = model.entity_vecs[entities]
     if model.head_proj is None:
         return vecs
@@ -179,9 +178,10 @@ def _norms(diff: np.ndarray, dissimilarity: str) -> np.ndarray:
 
 def score_triple(model: EmbeddingModel, triple: tuple[int, int, int]) -> float:
     h, r, t = triple
-    u = (project_entities(model, h, r, HEAD) + model.relation_vecs[r]
-         - project_entities(model, t, r, TAIL))
-    return float(_norms(u, model.dissimilarity))
+    head, tail = project_slots(model, np.array([[h], [t]]), np.array([r, r]),
+                               (HEAD, TAIL))[:, 0]
+    return float(_norms(head + model.relation_vecs[r] - tail,
+                        model.dissimilarity))
 
 
 def score_all(model: EmbeddingModel, relation: int, *, head: int | None = None,
@@ -199,13 +199,12 @@ def score_all(model: EmbeddingModel, relation: int, *, head: int | None = None,
     if (head is None) == (tail is None):
         raise ConfigurationError("fix exactly one of head and tail")
     r_vec = model.relation_vecs[relation]
-    if tail is None:
-        # t - x is -(x - t): the same magnitude, so the same |.| and square
-        side = TAIL
-        anchor = -(project_entities(model, head, relation, HEAD) + r_vec)
-    else:
-        side = HEAD
-        anchor = r_vec - project_entities(model, tail, relation, TAIL)
+    fixed, fixed_side, side = (head, HEAD, TAIL) if tail is None \
+        else (tail, TAIL, HEAD)
+    (anchor,) = project_slots(model, np.array([[fixed]]),
+                              np.array([relation]), (fixed_side,))[0]
+    # t - x is -(x - t): the same magnitude, so the same |.| and square
+    anchor = -(anchor + r_vec) if tail is None else r_vec - anchor
     cand = projected if projected is not None \
         else project_all(model, relation, side)
     term = np.empty(model.n_entities)
@@ -279,9 +278,7 @@ def _init_model(graph: KnowledgeGraph, config: TrainConfig,
     n_e, n_r = graph.n_entities, graph.n_relations
     d, k = config.dim, config.k
     if init is not None:
-        if init.n_entities != n_e or init.n_relations != n_r:
-            raise ConfigurationError("base model entity/relation counts do "
-                                     "not match the graph")
+        check_fits(init, graph)
     if config.variant == "transe":
         if init is not None:
             if init.variant != "transe" or init.dim != d:
@@ -558,7 +555,7 @@ def load_model(path: str) -> EmbeddingModel:
     sizes = [math.prod(shape) for shape in shapes]
     expected = sum(sizes) * 8
 
-    body = raw[nl + 1:]
+    body = memoryview(raw)[nl + 1:]
     if len(body) != expected + 8:
         raise FormatError(f"{path}: payload is {len(body)} bytes, expected "
                           f"{expected + 8}")

@@ -28,6 +28,25 @@ def dataset(tmp_path):
                      "--test", str(d / "test.txt")]}
 
 
+@pytest.fixture()
+def foreign(tmp_path):
+    """A model and its domain file, made on a graph with other entity and
+    relation counts than ``dataset``'s."""
+    g = random_graph(np.random.default_rng(152), n_entities=30,
+                     n_relations=3, n_train=60, n_valid=5, n_test=6)
+    d = tmp_path / "other"
+    save_graph(g, str(d))
+    args = ["--train", str(d / "train.txt"), "--valid", str(d / "valid.txt"),
+            "--test", str(d / "test.txt")]
+    model = str(tmp_path / "foreign.bin")
+    doms = str(tmp_path / "foreign-domains.bin")
+    assert main(["train", *args, "--dim", "6", "--epochs", "2",
+                 "--out", model]) == 0
+    assert main(["fit-domains", *args, "--model", model, "--fit-epochs", "2",
+                 "--out", doms]) == 0
+    return g, model, doms
+
+
 def run_train(dataset, out, extra=()):
     return main(["train", *dataset["args"], "--dim", "6", "--epochs", "3",
                  "--lr", "0.01", "--seed", "3", "--out", out, *extra])
@@ -353,6 +372,32 @@ class TestFailureModes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "e00" in err and "e000" in err
+
+    @pytest.mark.parametrize("command", [
+        "fit-domains", "evaluate", "evaluate --domains", "predict",
+        "predict --domains"])
+    def test_a_model_of_another_graph_exits_one(self, dataset, foreign,
+                                                tmp_path, capsys, command):
+        other, model, doms = foreign
+        g = dataset["graph"]
+        assert (other.n_entities, other.n_relations) \
+            != (g.n_entities, g.n_relations)
+        stage, *flags = command.split()
+        outputs = [tmp_path / "out.bin", tmp_path / "out.csv"]
+        argv = {"fit-domains": ["--out", str(outputs[0])],
+                "evaluate": ["--report-out", str(outputs[0]),
+                             "--csv-out", str(outputs[1])],
+                "predict": ["--relation", g.relations.labels[0],
+                            "--head", g.entities.labels[0]]}[stage]
+        if flags:
+            argv += ["--domains", doms]
+        capsys.readouterr()
+        assert main([stage, *dataset["args"], "--model", model, *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "model entity/relation counts do not match the graph" \
+            in captured.err
+        assert not any(path.exists() for path in outputs)
 
     def test_stale_domains_are_refused(self, dataset, tmp_path, capsys):
         m1, m2 = str(tmp_path / "m1.bin"), str(tmp_path / "m2.bin")

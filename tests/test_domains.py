@@ -10,7 +10,7 @@ from drekge.ellipsoid import (Ellipsoid, FitConfig, fit, score_test,
                               scores_train)
 from drekge.errors import (ConfigurationError, FormatError,
                            NumericalError, StaleDomainModelError)
-from drekge.models import TrainConfig, project_all, project_entities, train
+from drekge.models import TrainConfig, project_all, project_slots, train
 
 from generators import (domain_model, random_domain_model, random_graph,
                         random_model)
@@ -247,7 +247,8 @@ class TestPenalty:
         for (r, side), ell in dm.ellipsoids.items():
             pens = penalties_all(dm, m, r, side)
             for e in range(g.n_entities):
-                alone = score_test(ell, project_entities(m, e, r, side))
+                alone = score_test(ell, project_slots(
+                    m, np.array([[e]]), np.array([r]), [side])[0, 0])
                 assert pens[e] == pytest.approx(alone, rel=1e-12, abs=1e-12)
 
     def test_stale_model_is_refused(self):

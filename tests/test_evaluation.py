@@ -7,7 +7,8 @@ from drekge.ellipsoid import Ellipsoid, FitConfig
 from drekge.errors import ConfigurationError, StaleDomainModelError
 from drekge.evaluation import (EvalReport, comparison_rows, csv_rows,
                                evaluate, format_comparison, format_report,
-                               rank_of_gold, validation_hits10)
+                               rank_of_gold, score_query,
+                               validation_hits10)
 from drekge.models import VARIANTS, EmbeddingModel, score_all
 
 from generators import (domain_model, random_domain_model, random_graph,
@@ -207,6 +208,16 @@ class TestEvaluate:
         with pytest.raises(ConfigurationError):
             evaluate(g, random_model(rng, random_graph(
                 np.random.default_rng(2), n_entities=5)), split="test")
+
+
+class TestScoreQuery:
+    def test_a_model_of_another_graph_is_refused(self):
+        rng = np.random.default_rng(129)
+        g = random_graph(rng)
+        other = random_graph(np.random.default_rng(2), n_entities=5)
+        m = random_model(rng, other)
+        with pytest.raises(ConfigurationError, match="counts do not match"):
+            score_query(g, m, None, 0, head=0)
 
 
 class TestOracleShapes:

@@ -10,7 +10,7 @@ from drekge.data import build_graph
 from drekge.errors import ConfigurationError, FormatError
 from drekge.evaluation import validation_hits10
 from drekge.models import (EmbeddingModel, TrainConfig, load_model,
-                           model_bytes, project_all, project_entities,
+                           model_bytes, project_all, project_slots,
                            save_model, score_all, score_gradients,
                            score_triple, train)
 
@@ -117,7 +117,7 @@ class TestScoring:
         for variant in models.VARIANTS:
             m = random_model(rng, g, variant=variant)
             for side in ("head", "tail"):
-                picked = project_entities(m, rows, 2, side)
+                picked = project_slots(m, rows[None], np.array([2]), [side])[0]
                 assert picked.shape == (len(rows), m.rel_dim)
                 np.testing.assert_allclose(picked,
                                            project_all(m, 2, side)[rows],
@@ -145,9 +145,13 @@ class TestScoring:
                 return np.abs(diff).sum(axis=-1)
             return np.sqrt((diff ** 2).sum(axis=-1))
 
+        def one(e, side):  # entity e projected into one slot of relation 2
+            return project_slots(m, np.array([[e]]), np.array([2]),
+                                 [side])[0, 0]
+
         for e in (0, 7, g.n_entities - 1):
             tails = project_all(m, 2, "tail")
-            diff = (project_entities(m, e, 2, "head") + r_vec)[:, None] \
+            diff = (one(e, "head") + r_vec)[:, None] \
                 - tails.T
             want = norms(diff)
             assert np.array_equal(score_all(m, 2, head=e), want)
@@ -156,8 +160,7 @@ class TestScoring:
             np.testing.assert_allclose(want, row_norms(diff), rtol=1e-13)
 
             heads = project_all(m, 2, "head")
-            diff = heads.T + (r_vec - project_entities(m, e, 2, "tail")
-                              )[:, None]
+            diff = heads.T + (r_vec - one(e, "tail"))[:, None]
             want = norms(diff)
             assert np.array_equal(score_all(m, 2, tail=e), want)
             assert np.array_equal(score_all(m, 2, tail=e, projected=heads),
