@@ -51,6 +51,17 @@ PRESETS = {
 # staged variants refine an existing model, so they get a shorter budget
 DEFAULT_EPOCHS = {"transe": 1000, "transr": 500, "stranse": 500}
 
+# per subcommand, its config file keys (the flags' dests) and the library
+# parameter each sets; an option nobody sets keeps the library's default
+_TRAIN_KEYS = {"dim": "dim", "rel_dim": "rel_dim", "lr": "lr",
+               "margin": "margin", "batch": "batch_size",
+               "dissim": "dissimilarity", "epochs": "epochs",
+               "neg_sampling": "negative_sampling", "seed": "seed",
+               "eval_every": "eval_every", "patience": "patience"}
+_FIT_KEYS = {"fit_lr": "lr", "fit_epochs": "epochs",
+             "fit_batch": "batch_size", "diag_floor": "diag_floor",
+             "seed": "seed", "min_members": "min_members"}
+
 
 class _UsageError(ConfigurationError):
     pass
@@ -147,6 +158,11 @@ def _resolve(args: argparse.Namespace, option_names: list[str],
     return resolved
 
 
+def _settings(opts: dict, keys: dict[str, str]) -> dict:
+    """The library parameters of the resolved options in ``keys``."""
+    return {keys[key]: value for key, value in opts.items() if key in keys}
+
+
 def _positive_int(text: str) -> int:
     """argparse type for counts that must be at least 1."""
     try:
@@ -182,26 +198,13 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise _UsageError(f"no preset for dataset {args.dataset!r} with "
                               f"variant {args.variant!r}")
         presets = PRESETS[key]
-    opts = _resolve(args, [*_DATA_KEYS, "dim", "rel_dim", "lr", "margin",
-                           "batch", "dissim", "epochs", "neg_sampling",
-                           "seed", "eval_every", "patience"], presets)
+    opts = _resolve(args, [*_DATA_KEYS, *_TRAIN_KEYS], presets)
     graph = _load_graph(opts)
-
-    config = models.TrainConfig(
-        variant=args.variant,
-        dim=opts.get("dim", 50),
-        rel_dim=opts.get("rel_dim"),
-        lr=opts.get("lr", 0.001),
-        margin=opts.get("margin", 2.0),
-        batch_size=opts.get("batch", 120),
-        dissimilarity=opts.get("dissim", "l1"),
-        epochs=opts.get("epochs", DEFAULT_EPOCHS[args.variant]),
-        negative_sampling=opts.get("neg_sampling", "uniform"),
-        normalize_entities=args.normalize_entities,
-        seed=opts.get("seed", 0),
-        eval_every=opts.get("eval_every", 25),
-        patience=opts.get("patience", 50),
-    )
+    settings = _settings(opts, _TRAIN_KEYS)
+    settings.setdefault("epochs", DEFAULT_EPOCHS[args.variant])
+    config = models.TrainConfig(variant=args.variant,
+                                normalize_entities=args.normalize_entities,
+                                **settings)
 
     init = models.load_model(args.init_model) if args.init_model else None
 
@@ -227,17 +230,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_fit_domains(args: argparse.Namespace) -> int:
-    opts = _resolve(args, [*_DATA_KEYS, "fit_lr", "fit_epochs", "fit_batch",
-                           "diag_floor", "min_members", "seed"])
+    opts = _resolve(args, [*_DATA_KEYS, *_FIT_KEYS])
     graph = _load_graph(opts)
     model = models.load_model(args.model)
-    config = ellipsoid.FitConfig(
-        lr=opts.get("fit_lr", 1e-5),
-        epochs=opts.get("fit_epochs", 500),
-        batch_size=opts.get("fit_batch", 120),
-        diag_floor=opts.get("diag_floor", ellipsoid.DIAG_FLOOR),
-        seed=opts.get("seed", 0),
-    )
+    settings = _settings(opts, _FIT_KEYS)
+    fit_args = {"min_members": settings.pop("min_members")} \
+        if "min_members" in settings else {}
 
     def on_domain(relation, side, n_members, mean_score):
         if mean_score is None:
@@ -248,9 +246,8 @@ def cmd_fit_domains(args: argparse.Namespace) -> int:
                      relation, side, n_members, mean_score)
 
     domain_model = domains.fit_all_domains(
-        graph, model, config, min_members=opts.get("min_members",
-                                                   domains.MIN_MEMBERS),
-        on_domain=on_domain)
+        graph, model, ellipsoid.FitConfig(**settings), on_domain=on_domain,
+        **fit_args)
     with _atomic_output(args.out) as tmp:
         domains.save_domains(domain_model, tmp)
     log.info("wrote %d ellipsoids (%d skipped) to %s",

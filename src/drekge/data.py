@@ -7,9 +7,11 @@ byte that is not valid UTF-8, raises ``ParseError`` with the path and the
 ``\r\n`` or a lone ``\r``); any other character, form feeds and Unicode
 line separators included, is part of a label. Labels are opaque strings;
 integer ids are assigned by first appearance while scanning train, then
-valid, then test, in one pass that also writes each label's id. Each
-split is a read-only block of rows of one int64 id array; duplicate
-triples are kept there and collapsed in the filter index.
+valid, then test. The three files reach the ids as one flat stream of
+labels, in one pass that also writes each label's id; no object is made
+per line. Each split is a read-only block of rows of one int64 id
+array; duplicate triples are kept there and collapsed in the filter
+index.
 
 The filter index (the known tails of each (h, r) and the known heads of
 each (r, t), over all splits) is built on first use, so only ranking
@@ -20,11 +22,9 @@ side, and each key's candidates a slice of it.
 
 from __future__ import annotations
 
-import gc
 import operator
 from collections import defaultdict
-from collections.abc import Mapping
-from contextlib import contextmanager
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, cycle
@@ -214,8 +214,9 @@ def _well_formed(text: str) -> bool:
     return bool(((tabs == 2) | blank).all())
 
 
-def _parse_file(path: str) -> list[tuple[str, str, str]]:
-    """The (head, relation, tail) label triples of one file, in line order.
+def _parse_file(path: str) -> list[str]:
+    """The labels of one file's triples, head, relation and tail of each,
+    in line order.
 
     One read, one test of every line at once (``_well_formed``), and one
     split of the text into fields on tabs and line ends: ``\n`` is the
@@ -228,62 +229,48 @@ def _parse_file(path: str) -> list[tuple[str, str, str]]:
     if not _well_formed(text):
         _raise_first_bad_line(path, text)
     # blank lines, and the end of the last line, leave empty pieces
-    fields = list(filter(None, text.replace("\n", "\t").split("\t")))
-    columns = iter(fields)
-    return list(zip(columns, columns, columns))
+    return list(filter(None, text.replace("\n", "\t").split("\t")))
 
 
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector, restoring its state after.
-
-    Loading a graph allocates a tuple per triple and creates no reference
-    cycles, but every few hundred allocations trigger a collection that
-    scans them; on a WN18-sized graph that was about a fifth of
-    ``build_graph``.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
+def _build(labels: Iterable[str], sizes: list[int]) -> KnowledgeGraph:
+    """The graph of a flat stream of labels (head, relation, tail of each
+    triple) holding ``sizes`` train, valid and test triples. One pass
+    looks each label up in its vocabulary's index, which gives a new
+    label the next id, and writes the id into the int64 id array."""
+    n = sum(sizes)
+    entity_index = defaultdict(count().__next__)
+    relation_index = defaultdict(count().__next__)
+    # dict.__getitem__ on a defaultdict falls back to its factory, which
+    # hands a missing label the next id
+    ids = np.fromiter(
+        map(dict.__getitem__,
+            cycle((entity_index, relation_index, entity_index)), labels),
+        dtype=np.int64, count=3 * n).reshape(n, 3)
+    ids.flags.writeable = False
+    return KnowledgeGraph(Vocab(dict(entity_index)),
+                          Vocab(dict(relation_index)), ids,
+                          *np.split(ids, np.cumsum(sizes)[:2]))
 
 
 def build_graph(train: list[tuple[str, str, str]],
                 valid: list[tuple[str, str, str]],
                 test: list[tuple[str, str, str]]) -> KnowledgeGraph:
-    """Assemble a graph from label triples already split three ways.
-
-    One pass over every label, in first-seen order (train, then valid,
-    then test; in each triple head, relation, tail), looks it up in its
-    vocabulary's index, which gives a new label the next id, and writes
-    the id into the int64 id array. No label is looked up twice.
-    """
-    with _gc_paused():
-        sizes = (len(train), len(valid), len(test))
-        n = sum(sizes)
-        entity_index = defaultdict(count().__next__)
-        relation_index = defaultdict(count().__next__)
-        # dict.__getitem__ on a defaultdict falls back to its factory,
-        # which hands a missing label the next id
-        ids = np.fromiter(
-            map(dict.__getitem__,
-                cycle((entity_index, relation_index, entity_index)),
-                chain.from_iterable(chain(train, valid, test))),
-            dtype=np.int64, count=3 * n).reshape(n, 3)
-        ids.flags.writeable = False
-        return KnowledgeGraph(Vocab(dict(entity_index)),
-                              Vocab(dict(relation_index)), ids,
-                              *np.split(ids, np.cumsum(sizes)[:2]))
+    """Assemble a graph from label triples already split three ways, ids
+    by first appearance (train, then valid, then test; in each triple
+    head, relation, tail), through the one pass ``load_graph`` makes."""
+    splits = (train, valid, test)
+    return _build(chain.from_iterable(chain.from_iterable(splits)),
+                  [len(split) for split in splits])
 
 
 def load_graph(train_path: str, valid_path: str,
                test_path: str) -> KnowledgeGraph:
-    with _gc_paused():
-        return build_graph(_parse_file(train_path), _parse_file(valid_path),
-                           _parse_file(test_path))
+    """The graph of three triple files, whose labels go in file order
+    through the one id pass ``build_graph`` also makes."""
+    fields = [_parse_file(path) for path in (train_path, valid_path,
+                                             test_path)]
+    return _build(chain.from_iterable(fields),
+                  [len(labels) // 3 for labels in fields])
 
 
 def extract_domains(graph: KnowledgeGraph) -> dict[tuple[int, str], Domain]:

@@ -172,6 +172,7 @@ def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
     found.
     """
     config = config or FitConfig()
+    config.validate()
     check_fits(model, graph)
     domains = extract_domains(graph)
     keys = sorted(domains, key=_domain_order)

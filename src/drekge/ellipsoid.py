@@ -64,6 +64,8 @@ class FitConfig:
                                      "epochs >= 1, batch_size >= 1")
         if not (0 < self.diag_floor < math.inf):
             raise ConfigurationError("diag_floor must be positive and finite")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
 
 def _as_batch(points: np.ndarray) -> np.ndarray:

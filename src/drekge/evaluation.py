@@ -233,33 +233,20 @@ def _report(ranks: np.ndarray, sides: np.ndarray, cats: np.ndarray,
             n_test: int, missing_domain: int,
             term_stats: dict[str, dict[str, float]]) -> EvalReport:
     """Aggregate per-prediction ``_ranks`` rows (in split order, head
-    before tail) overall and per category."""
+    before tail) overall and per category, each block from the ranks it
+    covers: a combined block from the head and tail ranks together."""
     overall: dict[tuple[str, str], MetricBlock] = {}
     by_category: dict[tuple[str, str, str], MetricBlock] = {}
     for setting, col in zip(SETTINGS, (0, 2)):   # rank columns of _ranks
-        side_ranks = {}
-        for side in (HEAD, TAIL):
-            sel = sides == side
-            side_ranks[side] = ranks[sel, col]
-            overall[(setting, side)] = _block(side_ranks[side])
+        for side in (HEAD, TAIL, COMBINED):
+            on_side = sides == side if side != COMBINED \
+                else np.ones(len(sides), dtype=bool)
+            overall[(setting, side)] = _block(ranks[on_side, col])
             for cat in CATEGORIES:
-                in_cat = cats[sel] == cat
-                if in_cat.any():
+                sel = on_side & (cats == cat)
+                if sel.any():
                     by_category[(setting, side, cat)] = _block(
-                        side_ranks[side][in_cat])
-        overall[(setting, COMBINED)] = _block(
-            np.concatenate([side_ranks[HEAD], side_ranks[TAIL]]))
-        for cat in CATEGORIES:
-            pieces = [by_category[(setting, side, cat)]
-                      for side in (HEAD, TAIL)
-                      if (setting, side, cat) in by_category]
-            if pieces:
-                n = sum(p.n for p in pieces)
-                by_category[(setting, COMBINED, cat)] = MetricBlock(
-                    sum(p.mean_rank * p.n for p in pieces) / n,
-                    {k: sum(p.hits[k] * p.n for p in pieces) / n
-                     for k in HITS_AT},
-                    n)
+                        ranks[sel, col])
     tie_rate = float(np.mean(ranks[:, 1] > 0))
     return EvalReport(overall, by_category, n_test, tie_rate, missing_domain,
                       term_stats)

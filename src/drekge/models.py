@@ -68,6 +68,8 @@ class TrainConfig:
                                      "finite")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigurationError("epochs and batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         if self.variant == "transe" and self.k != self.dim:
             raise ConfigurationError("transe has no projection; rel_dim "
                                      "must equal dim")
@@ -402,9 +404,10 @@ def train(graph: KnowledgeGraph, config: TrainConfig,
 
     triples = graph.train
     n = len(triples)
-    head_probs = None
-    if config.negative_sampling == "bernoulli":
-        head_probs = corrupt_head_probs(graph)
+    # per relation, the chance that a negative replaces the head
+    head_probs = corrupt_head_probs(graph) \
+        if config.negative_sampling == "bernoulli" \
+        else np.full(graph.n_relations, 0.5)
 
     best_score = -np.inf
     best_params: list[np.ndarray] | None = None
@@ -420,10 +423,7 @@ def train(graph: KnowledgeGraph, config: TrainConfig,
         for start in range(0, n, config.batch_size):
             pos = triples[order[start:start + config.batch_size]]
             b = len(pos)
-            if head_probs is None:
-                corrupt_head = rng.random(b) < 0.5
-            else:
-                corrupt_head = rng.random(b) < head_probs[pos[:, 1]]
+            corrupt_head = rng.random(b) < head_probs[pos[:, 1]]
             repl = rng.integers(0, graph.n_entities, size=b)
             neg = pos.copy()
             neg[corrupt_head, 0] = repl[corrupt_head]

@@ -8,9 +8,10 @@ import pytest
 from drekge import data
 from drekge.cli import main
 from drekge.evaluation import evaluate, format_report
-from drekge.domains import load_domains, penalties_all, save_domains
-from drekge.ellipsoid import Ellipsoid
-from drekge.models import load_model, save_model, score_all
+from drekge.domains import (fit_all_domains, load_domains, penalties_all,
+                            save_domains)
+from drekge.ellipsoid import Ellipsoid, FitConfig
+from drekge.models import TrainConfig, load_model, save_model, score_all, train
 
 from generators import domain_model, random_graph, save_graph
 
@@ -148,6 +149,34 @@ class TestPipeline:
         run_train(dataset, b)
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_unset_train_options_keep_the_library_defaults(self, dataset,
+                                                          tmp_path):
+        out = tmp_path / "cli.bin"
+        assert main(["train", *dataset["args"], "--dim", "6", "--epochs",
+                     "3", "--lr", "0.01", "--seed", "3", "--margin", "1",
+                     "--out", str(out)]) == 0
+        # 3 epochs end before the first validation
+        g = data.load_graph(*dataset["args"][1::2])
+        lib = tmp_path / "lib.bin"
+        save_model(train(g, TrainConfig(dim=6, epochs=3, lr=0.01, seed=3,
+                                        margin=1.0)), str(lib))
+        assert out.read_bytes() == lib.read_bytes()
+
+    def test_unset_fit_options_keep_the_library_defaults(self, dataset,
+                                                        tmp_path):
+        model = str(tmp_path / "m.bin")
+        run_train(dataset, model)
+        out = tmp_path / "cli.bin"
+        assert main(["fit-domains", *dataset["args"], "--model", model,
+                     "--fit-epochs", "4", "--seed", "2", "--fit-batch", "3",
+                     "--out", str(out)]) == 0
+        g = data.load_graph(*dataset["args"][1::2])
+        lib = tmp_path / "lib.bin"
+        save_domains(fit_all_domains(g, load_model(model),
+                                     FitConfig(epochs=4, seed=2,
+                                               batch_size=3)), str(lib))
+        assert out.read_bytes() == lib.read_bytes()
+
     def test_staged_variant_via_init_flag(self, dataset, tmp_path):
         base = str(tmp_path / "transe.bin")
         out = str(tmp_path / "transr.bin")
@@ -267,6 +296,31 @@ class TestFailureModes:
         assert not doms.exists()
         err = capsys.readouterr().err
         assert "fit diverged" in err and "mean fit score" not in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["train", "fit-domains"])
+    def test_a_negative_seed_exits_one(self, dataset, tmp_path, capsys,
+                                       command, source):
+        if command == "train":
+            extra = ["--dim", "6", "--epochs", "1"]
+        else:
+            model = str(tmp_path / "m.bin")
+            run_train(dataset, model)
+            extra = ["--model", model, "--fit-epochs", "1"]
+        if source == "flag":
+            extra += ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": -1}))
+            extra += ["--config", str(cfg)]
+        out = tmp_path / "out.bin"
+        capsys.readouterr()
+        assert main([command, *dataset["args"], *extra,
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err
+        assert "Traceback" not in err
 
     def test_config_file_rejects_unknown_keys(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

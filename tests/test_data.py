@@ -1,3 +1,6 @@
+import gc
+from itertools import chain
+
 import numpy as np
 import pytest
 
@@ -136,7 +139,8 @@ class TestParserEquivalence:
             assert (err.value.path, err.value.line_no) == \
                 (ref_err.path, ref_err.line_no)
             return
-        assert [data._parse_file(p) for p in paths] == ref
+        assert [data._parse_file(p) for p in paths] == \
+            [list(chain.from_iterable(triples)) for triples in ref]
         entities, relations, splits = ref_build_ids(*ref)
         g = data.load_graph(*paths)
         assert g.entities.labels == entities
@@ -149,6 +153,35 @@ class TestParserEquivalence:
                        for split in (g.ids, g.train, g.valid, g.test))
         assert all(g.entities.id(label) == i
                    for i, label in enumerate(entities))
+
+
+class TestLoadAllocations:
+    def test_load_runs_no_collection(self, tmp_path):
+        """Loading makes no collector-tracked object per line, so a
+        20k-line file runs no collection with the collector on."""
+        rng = np.random.default_rng(11)
+        path = str(tmp_path / "train.txt")
+        write_triples(path, [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in
+                             rng.integers(0, [5000, 18, 5000],
+                                          size=(20_000, 3)).tolist()])
+        starts = []
+
+        def on_collection(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        enabled = gc.isenabled()
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(on_collection)
+        try:
+            g = data.load_graph(path, path, path)
+        finally:
+            gc.callbacks.remove(on_collection)
+            if not enabled:
+                gc.disable()
+        assert len(g.train) == 20_000
+        assert starts == []
 
 
 class TestBuildGraph:

@@ -159,6 +159,34 @@ class TestEvaluate:
             assert block.n == len(values)
             assert block.mean_rank == pytest.approx(np.mean(values))
 
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_combined_category_blocks_take_their_own_ranks(self, seed):
+        """A combined category block is the block of its head and tail
+        ranks together, to the last bit, as the overall one is."""
+        rng = np.random.default_rng(seed)
+        n_test = int(rng.integers(7, 30))
+        g = random_graph(rng, n_entities=40, n_relations=5, n_train=80,
+                         n_valid=5, n_test=n_test)
+        m = random_model(rng, g, dim=4)
+        rep = evaluate(g, m)
+        categories = data.classify_relations(g)
+        ranks = {}
+        for h, r, t in g.test.tolist():
+            for gold, fixed, known in (
+                    (h, {"tail": t}, g.heads_by_rt[(r, t)]),
+                    (t, {"head": h}, g.tails_by_hr[(h, r)])):
+                scores = score_all(m, r, **fixed)
+                for setting, filt in (("raw", None), ("filtered", known)):
+                    ranks.setdefault((setting, categories[r]), []).append(
+                        rank_of_gold(scores, gold, filt)[0])
+        for (setting, cat), values in ranks.items():
+            block = rep.by_category[(setting, "combined", cat)]
+            assert block.n == len(values)
+            assert block.mean_rank == np.mean(values)
+            assert block.hits == {
+                k: 100.0 * sum(v <= k for v in values) / len(values)
+                for k in (1, 3, 10)}
+
     def test_validation_split_and_helper(self):
         rng = np.random.default_rng(127)
         g = random_graph(rng)
