@@ -1,10 +1,10 @@
 """Translation-based knowledge-graph embeddings with per-relation domain
 ellipsoid penalties for link prediction."""
 
-from .data import (Domain, KnowledgeGraph, Vocab, build_graph,
-                   classify_relations, extract_domains, load_graph)
+from .data import (KnowledgeGraph, Vocab, build_graph, classify_relations,
+                   load_graph)
 from .domains import (DomainModel, fit_all_domains, load_domains,
-                      penalties_all, save_domains)
+                      penalties_all, save_domains, slot_members)
 from .ellipsoid import (Ellipsoid, FitConfig, distance, fit, gradient,
                         quad_form, score_test)
 from .errors import (ConfigurationError, DataError, DegeneratePointError,
@@ -18,10 +18,10 @@ from .models import (EmbeddingModel, TrainConfig, load_model, save_model,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Domain", "KnowledgeGraph", "Vocab", "build_graph", "classify_relations",
-    "extract_domains", "load_graph",
+    "KnowledgeGraph", "Vocab", "build_graph", "classify_relations",
+    "load_graph",
     "DomainModel", "fit_all_domains", "load_domains", "penalties_all",
-    "save_domains",
+    "save_domains", "slot_members",
     "Ellipsoid", "FitConfig", "distance", "fit", "gradient", "quad_form",
     "score_test",
     "ConfigurationError", "DataError", "DegeneratePointError", "DrekgeError",

@@ -66,15 +66,6 @@ class Vocab:
         return label in self._index
 
 
-@dataclass(frozen=True)
-class Domain:
-    """Member entities observed on one side of a relation in training."""
-
-    relation: int
-    side: str
-    members: tuple[int, ...]
-
-
 def _distinct(codes: np.ndarray) -> np.ndarray:
     """Sorted distinct values of a non-negative integer array."""
     s = np.sort(codes)
@@ -271,22 +262,6 @@ def load_graph(train_path: str, valid_path: str,
                                              test_path)]
     return _build(chain.from_iterable(fields),
                   [len(labels) // 3 for labels in fields])
-
-
-def extract_domains(graph: KnowledgeGraph) -> dict[tuple[int, str], Domain]:
-    """Collect, per relation, the head and tail entity sets seen in training.
-
-    Only the training split contributes; held-out triples must not leak
-    into the regions the ellipsoids are fitted on.
-    """
-    n_e = graph.n_entities
-    out = {}
-    for side, codes in zip(SIDES, _slot_codes(graph)):
-        slots = _distinct(codes)
-        rels, first = np.unique(slots // n_e, return_index=True)
-        for r, ids in zip(rels.tolist(), np.split(slots % n_e, first[1:])):
-            out[(r, side)] = Domain(r, side, tuple(ids.tolist()))
-    return out
 
 
 def _slot_codes(graph: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -29,24 +29,25 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 
 import numpy as np
 
-from .data import HEAD, SIDES, TAIL, KnowledgeGraph, extract_domains
+from .data import HEAD, SIDES, TAIL, KnowledgeGraph
 from .ellipsoid import (Ellipsoid, FitConfig, fit_stack, scores_test,
                         scores_train_stack)
-from .errors import FormatError, NumericalError, StaleDomainModelError
-from .models import EmbeddingModel, check_fits, project_all, project_slots
+from .errors import (ConfigurationError, FormatError, NumericalError,
+                     StaleDomainModelError)
+from .models import (EmbeddingModel, _groups, check_fits, project_all,
+                     project_slots)
 
 DOMAIN_MAGIC = "DREDOM"
 DOMAIN_VERSION = "v1"
 
 MIN_MEMBERS = 2
 
-# most bytes in one (G, k, k) factor stack: the fit's per-step
-# temporaries have that shape, so capping G keeps a fit's memory flat
-# however many domains share a member count
+# most bytes in one stack's (G, m, k) member clouds and in its (G, k, k)
+# factors: the fit's per-step temporaries have those shapes, so capping
+# G keeps a fit's memory flat however many domains share a member count
 STACK_BYTES = 4 << 20
 
 _SIDE_FLAGS = {HEAD: 0, TAIL: 1}
@@ -148,8 +149,21 @@ def _domain_seed(base: int, relation: int, flag: int) -> int:
     return int(np.random.SeedSequence((base, relation, flag)).generate_state(1)[0])
 
 
-def _domain_order(key: tuple[int, str]) -> tuple[int, int]:
-    return key[0], _SIDE_FLAGS[key[1]]
+def slot_members(graph: KnowledgeGraph) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The training domains: the ascending slot codes of every slot seen
+    in training and, per slot, its members as a sorted array of distinct
+    int64 entity ids. One sort of the (slot, entity) codes
+    code * |E| + entity lays every slot's members out in turn.
+
+    Only the training split contributes; held-out triples must not leak
+    into the regions the ellipsoids are fitted on.
+    """
+    h, r, t = graph.train.T
+    n_e = graph.n_entities
+    slot, member = np.divmod(np.unique(np.concatenate(
+        [2 * r * n_e + h, (2 * r + 1) * n_e + t])), n_e)
+    starts = np.flatnonzero(np.diff(slot, prepend=-1))
+    return slot[starts], np.split(member, starts)[1:]
 
 
 def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
@@ -160,63 +174,68 @@ def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
 
     The paper fits each domain on its own, so all domains with the same
     member count are fitted together, one size at a time, in stacks of
-    at most ``STACK_BYTES`` of factors; each still draws its batches from
-    its own seed and ends exactly as a lone ``fit`` of its projected
-    members would. Each stack's centers and factor triangles are packed
-    straight into the fitted records. After the fits,
-    ``on_domain(relation, side, n_members, mean_score)`` is called once
-    per domain in (relation, side) order, with the mean training score
-    of its members at the fitted surface, or None when it was skipped. A
-    fit that ends with a non-finite center or factor (a learning rate
-    that overflows) raises NumericalError naming the first such domain
-    found.
+    at most ``STACK_BYTES`` of member clouds and of factors; each still
+    draws its batches from its own seed and ends exactly as a lone
+    ``fit`` of its projected members would. Each stack's centers and
+    factor triangles are packed straight into the fitted records. After
+    the fits, ``on_domain(relation, side, n_members, mean_score)`` is
+    called once per domain in (relation, side) order, with the mean
+    training score of its members at the fitted surface, or None when it
+    was skipped. A fit that ends with a non-finite center or factor (a
+    learning rate that overflows) raises NumericalError naming the first
+    such domain found.
     """
     config = config or FitConfig()
     config.validate()
+    if min_members < 0:
+        raise ConfigurationError("min_members must be >= 0")
     check_fits(model, graph)
-    domains = extract_domains(graph)
-    keys = sorted(domains, key=_domain_order)
-    slots = np.array([_domain_order(key) for key in keys], dtype=_SLOT)
-    is_fitted = np.array([len(domains[key].members) >= min_members
-                          for key in keys], dtype=bool)
-    fitted_keys = list(compress(keys, is_fitted))
-    fitted = np.zeros(len(fitted_keys), dtype=_fitted_record(model.rel_dim))
-    fitted[["relation", "flag"]] = slots[is_fitted]
-    by_size: dict[int, list[int]] = {}
-    for i, key in enumerate(fitted_keys):
-        by_size.setdefault(len(domains[key].members), []).append(i)
-    cap = max(1, STACK_BYTES // (8 * model.rel_dim ** 2))
-    stacks = [group[at:at + cap] for group in by_size.values()
-              for at in range(0, len(group), cap)]
+    codes, members = slot_members(graph)
+    slots = np.zeros(len(codes), dtype=_SLOT)
+    slots["relation"], slots["flag"] = np.divmod(codes, 2)
+    sizes = np.array([len(ids) for ids in members], dtype=np.int64)
+    is_fitted = sizes >= min_members
+    kept = np.flatnonzero(is_fitted)
+    k = model.rel_dim
+    fitted = np.zeros(len(kept), dtype=_fitted_record(k))
+    fitted[["relation", "flag"]] = slots[kept]
 
-    tril = np.tril_indices(model.rel_dim)
+    tril = np.tril_indices(k)
     means = np.empty(len(fitted))
-    for group in stacks:
-        group_keys = [fitted_keys[i] for i in group]
-        points = project_slots(
-            model, np.array([domains[key].members for key in group_keys],
-                            dtype=np.int64),
-            fitted["relation"][group], [side for _, side in group_keys])
-        seeds = [_domain_seed(config.seed, *_domain_order(key))
-                 for key in group_keys]
-        centers, factors = fit_stack(points, config, seeds)
-        diverged = np.flatnonzero(~(np.isfinite(centers).all(axis=1)
-                                    & np.isfinite(factors).all(axis=(1, 2))))
-        if diverged.size:
-            relation, side = group_keys[diverged[0]]
-            raise NumericalError(f"domain r{relation}/{side}: fit diverged "
-                                 f"(non-finite center or factor)")
-        means[group] = scores_train_stack(centers, factors, points).mean(axis=1)
-        fitted["center"][group] = centers
-        fitted["tril"][group] = factors[:, tril[0], tril[1]]
+    # member counts in the order of their first slot, so the first
+    # slot's fit runs, and is checked, first
+    for size, group in sorted(_groups(sizes[kept]), key=lambda g: g[1][0]):
+        cap = max(1, STACK_BYTES // (8 * k * max(k, size)))
+        for lo in range(0, len(group), cap):
+            rows = group[lo:lo + cap]
+            relations = fitted["relation"][rows].tolist()
+            flags = fitted["flag"][rows].tolist()
+            points = project_slots(
+                model, np.stack([members[i] for i in kept[rows]]),
+                fitted["relation"][rows], [SIDES[f] for f in flags])
+            seeds = [_domain_seed(config.seed, r, f)
+                     for r, f in zip(relations, flags)]
+            centers, factors = fit_stack(points, config, seeds)
+            diverged = np.flatnonzero(
+                ~(np.isfinite(centers).all(axis=1)
+                  & np.isfinite(factors).all(axis=(1, 2))))
+            if diverged.size:
+                i = diverged[0]
+                raise NumericalError(
+                    f"domain r{relations[i]}/{SIDES[flags[i]]}: fit "
+                    f"diverged (non-finite center or factor)")
+            means[rows] = scores_train_stack(centers, factors,
+                                             points).mean(axis=1)
+            fitted["center"][rows] = centers
+            fitted["tril"][rows] = factors[:, tril[0], tril[1]]
 
     if on_domain is not None:
         scores = iter(means.tolist())
-        for key, fit in zip(keys, is_fitted):
-            on_domain(*key, len(domains[key].members),
+        for (relation, flag), size, fit in zip(
+                slots.tolist(), sizes.tolist(), is_fitted.tolist()):
+            on_domain(relation, SIDES[flag], size,
                       next(scores) if fit else None)
-    return DomainModel(model.rel_dim, model.fingerprint(), fitted,
-                       slots[~is_fitted])
+    return DomainModel(k, model.fingerprint(), fitted, slots[~is_fitted])
 
 
 def penalties_all(domain_model: DomainModel, model: EmbeddingModel,

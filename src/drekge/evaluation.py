@@ -32,7 +32,7 @@ import numpy as np
 from .data import (CATEGORIES, HEAD, TAIL, KnowledgeGraph, classify_relations)
 from .domains import DomainModel, penalties_all
 from .errors import ConfigurationError, NumericalError
-from .models import (EmbeddingModel, _projection_key, _relation_groups,
+from .models import (EmbeddingModel, _groups, _projection_key,
                      check_fits, project_all, score_all)
 
 SETTINGS = ("raw", "filtered")
@@ -206,7 +206,7 @@ def _rank_split(graph: KnowledgeGraph, model: EmbeddingModel,
     # one candidate array, (k, E) in memory: a projection is made once
     # and kept while the next slots share it
     key = cand = None
-    for relation, rows in _relation_groups(triples[:, 1]):
+    for relation, rows in _groups(triples[:, 1]):
         for side in (HEAD, TAIL):
             slot_key = _projection_key(model, relation, side)
             if cand is None or slot_key != key:

@@ -68,8 +68,9 @@ class TrainConfig:
                                      "finite")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigurationError("epochs and batch_size must be >= 1")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be >= 0")
+        for name in ("seed", "eval_every", "patience"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0")
         if self.variant == "transe" and self.k != self.dim:
             raise ConfigurationError("transe has no projection; rel_dim "
                                      "must equal dim")
@@ -233,11 +234,11 @@ def _norm_grad(u: np.ndarray, dissimilarity: str) -> np.ndarray:
     return out
 
 
-def _relation_groups(relations: np.ndarray):
-    """(relation id, row indices) for each relation present; rows keep
-    their batch order within a group."""
-    order = np.argsort(relations, kind="stable")
-    ids = relations[order]
+def _groups(values: np.ndarray):
+    """(value, row indices) for each distinct value of a non-negative
+    integer array, ascending; rows keep their order within a group."""
+    order = np.argsort(values, kind="stable")
+    ids = values[order]
     starts = np.flatnonzero(np.diff(ids, prepend=-1))
     return zip(ids[starts].tolist(), np.split(order, starts[1:]))
 
@@ -248,7 +249,7 @@ def _relation_grads(model: EmbeddingModel, triples: np.ndarray,
     i's residual) w.r.t. the rows' head and tail entities and the
     relation's two matrices. Each group is computed as it is yielded."""
     ent = model.entity_vecs
-    for relation, rows in _relation_groups(triples[:, 1]):
+    for relation, rows in _groups(triples[:, 1]):
         g_r = g[rows]
         yield (relation, rows,
                g_r @ model.head_proj[relation],
@@ -472,7 +473,7 @@ def _residuals(model: EmbeddingModel, triples: np.ndarray) -> np.ndarray:
     if model.head_proj is None:
         return ent[h] + rel[r] - ent[t]
     out = np.empty((len(triples), model.rel_dim))
-    for relation, rows in _relation_groups(r):
+    for relation, rows in _groups(r):
         out[rows] = (ent[h[rows]] @ model.head_proj[relation].T
                      + rel[relation]
                      - ent[t[rows]] @ model.tail_proj[relation].T)

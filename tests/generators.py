@@ -7,7 +7,7 @@ import os
 import numpy as np
 
 from drekge import domains
-from drekge.data import KnowledgeGraph, build_graph
+from drekge.data import SIDES, KnowledgeGraph, build_graph
 from drekge.domains import DomainModel
 from drekge.ellipsoid import Ellipsoid
 from drekge.models import EmbeddingModel
@@ -73,6 +73,14 @@ def random_ellipsoid(rng: np.random.Generator, k: int,
     factor = np.tril(rng.normal(scale=0.4, size=(k, k)))
     np.fill_diagonal(factor, np.abs(rng.normal(scale=0.5, size=k)) + 0.3)
     return Ellipsoid(rng.normal(scale=center_scale, size=k), factor)
+
+
+def domain_members(graph: KnowledgeGraph) -> dict[tuple[int, str], list[int]]:
+    """The training domains of ``domains.slot_members`` as
+    {(relation, side): sorted member ids}."""
+    codes, members = domains.slot_members(graph)
+    return {(code // 2, SIDES[code % 2]): ids.tolist()
+            for code, ids in zip(codes.tolist(), members)}
 
 
 def domain_model(rel_dim: int, fingerprint: int,

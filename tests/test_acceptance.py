@@ -16,9 +16,9 @@ import pytest
 
 from drekge import data, domains, ellipsoid, evaluation, models
 
-from generators import (country_capital_kg, random_domain_model,
-                        random_ellipsoid, random_graph, random_model,
-                        surface_points)
+from generators import (country_capital_kg, domain_members,
+                        random_domain_model, random_ellipsoid, random_graph,
+                        random_model, surface_points)
 from refeval import ref_evaluate
 
 DATA_ENV = "DREKGE_DATA_DIR"
@@ -318,15 +318,15 @@ class TestCriterion6ToyEndToEnd:
         assert dre.overall[key].hits[10] >= base.overall[key].hits[10]
 
         drifters = [g.entities.id("drifter_0"), g.entities.id("drifter_1")]
-        doms = data.extract_domains(g)
+        doms = domain_members(g)
         min_drifter = np.inf
         zero, total = 0, 0
-        for (rel, side), dom in doms.items():
+        for (rel, side), members in doms.items():
             pens = domains.penalties_all(dm, model, rel, side)
             for e in drifters:
                 assert pens[e] > 0.0, (rel, side, e)
                 min_drifter = min(min_drifter, pens[e])
-            for e in dom.members:
+            for e in members:
                 total += 1
                 if pens[e] == 0.0:
                     zero += 1

@@ -322,6 +322,33 @@ class TestFailureModes:
         assert "seed must be >= 0" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command,key,value", [
+        ("train", "eval_every", -2), ("train", "patience", -1),
+        ("fit-domains", "min_members", -3)])
+    def test_a_negative_count_exits_one(self, dataset, tmp_path, capsys,
+                                        command, key, value, source):
+        if command == "train":
+            extra = ["--dim", "6", "--epochs", "1"]
+        else:
+            model = str(tmp_path / "m.bin")
+            run_train(dataset, model)
+            extra = ["--model", model, "--fit-epochs", "1"]
+        if source == "flag":
+            extra += ["--" + key.replace("_", "-"), str(value)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            extra += ["--config", str(cfg)]
+        out = tmp_path / "out.bin"
+        capsys.readouterr()
+        assert main([command, *dataset["args"], *extra,
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"{key} must be >= 0" in err
+        assert "Traceback" not in err
+
     def test_config_file_rejects_unknown_keys(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"dims": 7}))

@@ -4,10 +4,10 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from drekge import data
+from drekge import data, domains
 from drekge.errors import ParseError
 
-from generators import random_graph, save_graph
+from generators import domain_members, random_graph, save_graph
 from refparse import ref_build_ids, ref_parse_file
 
 
@@ -251,7 +251,7 @@ class TestFilterIndex:
     def test_equals_the_set_construction(self, seed):
         g = data.build_graph([("a", "r", "b")], [], []) if seed is None \
             else duplicate_heavy_graph(np.random.default_rng(300 + seed))
-        tails, heads, domains = set_reference(g)
+        tails, heads, doms = set_reference(g)
 
         for index, ref in ((g.tails_by_hr, tails), (g.heads_by_rt, heads)):
             assert len(index) == len(ref)
@@ -263,9 +263,8 @@ class TestFilterIndex:
                 assert got.dtype == np.int64 and not got.flags.writeable
                 assert got.tolist() == sorted(ids)
 
-        assert data.extract_domains(g) == {
-            key: data.Domain(key[0], key[1], tuple(sorted(ids)))
-            for key, ids in domains.items()}
+        assert domain_members(g) == {key: sorted(ids)
+                                     for key, ids in doms.items()}
 
     def test_built_on_first_use_once_per_graph(self, monkeypatch):
         built = []
@@ -351,17 +350,25 @@ class TestDomains:
     def test_only_training_split_contributes(self):
         g = data.build_graph([("a", "r", "b")], [("c", "r", "d")],
                              [("e", "r", "f")])
-        doms = data.extract_domains(g)
+        doms = domain_members(g)
         r = g.relations.id("r")
-        assert doms[(r, data.HEAD)].members == (g.entities.id("a"),)
-        assert doms[(r, data.TAIL)].members == (g.entities.id("b"),)
+        assert doms[(r, data.HEAD)] == [g.entities.id("a")]
+        assert doms[(r, data.TAIL)] == [g.entities.id("b")]
 
     def test_members_deduplicated_and_sorted(self):
         g = data.build_graph([("b", "r", "x"), ("a", "r", "x"),
                               ("b", "r", "y")], [], [("a", "r", "y")])
-        doms = data.extract_domains(g)
-        heads = doms[(g.relations.id("r"), data.HEAD)].members
-        assert heads == tuple(sorted({g.entities.id("a"), g.entities.id("b")}))
+        heads = domain_members(g)[(g.relations.id("r"), data.HEAD)]
+        assert heads == sorted({g.entities.id("a"), g.entities.id("b")})
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_codes_ascend_and_members_are_int64(self, seed):
+        g = duplicate_heavy_graph(np.random.default_rng(310 + seed))
+        codes, members = domains.slot_members(g)
+        assert len(codes) == len(members) > 0
+        assert (np.diff(codes) > 0).all()
+        assert all(ids.dtype == np.int64 and (np.diff(ids) > 0).all()
+                   for ids in members)
 
 
 class TestRelationCategories:

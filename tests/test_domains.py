@@ -6,14 +6,14 @@ import pytest
 from drekge import data, domains
 from drekge.domains import (fit_all_domains, load_domains, penalties_all,
                             save_domains)
-from drekge.ellipsoid import (Ellipsoid, FitConfig, fit, score_test,
-                              scores_train)
+from drekge.ellipsoid import (Ellipsoid, FitConfig, fit, fit_stack,
+                              score_test, scores_train)
 from drekge.errors import (ConfigurationError, FormatError,
                            NumericalError, StaleDomainModelError)
 from drekge.models import TrainConfig, project_all, project_slots, train
 
-from generators import (domain_model, random_domain_model, random_graph,
-                        random_model)
+from generators import (domain_members, domain_model, random_domain_model,
+                        random_graph, random_model)
 
 
 def quick_fit(graph, model, **kw):
@@ -28,10 +28,10 @@ class TestFitAllDomains:
         g = random_graph(rng)
         m = random_model(rng, g)
         dm = quick_fit(g, m)
-        doms = data.extract_domains(g)
+        doms = domain_members(g)
         flags = {data.HEAD: 0, data.TAIL: 1}
-        for key, d in doms.items():
-            if len(d.members) >= domains.MIN_MEMBERS:
+        for key, ids in doms.items():
+            if len(ids) >= domains.MIN_MEMBERS:
                 assert key in dm.ellipsoids
             else:
                 assert (key[0], flags[key[1]]) in dm.skipped.tolist()
@@ -64,9 +64,9 @@ class TestFitAllDomains:
         g = random_graph(rng)
         m = random_model(rng, g, variant="stranse")
         dm = quick_fit(g, m)
-        doms = data.extract_domains(g)
-        key = max(doms, key=lambda k: len(doms[k].members))
-        members = np.array(doms[key].members)
+        doms = domain_members(g)
+        key = max(doms, key=lambda k: len(doms[k]))
+        members = np.array(doms[key])
         proj = project_all(m, key[0], key[1])[members]
         ell = dm.ellipsoids[key]
         # the fitted center starts at the projected member mean and barely
@@ -110,10 +110,10 @@ class TestFitAllDomains:
         m = random_model(rng, g)
         seen = []
         quick_fit(g, m, on_domain=lambda r, s, n, score: seen.append((r, s, n, score)))
-        doms = data.extract_domains(g)
+        doms = domain_members(g)
         assert len(seen) == len(doms)
         for r, s, n, score in seen:
-            assert n == len(doms[(r, s)].members)
+            assert n == len(doms[(r, s)])
             assert (score is None) == (n < domains.MIN_MEMBERS)
 
     @pytest.mark.parametrize("variant", ["transe", "transr", "stranse"])
@@ -128,10 +128,10 @@ class TestFitAllDomains:
             seen[(r, side)] = score
 
         dm = fit_all_domains(g, m, cfg, on_domain=on_domain)
-        doms = data.extract_domains(g)
+        doms = domain_members(g)
         assert dm.ellipsoids
         for (r, side), ell in dm.ellipsoids.items():
-            members = np.array(doms[(r, side)].members)
+            members = np.array(doms[(r, side)])
             if variant == "transe":
                 points = m.entity_vecs[members]
             else:
@@ -162,13 +162,13 @@ class TestFitAllDomains:
         m.entity_vecs[:, 2] = 0.5                # a constant axis
         # {e0, e1, e2} has its mean exactly at e0; {e3, e4, .} repeats a row
         cfg = FitConfig(lr=0.05, epochs=4, batch_size=2, seed=9)
-        sizes = [len(d.members) for d in data.extract_domains(g).values()]
-        assert sizes == [3] * 8
+        doms = domain_members(g)
+        assert [len(ids) for ids in doms.values()] == [3] * 8
 
         dm = fit_all_domains(g, m, cfg)
         assert len(dm.ellipsoids) == 8
         for (r, side), ell in dm.ellipsoids.items():
-            members = np.array(data.extract_domains(g)[(r, side)].members)
+            members = np.array(doms[(r, side)])
             alone = fit(m.entity_vecs[members], replace(
                 cfg, seed=domains._domain_seed(cfg.seed, r,
                                                0 if side == data.HEAD else 1)))
@@ -180,7 +180,7 @@ class TestFitAllDomains:
         rng = np.random.default_rng(109)
         g = random_graph(rng, n_relations=6)
         m = random_model(rng, g)
-        sizes = [len(d.members) for d in data.extract_domains(g).values()]
+        sizes = [len(ids) for ids in domain_members(g).values()]
         assert len(set(sizes)) < len(sizes)     # some stack holds two
         seen = {}
 
@@ -194,13 +194,33 @@ class TestFitAllDomains:
         assert whole.skipped.tobytes() == split.skipped.tobytes()
         assert seen[domains.STACK_BYTES] == seen[1]
 
+    def test_stacks_hold_at_most_stack_bytes(self, monkeypatch):
+        # a stack of several clouds holds at most STACK_BYTES of (G, m, k)
+        # clouds and of (G, k, k) factors, whichever is larger
+        rng = np.random.default_rng(104)
+        g = random_graph(rng, n_entities=40, n_relations=8)
+        m = random_model(rng, g, dim=4)
+        monkeypatch.setattr(domains, "STACK_BYTES", 8 * 4 * 4 * 4)
+        shapes = []
+
+        def recording(points, *args):
+            shapes.append(points.shape)
+            return fit_stack(points, *args)
+        monkeypatch.setattr(domains, "fit_stack", recording)
+        quick_fit(g, m, epochs=2)
+        stacks = [(n, size, k) for n, size, k in shapes if n > 1]
+        assert stacks and len(stacks) < len(shapes)
+        for n, size, k in stacks:
+            assert 8 * n * size * k <= domains.STACK_BYTES
+            assert 8 * n * k * k <= domains.STACK_BYTES
+
     def test_callback_runs_in_slot_order(self):
         rng = np.random.default_rng(105)
         g = random_graph(rng, n_relations=6)
         m = random_model(rng, g)
         seen = []
         quick_fit(g, m, on_domain=lambda r, s, n, score: seen.append((r, s)))
-        assert seen == sorted(data.extract_domains(g),
+        assert seen == sorted(domain_members(g),
                               key=lambda key: (key[0], key[1] == data.TAIL))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -209,7 +229,7 @@ class TestFitAllDomains:
         g = random_graph(rng)
         m = random_model(rng, g)
         relation, side = min(quick_fit(g, m, epochs=1).ellipsoids,
-                             key=domains._domain_order)
+                             key=lambda key: (key[0], key[1] == data.TAIL))
         with pytest.raises(NumericalError, match=f"domain r{relation}/{side}"
                                                  f": fit diverged"):
             fit_all_domains(g, m, FitConfig(lr=1e300, epochs=3))
