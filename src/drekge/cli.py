@@ -30,8 +30,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import data, domains, ellipsoid, evaluation, models
-from .errors import (ConfigurationError, DataError, DrekgeError,
-                     NumericalError, UnknownLabelError)
+from .errors import ConfigurationError, DrekgeError, UnknownLabelError
 
 log = logging.getLogger("drekge")
 
@@ -191,13 +190,9 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    presets = None
-    if args.dataset is not None:
-        key = (args.dataset, args.variant)
-        if key not in PRESETS:
-            raise _UsageError(f"no preset for dataset {args.dataset!r} with "
-                              f"variant {args.variant!r}")
-        presets = PRESETS[key]
+    # argparse admits only the datasets and variants PRESETS pairs
+    presets = None if args.dataset is None \
+        else PRESETS[args.dataset, args.variant]
     opts = _resolve(args, [*_DATA_KEYS, *_TRAIN_KEYS], presets)
     graph = _load_graph(opts)
     settings = _settings(opts, _TRAIN_KEYS)
@@ -389,22 +384,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except (DrekgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 1
-    except (DataError, UnknownLabelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DrekgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, _UsageError):
+            parser.print_usage(sys.stderr)
+        return exc.exit_code if isinstance(exc, DrekgeError) else 2
 
 
 if __name__ == "__main__":

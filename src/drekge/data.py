@@ -62,9 +62,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._index
-
 
 def _distinct(codes: np.ndarray) -> np.ndarray:
     """Sorted distinct values of a non-negative integer array."""

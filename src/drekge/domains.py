@@ -15,11 +15,14 @@ In memory a ``DomainModel`` holds the records of its file, and this is
 the only module that knows their layout:
 
     DREDOM v1 <rel_dim> <n_fitted> <n_skipped> <fingerprint hex16>\\n
-    per fitted domain, sorted by the slot code 2 * relation + side flag:
+    per fitted domain, in ascending slot code 2 * relation + side flag:
       int64 relation, int64 side flag (0 head / 1 tail),
       center (k float64), packed lower triangle (k(k+1)/2 float64)
-    per skipped domain, sorted the same way: int64 relation, int64 side flag
+    per skipped domain, in the same order: int64 relation, int64 side flag
     all numbers little-endian
+
+A load accepts only this form, so a loaded ``DomainModel`` is a
+read-only view of its file and saves back to the same bytes.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .ellipsoid import (Ellipsoid, FitConfig, fit_stack, scores_test,
 from .errors import (ConfigurationError, FormatError, NumericalError,
                      StaleDomainModelError)
 from .models import (EmbeddingModel, _groups, check_fits, project_all,
-                     project_slots)
+                     project_slots, read_artifact)
 
 DOMAIN_MAGIC = "DREDOM"
 DOMAIN_VERSION = "v1"
@@ -52,7 +55,7 @@ STACK_BYTES = 4 << 20
 
 _SIDE_FLAGS = {HEAD: 0, TAIL: 1}
 
-_FINGERPRINT = re.compile("[0-9a-fA-F]{16}")
+_FINGERPRINT = re.compile("[0-9a-f]{16}")
 _SLOT = np.dtype([("relation", "<i8"), ("flag", "<i8")])
 
 
@@ -267,40 +270,20 @@ def save_domains(domain_model: DomainModel, path: str) -> None:
         fh.write(domain_model.skipped)
 
 
-def _by_code(records: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """``records`` sorted by their slot ``codes``; records already in
-    order are returned as they are."""
-    if (codes[1:] < codes[:-1]).any():
-        return records[np.argsort(codes, kind="stable")]
-    return records
-
-
 def load_domains(path: str) -> DomainModel:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise FormatError(f"{path}: missing header line")
-    fields = raw[:nl].decode("ascii", errors="replace").split(" ")
-    if len(fields) != 6 or fields[0] != DOMAIN_MAGIC:
-        raise FormatError(f"{path}: not a {DOMAIN_MAGIC} file")
-    if fields[1] != DOMAIN_VERSION:
-        raise FormatError(f"{path}: unsupported version {fields[1]!r}")
-    try:
-        k, n_fitted, n_skipped = (int(x) for x in fields[2:5])
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad header counts") from exc
-    # int(x, 16) alone would also take a sign, underscores and spaces
-    if not _FINGERPRINT.fullmatch(fields[5]):
-        raise FormatError(f"{path}: fingerprint must be 16 hex digits")
-    fingerprint = int(fields[5], 16)
-    if k < 1 or n_fitted < 0 or n_skipped < 0:
+    (_, _, k, n_fitted, n_skipped, fingerprint), body = read_artifact(
+        path, DOMAIN_MAGIC, 6, slice(2, 5))
+    # int(x, 16) alone would also take a sign, underscores, spaces and
+    # upper case
+    if not _FINGERPRINT.fullmatch(fingerprint):
+        raise FormatError(f"{path}: fingerprint must be 16 hex digits, "
+                          f"in lower case")
+    if k < 1:
         raise FormatError(f"{path}: bad header counts")
 
     # sized in Python ints before any dtype is built: a huge k would
     # not fit a dtype's shape
     record_size = _SLOT.itemsize + 8 * (k + k * (k + 1) // 2)
-    body = memoryview(raw)[nl + 1:]
     expected = n_fitted * record_size + n_skipped * _SLOT.itemsize
     if len(body) != expected:
         raise FormatError(f"{path}: body is {len(body)} bytes, expected "
@@ -333,11 +316,17 @@ def load_domains(path: str) -> DomainModel:
                           if non_finite[bad[0]] else
                           f"{path}: factor diagonal must be positive")
     codes = _codes(relation, flag)
-    ordered = np.sort(codes)
-    twice = np.flatnonzero(np.diff(ordered) == 0)
+    lists = codes[:n_fitted], codes[n_fitted:]
+    # a repeat next to itself, or a skipped slot that is also fitted, is
+    # named before any order is checked
+    twice = np.concatenate([part[1:][part[1:] == part[:-1]]
+                            for part in lists]
+                           + [lists[1][np.isin(lists[1], lists[0])]])
     if twice.size:
-        code = int(ordered[twice[0]])
+        code = int(twice[0])
         raise FormatError(f"{path}: domain r{code >> 1}/{SIDES[code & 1]} "
                           f"is listed twice")
-    return DomainModel(k, fingerprint, _by_code(fitted, codes[:n_fitted]),
-                       _by_code(skipped, codes[n_fitted:]))
+    if any((part[1:] < part[:-1]).any() for part in lists):
+        raise FormatError(f"{path}: domain records are not in ascending "
+                          f"slot order")
+    return DomainModel(k, int(fingerprint, 16), fitted, skipped)

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: configuration and usage problems exit
-with 1, broken input data or artifact files with 2, numerical failures
-(diverged training or domain fits, non-finite candidate scores) with 3.
+Each type carries the CLI's exit code for it, and subclasses inherit
+theirs: configuration and usage problems exit with 1, broken input data
+or artifact files with 2, numerical failures (diverged training or domain
+fits, non-finite candidate scores) with 3.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 class DrekgeError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 1
 
 
 class ConfigurationError(DrekgeError):
@@ -20,6 +23,8 @@ class ConfigurationError(DrekgeError):
 class DataError(DrekgeError):
     """Broken input data: unparseable triple files, corrupt or truncated
     model files, unknown entity or relation labels."""
+
+    exit_code = 2
 
 
 class ParseError(DataError):
@@ -59,6 +64,8 @@ class StaleDomainModelError(DrekgeError):
 
 class NumericalError(DrekgeError):
     """Numerical failure outside training (non-finite intermediate)."""
+
+    exit_code = 3
 
 
 class TrainingDivergedError(NumericalError):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -29,6 +30,10 @@ DISSIMILARITIES = ("l1", "l2")
 
 MODEL_MAGIC = "DREKGE"
 MODEL_VERSION = "v1"
+
+# a header count as the writers print it: decimal digits, no sign, no
+# leading zero
+_COUNT = re.compile("0|[1-9][0-9]*")
 
 
 @dataclass
@@ -518,36 +523,42 @@ def _model_chunks(model: EmbeddingModel):
     yield struct.pack("<Q", payload)
 
 
-def model_bytes(model: EmbeddingModel) -> bytes:
-    return b"".join(_model_chunks(model))
-
-
 def save_model(model: EmbeddingModel, path: str) -> None:
     with open(path, "wb") as fh:
         for chunk in _model_chunks(model):
             fh.write(chunk)
 
 
-def load_model(path: str) -> EmbeddingModel:
+def read_artifact(path: str, magic: str, n_fields: int,
+                  counts: slice) -> tuple[list, memoryview]:
+    """The header fields and the body of a v1 artifact file, accepted
+    only in the form its writer prints: an ASCII line of ``n_fields``
+    fields joined by single spaces, the first ``magic`` and the second
+    ``v1``, then the body. The fields in ``counts`` come back as ints;
+    each must match ``_COUNT``. The body is a view of the bytes read."""
     with open(path, "rb") as fh:
         raw = fh.read()
     nl = raw.find(b"\n")
     if nl < 0:
         raise FormatError(f"{path}: missing header line")
     fields = raw[:nl].decode("ascii", errors="replace").split(" ")
-    if len(fields) != 8 or fields[0] != MODEL_MAGIC:
-        raise FormatError(f"{path}: not a {MODEL_MAGIC} model file")
-    if fields[1] != MODEL_VERSION:
+    if len(fields) != n_fields or fields[0] != magic:
+        raise FormatError(f"{path}: not a {magic} file")
+    if fields[1] != "v1":
         raise FormatError(f"{path}: unsupported version {fields[1]!r}")
-    variant, dissim = fields[2], fields[7]
+    if not all(_COUNT.fullmatch(x) for x in fields[counts]):
+        raise FormatError(f"{path}: bad header counts")
+    fields[counts] = [int(x) for x in fields[counts]]
+    return fields, memoryview(raw)[nl + 1:]
+
+
+def load_model(path: str) -> EmbeddingModel:
+    (_, _, variant, n_e, n_r, d, k, dissim), body = read_artifact(
+        path, MODEL_MAGIC, 8, slice(3, 7))
     if variant not in VARIANTS:
         raise FormatError(f"{path}: unknown variant {variant!r}")
     if dissim not in DISSIMILARITIES:
         raise FormatError(f"{path}: unknown dissimilarity {dissim!r}")
-    try:
-        n_e, n_r, d, k = (int(x) for x in fields[3:7])
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad header counts") from exc
     if min(n_e, n_r, d, k) < 1:
         raise FormatError(f"{path}: bad header counts")
 
@@ -556,7 +567,6 @@ def load_model(path: str) -> EmbeddingModel:
     sizes = [math.prod(shape) for shape in shapes]
     expected = sum(sizes) * 8
 
-    body = memoryview(raw)[nl + 1:]
     if len(body) != expected + 8:
         raise FormatError(f"{path}: payload is {len(body)} bytes, expected "
                           f"{expected + 8}")
@@ -564,6 +574,9 @@ def load_model(path: str) -> EmbeddingModel:
     if footer != expected:
         raise FormatError(f"{path}: payload length check failed "
                           f"({footer} != {expected})")
+    if variant == "transe" and k != d:
+        raise FormatError(f"{path}: transe has no projection; its rel_dim "
+                          f"{k} must equal its dim {d}")
 
     flat = np.frombuffer(body, dtype="<f8", count=expected // 8)
     cuts = np.cumsum(sizes)[:-1]

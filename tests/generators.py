@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 
-from drekge import domains
+from drekge import domains, models
 from drekge.data import SIDES, KnowledgeGraph, build_graph
 from drekge.domains import DomainModel
 from drekge.ellipsoid import Ellipsoid
@@ -66,6 +66,11 @@ def random_model(rng: np.random.Generator, graph: KnowledgeGraph,
         tail_proj = rng.normal(scale=0.6, size=(n_r, k, dim))
     return EmbeddingModel(variant, dissimilarity, ent, rel, head_proj,
                           tail_proj)
+
+
+def model_bytes(model: EmbeddingModel) -> bytes:
+    """The bytes ``models.save_model`` writes for ``model``."""
+    return b"".join(models._model_chunks(model))
 
 
 def random_ellipsoid(rng: np.random.Generator, k: int,

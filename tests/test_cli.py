@@ -1,4 +1,6 @@
+import itertools
 import json
+import logging
 import os
 from dataclasses import replace
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from drekge import data
-from drekge.cli import main
+from drekge.cli import PRESETS, build_parser, main
 from drekge.evaluation import evaluate, format_report
 from drekge.domains import (fit_all_domains, load_domains, penalties_all,
                             save_domains)
@@ -46,6 +48,15 @@ def foreign(tmp_path):
     assert main(["fit-domains", *args, "--model", model, "--fit-epochs", "2",
                  "--out", doms]) == 0
     return g, model, doms
+
+
+@pytest.fixture()
+def walkthrough(tmp_path):
+    """The triple-file flags of the README walkthrough's graph."""
+    d = tmp_path / "walk"
+    save_graph(random_graph(np.random.default_rng(0)), str(d))
+    return ["--train", str(d / "train.txt"), "--valid", str(d / "valid.txt"),
+            "--test", str(d / "test.txt")]
 
 
 def run_train(dataset, out, extra=()):
@@ -695,9 +706,209 @@ class TestFailureModes:
         assert list(tmp_path.iterdir()) == [tmp_path / "data"]
         capsys.readouterr()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("flag,what", [("--margin", "loss"),
+                                           ("--lr", "entity_vecs")])
+    def test_diverged_training_exits_three_without_a_model(
+            self, walkthrough, tmp_path, capsys, flag, what):
+        out = tmp_path / "never.bin"
+        assert main(["train", *walkthrough, flag, "1e308", "--epochs", "1",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"error: training diverged at epoch 0: non-finite {what}" \
+            in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_staged_init_must_be_a_transe_model(self, dataset, tmp_path,
+                                                capsys):
+        base, transr = str(tmp_path / "base.bin"), str(tmp_path / "r.bin")
+        out = tmp_path / "never.bin"
+        assert run_train(dataset, base) == 0
+        staged = ["--dim", "6", "--epochs", "1"]
+        assert main(["train", *dataset["args"], "--variant", "transr",
+                     "--init-model", base, *staged, "--out", transr]) == 0
+        capsys.readouterr()
+        assert main(["train", *dataset["args"], "--variant", "stranse",
+                     "--init-model", transr, *staged,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: staged init must be a transe model, got 'transr'" \
+            in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_transe_resumes_from_a_transe_model(self, dataset, tmp_path):
+        base, resumed = tmp_path / "base.bin", tmp_path / "resumed.bin"
+        fresh = tmp_path / "fresh.bin"
+        assert run_train(dataset, str(base)) == 0
+        assert run_train(dataset, str(resumed),
+                         extra=["--init-model", str(base)]) == 0
+        assert run_train(dataset, str(fresh)) == 0
+        # the same seed and flags from other starting parameters
+        assert resumed.read_bytes() != fresh.read_bytes()
+        assert load_model(str(resumed)).variant == "transe"
+
+    def test_evaluating_an_empty_split_exits_one(self, dataset, tmp_path,
+                                                 capsys):
+        model = str(tmp_path / "m.bin")
+        run_train(dataset, model)
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        report = tmp_path / "r.txt"
+        capsys.readouterr()
+        assert main(["evaluate", *dataset["args"][:4], "--test", str(empty),
+                     "--model", model, "--report-out", str(report)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "error: test split is empty" in out.err
+        assert "Traceback" not in out.err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("content,message", [
+        (None, "cannot read config file"),
+        ("{", "config file is not valid JSON"),
+        ("[1]", "config file must hold a JSON object")],
+        ids=["missing", "not-json", "not-an-object"])
+    def test_an_unusable_config_file_exits_one(self, dataset, tmp_path,
+                                               capsys, content, message):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        out = tmp_path / "x.bin"
+        assert main(["train", *dataset["args"], "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_training_logs_every_validation(self, dataset, tmp_path,
+                                            caplog):
+        caplog.set_level(logging.INFO, logger="drekge")
+        out = tmp_path / "m.bin"
+        assert run_train(dataset, str(out), extra=["--eval-every", "1"]) == 0
+        assert caplog.text.count("validation filtered hits@10") == 3
+        assert out.exists()
+
+    @pytest.fixture()
+    def written(self, dataset, tmp_path):
+        """A model with dim 12, so every header holds a two-digit count,
+        and its domain file."""
+        model, doms = tmp_path / "m.bin", tmp_path / "d.bin"
+        assert run_train(dataset, str(model), extra=["--dim", "12"]) == 0
+        assert main(["fit-domains", *dataset["args"], "--model", str(model),
+                     "--fit-epochs", "2", "--out", str(doms)]) == 0
+        return model, doms
+
+    def evaluate_refused(self, dataset, tmp_path, capsys, model, doms):
+        """Exit code and stderr of ``evaluate`` on the given files, which
+        must print nothing, write no report and raise no traceback."""
+        report = tmp_path / "r.txt"
+        capsys.readouterr()
+        rc = main(["evaluate", *dataset["args"], "--model", str(model),
+                   "--domains", str(doms), "--report-out", str(report)])
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "Traceback" not in out.err
+        assert not report.exists()
+        return rc, out.err
+
+    @pytest.mark.parametrize("form", ["+12", "012", "1_2", "12\t"],
+                             ids=["sign", "leading-zero", "underscore",
+                                  "tab"])
+    @pytest.mark.parametrize("artifact", ["model", "domains"])
+    def test_a_header_count_in_another_form_exits_two(
+            self, dataset, tmp_path, capsys, written, artifact, form):
+        # int() reads each of these forms as 12; no writer prints them
+        model, doms = written
+        path, at = (model, 5) if artifact == "model" else (doms, 2)
+        header, body = path.read_bytes().split(b"\n", 1)
+        fields = header.split(b" ")
+        assert fields[at] == b"12"
+        fields[at] = form.encode()
+        path.write_bytes(b" ".join(fields) + b"\n" + body)
+        rc, err = self.evaluate_refused(dataset, tmp_path, capsys, model,
+                                        doms)
+        assert rc == 2
+        assert f"error: {path}: bad header counts" in err
+
+    @staticmethod
+    def reverse_fitted(blob):
+        header, body = blob.split(b"\n", 1)
+        fields = header.split(b" ")
+        k, n_fitted = int(fields[2]), int(fields[3])
+        assert n_fitted >= 2
+        rec = 16 + 8 * (k + k * (k + 1) // 2)
+        records = [body[i:i + rec] for i in range(0, n_fitted * rec, rec)]
+        return (header + b"\n" + b"".join(records[::-1])
+                + body[n_fitted * rec:])
+
+    @staticmethod
+    def upper_fingerprint(blob):
+        header, body = blob.split(b"\n", 1)
+        return header[:-16] + header[-16:].upper() + b"\n" + body
+
+    @staticmethod
+    def slot_flag_two(blob):
+        header, body = blob.split(b"\n", 1)
+        return header + b"\n" + body[:8] + (2).to_bytes(8, "little") \
+            + body[16:]
+
+    @staticmethod
+    def zero_entities(blob):
+        fields = blob.split(b" ", 4)
+        fields[3] = b"0"
+        return b" ".join(fields)
+
+    @staticmethod
+    def transe_of_two_sizes(blob):
+        # 16 entities, 2 relations, dim 2 and rel_dim 4: the payload
+        # length fits, but transe has no projection between the two
+        payload = 8 * (16 * 2 + 2 * 4)
+        return (b"DREKGE v1 transe 16 2 2 4 l1\n" + bytes(payload)
+                + payload.to_bytes(8, "little"))
+
+    @pytest.mark.parametrize("artifact,edit,message", [
+        ("model", lambda blob: b"DREKGE v1 transe", "missing header line"),
+        ("model", lambda blob: blob.replace(b" l1\n", b" l3\n", 1),
+         "unknown dissimilarity 'l3'"),
+        ("model", zero_entities, "bad header counts"),
+        ("model", transe_of_two_sizes, "rel_dim 4 must equal its dim 2"),
+        ("domains", lambda blob: b"DREDOM v1 12 0 0 0123456789abcdef",
+         "missing header line"),
+        ("domains", lambda blob: b"DREDOM v1 0 0 0 0123456789abcdef\n",
+         "bad header counts"),
+        ("domains", slot_flag_two, "bad domain slot: relation 0, side "
+                                     "flag 2"),
+        ("domains", upper_fingerprint, "16 hex digits, in lower case"),
+        ("domains", reverse_fitted, "not in ascending slot order")],
+        ids=["model-no-header-line", "model-dissimilarity",
+             "model-zero-count", "model-transe-rel-dim",
+             "domains-no-header-line", "domains-zero-k", "domains-slot",
+             "domains-upper-case-fingerprint", "domains-reversed"])
+    def test_an_artifact_not_in_its_writers_form_exits_two(
+            self, dataset, tmp_path, capsys, written, artifact, edit,
+            message):
+        model, doms = written
+        path = model if artifact == "model" else doms
+        path.write_bytes(edit(path.read_bytes()))
+        rc, err = self.evaluate_refused(dataset, tmp_path, capsys, model,
+                                        doms)
+        assert rc == 2
+        assert err.startswith(f"error: {path}: ") and message in err
+
 
 class _IndexBuilt(Exception):
     pass
+
+
+class TestPresets:
+    def test_every_dataset_and_variant_choice_has_a_preset(self):
+        train = build_parser().parse_args(["train", "--out", "x"]).parser
+        choices = {action.dest: action.choices for action in train._actions}
+        assert set(PRESETS) == set(itertools.product(choices["dataset"],
+                                                     choices["variant"]))
 
 
 class TestFilterIndexIsLazy:

@@ -10,11 +10,10 @@ from drekge.data import build_graph
 from drekge.errors import ConfigurationError, FormatError
 from drekge.evaluation import validation_hits10
 from drekge.models import (EmbeddingModel, TrainConfig, load_model,
-                           model_bytes, project_all, project_slots,
-                           save_model, score_all, score_gradients,
-                           score_triple, train)
+                           project_all, project_slots, save_model,
+                           score_all, score_gradients, score_triple, train)
 
-from generators import random_graph, random_model
+from generators import model_bytes, random_graph, random_model
 
 
 def tiny_model(variant="transe", dissim="l1"):
