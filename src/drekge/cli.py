@@ -383,7 +383,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # an overflow is reported once, by its NumericalError (exit 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (DrekgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, _UsageError):

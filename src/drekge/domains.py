@@ -111,13 +111,50 @@ class _Ellipsoids(Mapping):
 class DomainModel:
     """The records of a domain file: ``fitted`` (relation, flag, center,
     packed lower-triangular factor) and ``skipped`` (relation, flag),
-    each sorted by slot code, with no negative relation id. Compared by
-    identity: record arrays have no single truth value."""
+    each sorted by slot code, with no negative relation id; a model is
+    checked for this when it is built. Compared by identity: record
+    arrays have no single truth value."""
 
     rel_dim: int
     model_fingerprint: int
     fitted: np.ndarray
     skipped: np.ndarray
+
+    def __post_init__(self) -> None:
+        """Refuse records that a lookup would miss or misread: bad slots,
+        non-finite or non-positive-diagonal ellipsoids, repeats, disorder."""
+        fitted, skipped, k = self.fitted, self.skipped, self.rel_dim
+        relation = np.concatenate([fitted["relation"], skipped["relation"]])
+        flag = np.concatenate([fitted["flag"], skipped["flag"]])
+        bad = np.flatnonzero((relation < 0) | ((flag != 0) & (flag != 1)))
+        if bad.size:
+            raise FormatError(f"bad domain slot: relation "
+                              f"{relation[bad[0]]}, side flag "
+                              f"{flag[bad[0]]}")
+        # the first bad record decides the message, checked in the order
+        # finiteness, diagonal sign
+        diag = fitted["tril"][:, np.cumsum(np.arange(1, k + 1)) - 1]
+        non_finite = ~(np.isfinite(fitted["center"]).all(axis=1)
+                       & np.isfinite(fitted["tril"]).all(axis=1))
+        bad = np.flatnonzero(non_finite | (diag <= 0).any(axis=1))
+        if bad.size:
+            raise FormatError("non-finite ellipsoid values"
+                              if non_finite[bad[0]] else
+                              "factor diagonal must be positive")
+        codes = _codes(relation, flag)
+        lists = codes[:len(fitted)], codes[len(fitted):]
+        # a repeat next to itself, or a skipped slot that is also fitted,
+        # is named before any order is checked
+        twice = np.concatenate([part[1:][part[1:] == part[:-1]]
+                                for part in lists]
+                               + [lists[1][np.isin(lists[1], lists[0])]])
+        if twice.size:
+            code = int(twice[0])
+            raise FormatError(f"domain r{code >> 1}/{SIDES[code & 1]} "
+                              f"is listed twice")
+        if any((part[1:] < part[:-1]).any() for part in lists):
+            raise FormatError("domain records are not in ascending slot "
+                              "order")
 
     @property
     def n_fitted(self) -> int:
@@ -298,35 +335,7 @@ def load_domains(path: str) -> DomainModel:
     fitted = np.frombuffer(body, dtype=record, count=n_fitted)
     skipped = np.frombuffer(body, dtype=_SLOT, count=n_skipped,
                             offset=n_fitted * record_size)
-
-    relation = np.concatenate([fitted["relation"], skipped["relation"]])
-    flag = np.concatenate([fitted["flag"], skipped["flag"]])
-    bad = np.flatnonzero((relation < 0) | ((flag != 0) & (flag != 1)))
-    if bad.size:
-        raise FormatError(f"{path}: bad domain slot: relation "
-                          f"{relation[bad[0]]}, side flag {flag[bad[0]]}")
-    # the first bad record decides the message, checked in the order
-    # finiteness, diagonal sign
-    diag = fitted["tril"][:, np.cumsum(np.arange(1, k + 1)) - 1]
-    non_finite = ~(np.isfinite(fitted["center"]).all(axis=1)
-                   & np.isfinite(fitted["tril"]).all(axis=1))
-    bad = np.flatnonzero(non_finite | (diag <= 0).any(axis=1))
-    if bad.size:
-        raise FormatError(f"{path}: non-finite ellipsoid values"
-                          if non_finite[bad[0]] else
-                          f"{path}: factor diagonal must be positive")
-    codes = _codes(relation, flag)
-    lists = codes[:n_fitted], codes[n_fitted:]
-    # a repeat next to itself, or a skipped slot that is also fitted, is
-    # named before any order is checked
-    twice = np.concatenate([part[1:][part[1:] == part[:-1]]
-                            for part in lists]
-                           + [lists[1][np.isin(lists[1], lists[0])]])
-    if twice.size:
-        code = int(twice[0])
-        raise FormatError(f"{path}: domain r{code >> 1}/{SIDES[code & 1]} "
-                          f"is listed twice")
-    if any((part[1:] < part[:-1]).any() for part in lists):
-        raise FormatError(f"{path}: domain records are not in ascending "
-                          f"slot order")
-    return DomainModel(k, int(fingerprint, 16), fitted, skipped)
+    try:
+        return DomainModel(k, int(fingerprint, 16), fitted, skipped)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None

@@ -67,7 +67,7 @@ def rank_of_gold(scores: np.ndarray, gold: int,
                  known: np.ndarray | None = None,
                  tie_break: str = "optimistic") -> tuple[int, int]:
     """(rank, tie count) of the gold entity among the candidates left
-    after filtering.
+    after filtering: one setting of ``_ranks``, raw without ``known``.
 
     ``known`` holds distinct entity ids that are filtered out of the
     competition; the gold entity itself is never filtered, listed or
@@ -75,25 +75,27 @@ def rank_of_gold(scores: np.ndarray, gold: int,
     pessimistic ranking also counts every tied competitor. Lower scores
     are better.
     """
-    gold_score = scores[gold]
-    better = int(np.count_nonzero(scores < gold_score))
-    ties = int(np.count_nonzero(scores == gold_score)) - 1
-    if known is not None:
-        rivals = scores[known]
-        better -= int(np.count_nonzero(rivals < gold_score))
-        ties -= int(np.count_nonzero(rivals == gold_score)) \
-            - int(np.count_nonzero(known == gold))
-    rank = 1 + better
-    if tie_break == "pessimistic":
-        rank += ties
-    return rank, ties
+    if known is None:
+        return _ranks(scores, gold, np.empty(0, np.int64), tie_break)[:2]
+    return _ranks(scores, gold, known, tie_break)[2:]
 
 
 def _ranks(scores: np.ndarray, gold: int, known: np.ndarray,
            tie_break: str) -> tuple[int, int, int, int]:
-    """(raw rank, raw ties, filtered rank, filtered ties)."""
-    return (*rank_of_gold(scores, gold, None, tie_break),
-            *rank_of_gold(scores, gold, known, tie_break))
+    """(raw rank, raw ties, filtered rank, filtered ties) of the gold
+    entity, as ``rank_of_gold`` defines them. Every candidate is counted
+    once; the filtered counts take the known rivals' share away from the
+    raw ones."""
+    gold_score = scores[gold]
+    better = int(np.count_nonzero(scores < gold_score))
+    ties = int(np.count_nonzero(scores == gold_score)) - 1
+    rivals = scores[known]
+    kept_better = better - int(np.count_nonzero(rivals < gold_score))
+    kept_ties = ties - int(np.count_nonzero(rivals == gold_score)) \
+        + int(np.count_nonzero(known == gold))
+    if tie_break == "pessimistic":
+        return 1 + better + ties, ties, 1 + kept_better + kept_ties, kept_ties
+    return 1 + better, ties, 1 + kept_better, kept_ties
 
 
 # the score terms summarized over predictions; a report without domains
@@ -131,47 +133,6 @@ def score_query(graph: KnowledgeGraph, model: EmbeddingModel,
     return base, pen, _combined(base, pen, relation)
 
 
-def _rank_slot(graph: KnowledgeGraph, model: EmbeddingModel,
-               domain_model: DomainModel | None, relation: int, side: str,
-               cand: np.ndarray, rows: np.ndarray, triples: np.ndarray,
-               tie_break: str, ranks: np.ndarray, terms: np.ndarray | None,
-               missing: np.ndarray) -> None:
-    """Rank every prediction of one slot for the triples sharing its
-    relation (rows ``rows`` of the split ``triples``), from the slot's
-    ``project_all`` candidates ``cand``.
-
-    Triple ``i`` of the split predicts its head into row ``2 i`` and its
-    tail into row ``2 i + 1`` of ``ranks`` (baseline and penalized
-    ``_ranks``), ``terms`` (one row per ``_TERMS`` entry; not computed
-    when ``None``) and ``missing``. The slot's penalties and their median
-    are computed once; each query is scored once, and the baseline and
-    penalized ranks both come from those scores.
-    """
-    col = 0 if side == HEAD else 1
-    pen = None if domain_model is None else \
-        penalties_all(domain_model, model, relation, side, cand)
-    med_pen = 0.0 if pen is None else float(np.median(pen))
-    for test_idx, (h, _, t) in zip(rows.tolist(), triples[rows].tolist()):
-        row = 2 * test_idx + col
-        if side == HEAD:
-            gold = h
-            base = score_all(model, relation, tail=t, projected=cand)
-            known = graph.heads_by_rt[(relation, t)]
-        else:
-            gold = t
-            base = score_all(model, relation, head=h, projected=cand)
-            known = graph.tails_by_hr[(h, relation)]
-        scores = _combined(base, pen, relation)
-
-        ranks[0, row] = _ranks(base, gold, known, tie_break)
-        ranks[1, row] = ranks[0, row] if pen is None \
-            else _ranks(scores, gold, known, tie_break)
-        missing[row] = pen is None
-        if terms is not None:
-            terms[:, row] = (base[gold], np.median(base),
-                             0.0 if pen is None else pen[gold], med_pen)
-
-
 def _split_triples(graph: KnowledgeGraph, model: EmbeddingModel,
                    split: str) -> np.ndarray:
     """The triples of ``split``, after checking that ``model`` fits the
@@ -190,14 +151,19 @@ def _rank_split(graph: KnowledgeGraph, model: EmbeddingModel,
                 triples: np.ndarray, tie_break: str,
                 with_terms: bool) \
         -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """The one ranking pass over ``triples``: (ranks, terms, missing) as
-    ``_rank_slot`` fills them, ``terms`` only ``with_terms``.
+    """The one ranking loop over ``triples``: (ranks, terms, missing).
+
+    Triple ``i`` predicts its head into row ``2 i`` and its tail into
+    row ``2 i + 1`` of ``ranks`` (baseline and penalized ``_ranks``),
+    ``terms`` (one row per ``_TERMS`` entry; None unless ``with_terms``)
+    and ``missing``. Each query is scored once, and the baseline and
+    penalized ranks both come from those scores.
 
     Work is grouped by relation, each group in split order, so each
-    slot's penalties are computed once per group. Candidates are
-    projected once per distinct projection (once per call for transe,
-    once per relation for transr, once per slot for stranse), and no
-    other (k, |E|) array is held.
+    slot's penalties and their median are computed once per group.
+    Candidates are projected once per distinct projection (once per call
+    for transe, once per relation for transr, once per slot for
+    stranse), and no other (k, |E|) array is held.
     """
     n_pred = 2 * len(triples)
     ranks = np.empty((2, n_pred, 4), dtype=np.int64)  # baseline, penalized
@@ -207,13 +173,33 @@ def _rank_split(graph: KnowledgeGraph, model: EmbeddingModel,
     # and kept while the next slots share it
     key = cand = None
     for relation, rows in _groups(triples[:, 1]):
-        for side in (HEAD, TAIL):
+        for col, side in enumerate((HEAD, TAIL)):
             slot_key = _projection_key(model, relation, side)
             if cand is None or slot_key != key:
                 cand = None   # free the last candidates before the next
                 key, cand = slot_key, project_all(model, relation, side)
-            _rank_slot(graph, model, domain_model, relation, side, cand,
-                       rows, triples, tie_break, ranks, terms, missing)
+            pen = None if domain_model is None else \
+                penalties_all(domain_model, model, relation, side, cand)
+            med_pen = 0.0 if pen is None else float(np.median(pen))
+            for i, (h, _, t) in zip(rows.tolist(), triples[rows].tolist()):
+                row = 2 * i + col
+                if side == HEAD:
+                    gold = h
+                    base = score_all(model, relation, tail=t, projected=cand)
+                    known = graph.heads_by_rt[(relation, t)]
+                else:
+                    gold = t
+                    base = score_all(model, relation, head=h, projected=cand)
+                    known = graph.tails_by_hr[(h, relation)]
+                scores = _combined(base, pen, relation)
+                ranks[0, row] = _ranks(base, gold, known, tie_break)
+                ranks[1, row] = ranks[0, row] if pen is None \
+                    else _ranks(scores, gold, known, tie_break)
+                missing[row] = pen is None
+                if with_terms:
+                    terms[:, row] = (base[gold], np.median(base),
+                                     0.0 if pen is None else pen[gold],
+                                     med_pen)
     return ranks, terms, missing
 
 

@@ -185,11 +185,10 @@ def _norms(diff: np.ndarray, dissimilarity: str) -> np.ndarray:
 
 
 def score_triple(model: EmbeddingModel, triple: tuple[int, int, int]) -> float:
-    h, r, t = triple
-    head, tail = project_slots(model, np.array([[h], [t]]), np.array([r, r]),
-                               (HEAD, TAIL))[:, 0]
-    return float(_norms(head + model.relation_vecs[r] - tail,
-                        model.dissimilarity))
+    """The score of one id triple: the one-row case of the training
+    forward path, ``_residuals`` then ``_norms``."""
+    row = np.array([triple], dtype=np.int64)
+    return float(_norms(_residuals(model, row), model.dissimilarity)[0])
 
 
 def score_all(model: EmbeddingModel, relation: int, *, head: int | None = None,

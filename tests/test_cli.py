@@ -293,7 +293,6 @@ class TestFailureModes:
         assert not doms.exists()
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_an_overflowing_fit_exits_three_without_a_file(self, dataset,
                                                            tmp_path,
                                                            capsys):
@@ -307,6 +306,7 @@ class TestFailureModes:
         assert not doms.exists()
         err = capsys.readouterr().err
         assert "fit diverged" in err and "mean fit score" not in err
+        assert "RuntimeWarning" not in err
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command", ["train", "fit-domains"])
@@ -564,7 +564,10 @@ class TestFailureModes:
         dm = load_domains(doms)
         fitted = dm.fitted.copy()
         fitted["center"][0] = np.nan
-        save_domains(replace(dm, fitted=fitted), doms)
+        with open(doms, "rb") as fh:
+            header = fh.readline()
+        with open(doms, "wb") as fh:
+            fh.write(header + fitted.tobytes() + dm.skipped.tobytes())
         capsys.readouterr()
         rc = main(["predict", *dataset["args"], "--model", model,
                    "--domains", doms,
@@ -664,7 +667,6 @@ class TestFailureModes:
         assert captured.out == ""
         assert "listed twice" in captured.err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_scores_exit_three_without_a_report(self, dataset,
                                                             tmp_path, capsys):
         model = str(tmp_path / "m.bin")
@@ -677,9 +679,9 @@ class TestFailureModes:
                    "--report-out", str(report)])
         assert rc == 3
         assert not report.exists()
-        assert "non-finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "RuntimeWarning" not in err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_scores_exit_three_without_a_ranking(self, dataset,
                                                              tmp_path,
                                                              capsys):
@@ -696,6 +698,7 @@ class TestFailureModes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "non-finite" in captured.err
+        assert "RuntimeWarning" not in captured.err
 
     def test_failed_output_leaves_no_partial_files(self, dataset, tmp_path,
                                                    capsys):
@@ -706,7 +709,6 @@ class TestFailureModes:
         assert list(tmp_path.iterdir()) == [tmp_path / "data"]
         capsys.readouterr()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("flag,what", [("--margin", "loss"),
                                            ("--lr", "entity_vecs")])
     def test_diverged_training_exits_three_without_a_model(
@@ -717,7 +719,7 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert f"error: training diverged at epoch 0: non-finite {what}" \
             in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
         assert not out.exists()
 
     def test_staged_init_must_be_a_transe_model(self, dataset, tmp_path,

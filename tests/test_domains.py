@@ -411,16 +411,26 @@ class TestSerialization:
         dm = random_domain_model(rng, g, m, coverage=0.6)
         assert dm.n_fitted >= 2 and len(dm.skipped) >= 2
         path = tmp_path / "dom.bin"
-        save_domains(replace(dm, fitted=dm.fitted[::-1].copy(),
-                             skipped=dm.skipped[::-1].copy()), str(path))
-        reversed_bytes = path.read_bytes()
         save_domains(dm, str(path))
+        header = path.read_bytes().split(b"\n", 1)[0]
+        reversed_bytes = (header + b"\n" + dm.fitted[::-1].tobytes()
+                          + dm.skipped[::-1].tobytes())
         assert reversed_bytes != path.read_bytes()
 
         # a load never re-sorts: records out of order are broken input
         path.write_bytes(reversed_bytes)
         with pytest.raises(FormatError, match="ascending slot order"):
             load_domains(str(path))
+
+    def test_records_out_of_order_are_refused_when_built(self):
+        rng = np.random.default_rng(118)
+        g = random_graph(rng)
+        m = random_model(rng, g)
+        dm = random_domain_model(rng, g, m, coverage=1.0)
+        assert dm.n_fitted >= 2
+        # every lookup of such a model would miss
+        with pytest.raises(FormatError, match="ascending slot order"):
+            replace(dm, fitted=dm.fitted[::-1].copy())
 
     def test_fingerprint_survives_the_file(self, tmp_path):
         rng = np.random.default_rng(114)

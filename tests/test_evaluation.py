@@ -43,6 +43,7 @@ class TestRankOfGold:
     def test_filtered_counts_match_brute_force(self, tie_break):
         # few distinct scores, so most candidates tie with the gold
         rng = np.random.default_rng(17)
+        gold_listed = 0
         for _ in range(200):
             n = int(rng.integers(1, 12))
             scores = rng.integers(0, 3, size=n).astype(float)
@@ -54,6 +55,17 @@ class TestRankOfGold:
             rank = 1 + better + (ties if tie_break == "pessimistic" else 0)
             assert rank_of_gold(scores, gold, known, tie_break) == \
                 (rank, ties)
+            # raw: every candidate but the gold competes
+            everyone = [e for e in range(n) if e != gold]
+            raw_ties = sum(scores[e] == scores[gold] for e in everyone)
+            raw = (1 + sum(scores[e] < scores[gold] for e in everyone)
+                   + (raw_ties if tie_break == "pessimistic" else 0), raw_ties)
+            assert rank_of_gold(scores, gold, None, tie_break) == raw
+            # one count gives both settings, as the two views give them
+            assert evaluation._ranks(scores, gold, known, tie_break) == \
+                (*raw, rank, ties)
+            gold_listed += gold in known
+        assert gold_listed > 0
 
 
 def zero_model(graph, dim=4):
