@@ -112,8 +112,9 @@ class DomainModel:
     """The records of a domain file: ``fitted`` (relation, flag, center,
     packed lower-triangular factor) and ``skipped`` (relation, flag),
     each sorted by slot code, with no negative relation id; a model is
-    checked for this when it is built. Compared by identity: record
-    arrays have no single truth value."""
+    checked for this when it is built, and its records are read-only
+    from then on. Compared by identity: record arrays have no single
+    truth value."""
 
     rel_dim: int
     model_fingerprint: int
@@ -155,6 +156,8 @@ class DomainModel:
         if any((part[1:] < part[:-1]).any() for part in lists):
             raise FormatError("domain records are not in ascending slot "
                               "order")
+        # checked records stay as checked: lookups cache their slot codes
+        fitted.flags.writeable = skipped.flags.writeable = False
 
     @property
     def n_fitted(self) -> int:

@@ -161,7 +161,7 @@ def _rank_split(graph: KnowledgeGraph, model: EmbeddingModel,
 
     Work is grouped by relation, each group in split order, so each
     slot's penalties and their median are computed once per group.
-    Candidates are projected once per distinct projection (once per call
+    Candidates are projected once per ``_projection_key`` (once per call
     for transe, once per relation for transr, once per slot for
     stranse), and no other (k, |E|) array is held.
     """

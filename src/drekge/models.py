@@ -2,10 +2,11 @@
 
 Three variants share one score shape: project head and tail entities into
 the relation's space, translate by the relation vector, and measure the
-residual with an L1 or L2 norm. ``transe`` uses no projection,
-``stranse`` separate head and tail matrices per relation, and ``transr``
-is ``stranse`` whose tail matrices *are* its head matrices: one array,
-stored once in the v1 file. Lower scores mean more plausible triples.
+residual with an L1 or L2 norm. A model holds its projection matrices in
+one array ``proj`` of s matrices per relation, and s names the variant:
+``transe`` has none (the identity), ``transr`` one for both slots and
+``stranse`` one per slot. Matrix 0 projects heads and matrix s - 1 tails.
+Lower scores mean more plausible triples.
 
 The projected variants are trained staged: their entity and relation
 vectors start from an already trained ``transe`` model and the projection
@@ -83,19 +84,29 @@ class TrainConfig:
 
 @dataclass
 class EmbeddingModel:
-    variant: str
     dissimilarity: str
     entity_vecs: np.ndarray            # (|E|, d)
     relation_vecs: np.ndarray          # (|R|, k)
-    head_proj: np.ndarray | None = None  # (|R|, k, d); projected variants
-    tail_proj: np.ndarray | None = None  # (|R|, k, d); transr: head_proj itself
+    proj: np.ndarray | None = None     # (s, |R|, k, d); None: s = 0
     _fingerprint: int | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.variant == "transr":
-            if self.tail_proj is not None and self.tail_proj is not self.head_proj:
-                raise ConfigurationError("transr has one matrix per relation")
-            self.tail_proj = self.head_proj
+        if self.proj is None:
+            self.proj = np.empty((0, self.n_relations, self.rel_dim, self.dim))
+
+    @property
+    def variant(self) -> str:
+        return VARIANTS[len(self.proj)]
+
+    @property
+    def head_proj(self) -> np.ndarray | None:
+        """(|R|, k, d) head matrices; None for transe."""
+        return self.proj[0] if len(self.proj) else None
+
+    @property
+    def tail_proj(self) -> np.ndarray | None:
+        """(|R|, k, d) tail matrices; transr's are its head matrices."""
+        return self.proj[-1] if len(self.proj) else None
 
     @property
     def n_entities(self) -> int:
@@ -133,6 +144,11 @@ def check_fits(model: EmbeddingModel, graph: KnowledgeGraph) -> None:
                                  "the graph")
 
 
+def _slot(model: EmbeddingModel, side: str) -> int:
+    """The index in ``proj`` of the matrix that projects ``side``."""
+    return 0 if side == HEAD else len(model.proj) - 1
+
+
 def project_slots(model: EmbeddingModel, entities: np.ndarray,
                   relations: np.ndarray, sides) -> np.ndarray:
     """Rows of entity ids (G, m), row g mapped into the space of slot
@@ -140,12 +156,9 @@ def project_slots(model: EmbeddingModel, entities: np.ndarray,
     gathered first, then projected in one stacked product. A (1, 1)
     block projects one entity into one slot."""
     vecs = model.entity_vecs[entities]
-    if model.head_proj is None:
+    if not len(model.proj):
         return vecs
-    mats = model.head_proj[relations]
-    if model.tail_proj is not model.head_proj:
-        tail = np.array([side == TAIL for side in sides], dtype=bool)
-        mats[tail] = model.tail_proj[relations[tail]]
+    mats = model.proj[[_slot(model, side) for side in sides], relations]
     return vecs @ mats.transpose(0, 2, 1)
 
 
@@ -160,21 +173,18 @@ def project_all(model: EmbeddingModel, relation: int, side: str) -> np.ndarray:
     makes one product ``W @ entity_vecs.T``. The copy belongs to the
     caller, so it goes stale once the parameters change.
     """
-    proj = model.head_proj if side == HEAD else model.tail_proj
-    if proj is None:
+    if not len(model.proj):
         return np.ascontiguousarray(model.entity_vecs.T).T
-    return (proj[relation] @ model.entity_vecs.T).T
+    return (model.proj[_slot(model, side), relation] @ model.entity_vecs.T).T
 
 
 def _projection_key(model: EmbeddingModel, relation: int, side: str):
     """Slots with equal keys get equal ``project_all`` results: every
     transe slot, and the two slots of one transr relation, whose one
     matrix serves both."""
-    if model.head_proj is None:
+    if not len(model.proj):
         return None
-    if model.tail_proj is model.head_proj:
-        return relation
-    return relation, side
+    return _slot(model, side), relation
 
 
 def _norms(diff: np.ndarray, dissimilarity: str) -> np.ndarray:
@@ -256,8 +266,8 @@ def _relation_grads(model: EmbeddingModel, triples: np.ndarray,
     for relation, rows in _groups(triples[:, 1]):
         g_r = g[rows]
         yield (relation, rows,
-               g_r @ model.head_proj[relation],
-               -(g_r @ model.tail_proj[relation]),
+               g_r @ model.proj[0, relation],
+               -(g_r @ model.proj[-1, relation]),
                g_r.T @ ent[triples[rows, 0]],
                -(g_r.T @ ent[triples[rows, 2]]))
 
@@ -272,7 +282,7 @@ def score_gradients(model: EmbeddingModel, triple: tuple[int, int, int]) -> dict
     """
     row = np.array([triple], dtype=np.int64)
     g = _norm_grad(_residuals(model, row), model.dissimilarity)
-    if model.head_proj is None:
+    if not len(model.proj):
         return {"head": g[0], "relation": g[0].copy(), "tail": -g[0]}
     ((_, _, head, tail, head_proj, tail_proj),) = \
         _relation_grads(model, row, g)
@@ -284,37 +294,27 @@ def _init_model(graph: KnowledgeGraph, config: TrainConfig,
                 init: EmbeddingModel | None, rng: np.random.Generator) -> EmbeddingModel:
     n_e, n_r = graph.n_entities, graph.n_relations
     d, k = config.dim, config.k
-    if init is not None:
-        check_fits(init, graph)
-    if config.variant == "transe":
-        if init is not None:
-            if init.variant != "transe" or init.dim != d:
-                raise ConfigurationError("transe can only resume from a "
-                                         "transe model of the same dim")
-            return EmbeddingModel("transe", config.dissimilarity,
-                                  init.entity_vecs.copy(),
-                                  init.relation_vecs.copy())
+    s = VARIANTS.index(config.variant)
+    if init is None:
+        if s:
+            raise ConfigurationError(f"{config.variant} training needs a "
+                                     "trained transe model as init")
         bound = 6.0 / np.sqrt(d)
         return EmbeddingModel(
-            "transe", config.dissimilarity,
+            config.dissimilarity,
             rng.uniform(-bound, bound, size=(n_e, d)),
             rng.uniform(-bound, bound, size=(n_r, d)))
-
-    # projected variants start from a trained transe state
-    if init is None:
-        raise ConfigurationError(
-            f"{config.variant} training needs a trained transe model as init")
+    # a copy of a trained transe state, with s identity matrices
+    check_fits(init, graph)
     if init.variant != "transe":
         raise ConfigurationError("staged init must be a transe model, got "
                                  f"{init.variant!r}")
     if init.dim != d or init.rel_dim != k:
         raise ConfigurationError("staged init requires matching dimensions "
                                  f"(base {init.dim}, requested d={d} k={k})")
-    eye = np.broadcast_to(np.eye(k, d), (n_r, k, d)).copy()
-    tail = eye.copy() if config.variant == "stranse" else None
-    return EmbeddingModel(config.variant, config.dissimilarity,
-                          init.entity_vecs.copy(), init.relation_vecs.copy(),
-                          head_proj=eye, tail_proj=tail)
+    return EmbeddingModel(config.dissimilarity, init.entity_vecs.copy(),
+                          init.relation_vecs.copy(),
+                          np.broadcast_to(np.eye(k, d), (s, n_r, k, d)).copy())
 
 
 def _scatter_add(table: np.ndarray, ids: np.ndarray,
@@ -347,7 +347,7 @@ def _batch_update(model: EmbeddingModel, lr: float,
     """
     ent = model.entity_vecs
     _scatter_add(model.relation_vecs, pos[:, 1], -lr * (g_pos - g_neg))
-    if model.head_proj is None:
+    if not len(model.proj):
         _scatter_add(ent, np.concatenate([pos[:, 0], pos[:, 2],
                                           neg[:, 0], neg[:, 2]]),
                      np.concatenate([-lr * g_pos, lr * g_pos,
@@ -363,8 +363,8 @@ def _batch_update(model: EmbeddingModel, lr: float,
             model, triples, np.concatenate([g_pos, -g_neg])):
         d_ent[rows] = head
         d_ent[n + rows] = tail
-        model.head_proj[relation] -= lr * head_proj
-        model.tail_proj[relation] -= lr * tail_proj
+        model.proj[0, relation] -= lr * head_proj
+        model.proj[-1, relation] -= lr * tail_proj
     _scatter_add(ent, np.concatenate([triples[:, 0], triples[:, 2]]),
                  -lr * d_ent)
 
@@ -474,13 +474,13 @@ def _residuals(model: EmbeddingModel, triples: np.ndarray) -> np.ndarray:
     """(B, k) translation residuals for a batch of id triples."""
     ent, rel = model.entity_vecs, model.relation_vecs
     h, r, t = triples[:, 0], triples[:, 1], triples[:, 2]
-    if model.head_proj is None:
+    if not len(model.proj):
         return ent[h] + rel[r] - ent[t]
     out = np.empty((len(triples), model.rel_dim))
     for relation, rows in _groups(r):
-        out[rows] = (ent[h[rows]] @ model.head_proj[relation].T
+        out[rows] = (ent[h[rows]] @ model.proj[0, relation].T
                      + rel[relation]
-                     - ent[t[rows]] @ model.tail_proj[relation].T)
+                     - ent[t[rows]] @ model.proj[-1, relation].T)
     return out
 
 
@@ -491,21 +491,15 @@ def _residuals(model: EmbeddingModel, triples: np.ndarray) -> np.ndarray:
 # float64 parameter rows and an 8-byte payload length footer:
 #
 #   DREKGE v1 <variant> <n_entities> <n_relations> <dim> <rel_dim> <dissim>\n
-#   entity_vecs, relation_vecs, [head_proj (transr: both slots)], [tail_proj]
+#   entity_vecs, relation_vecs, proj (its s matrices per relation, so the
+#   header's variant gives s: none, head_proj, or head_proj and tail_proj)
 #   <uint64 little-endian: payload byte count>
 # ---------------------------------------------------------------------------
 
-_N_MATRICES = {"transe": 0, "transr": 1, "stranse": 2}
-
 
 def _param_arrays(model: EmbeddingModel) -> list[np.ndarray]:
-    """Every distinct parameter array, in file order."""
-    out = [model.entity_vecs, model.relation_vecs]
-    if model.head_proj is not None:
-        out.append(model.head_proj)
-    if model.tail_proj is not model.head_proj:
-        out.append(model.tail_proj)
-    return out
+    """Every parameter array, in file order; ``proj`` as its s slots."""
+    return [model.entity_vecs, model.relation_vecs, *model.proj]
 
 
 def _model_chunks(model: EmbeddingModel):
@@ -561,7 +555,7 @@ def load_model(path: str) -> EmbeddingModel:
     if min(n_e, n_r, d, k) < 1:
         raise FormatError(f"{path}: bad header counts")
 
-    shapes = [(n_e, d), (n_r, k)] + [(n_r, k, d)] * _N_MATRICES[variant]
+    shapes = [(n_e, d), (n_r, k), (VARIANTS.index(variant), n_r, k, d)]
     # Python ints, so that a huge header cannot wrap around
     sizes = [math.prod(shape) for shape in shapes]
     expected = sum(sizes) * 8
@@ -583,4 +577,4 @@ def load_model(path: str) -> EmbeddingModel:
               for part, shape in zip(np.split(flat, cuts), shapes)]
     if not all(np.isfinite(arr).all() for arr in arrays):
         raise FormatError(f"{path}: non-finite parameter values")
-    return EmbeddingModel(variant, dissim, *arrays)
+    return EmbeddingModel(dissim, *arrays)

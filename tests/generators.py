@@ -59,13 +59,9 @@ def random_model(rng: np.random.Generator, graph: KnowledgeGraph,
     k = dim if rel_dim is None else rel_dim
     ent = rng.normal(size=(n_e, dim))
     rel = rng.normal(size=(n_r, k))
-    head_proj = tail_proj = None
-    if variant in ("transr", "stranse"):
-        head_proj = rng.normal(scale=0.6, size=(n_r, k, dim))
-    if variant == "stranse":
-        tail_proj = rng.normal(scale=0.6, size=(n_r, k, dim))
-    return EmbeddingModel(variant, dissimilarity, ent, rel, head_proj,
-                          tail_proj)
+    proj = rng.normal(scale=0.6,
+                      size=(models.VARIANTS.index(variant), n_r, k, dim))
+    return EmbeddingModel(dissimilarity, ent, rel, proj)
 
 
 def model_bytes(model: EmbeddingModel) -> bytes:

@@ -188,14 +188,25 @@ class TestPipeline:
                                                batch_size=3)), str(lib))
         assert out.read_bytes() == lib.read_bytes()
 
-    def test_staged_variant_via_init_flag(self, dataset, tmp_path):
+    @pytest.mark.parametrize("variant", ["transr", "stranse"])
+    def test_staged_variant_via_init_flag(self, dataset, tmp_path, variant):
         base = str(tmp_path / "transe.bin")
-        out = str(tmp_path / "transr.bin")
+        out = str(tmp_path / f"{variant}.bin")
+        doms = str(tmp_path / "domains.bin")
         run_train(dataset, base)
-        assert main(["train", *dataset["args"], "--variant", "transr",
+        assert main(["train", *dataset["args"], "--variant", variant,
                      "--dim", "6", "--epochs", "2", "--seed", "0",
                      "--init-model", base, "--out", out]) == 0
-        assert load_model(out).variant == "transr"
+        assert load_model(out).variant == variant
+        # and on through every later stage
+        assert main(["fit-domains", *dataset["args"], "--model", out,
+                     "--fit-epochs", "2", "--out", doms]) == 0
+        assert main(["evaluate", *dataset["args"], "--model", out,
+                     "--domains", doms]) == 0
+        g = dataset["graph"]
+        assert main(["predict", *dataset["args"], "--model", out,
+                     "--domains", doms, "--relation", g.relations.labels[0],
+                     "--head", g.entities.labels[0]]) == 0
 
     def test_preset_fills_unset_options(self, dataset, tmp_path):
         out = str(tmp_path / "preset.bin")
@@ -738,6 +749,12 @@ class TestFailureModes:
         assert "error: staged init must be a transe model, got 'transr'" \
             in err
         assert "Traceback" not in err
+        assert not out.exists()
+        # transe resumes through the same check
+        assert main(["train", *dataset["args"], "--init-model", transr,
+                     *staged, "--out", str(out)]) == 1
+        assert "error: staged init must be a transe model, got 'transr'" \
+            in capsys.readouterr().err
         assert not out.exists()
 
     def test_transe_resumes_from_a_transe_model(self, dataset, tmp_path):

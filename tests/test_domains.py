@@ -371,8 +371,13 @@ class TestSerialization:
                                     ("tril", 5, 0.0),
                                     ("tril", 0, -0.5)):
             dm = random_domain_model(rng, g, m, coverage=1.0)
-            dm.fitted[field][0, index] = value
             save_domains(dm, path)
+            with open(path, "rb") as fh:
+                header = fh.readline()
+            fitted = dm.fitted.copy()
+            fitted[field][0, index] = value
+            with open(path, "wb") as fh:
+                fh.write(header + fitted.tobytes() + dm.skipped.tobytes())
             with pytest.raises(FormatError):
                 load_domains(path)
 
@@ -431,6 +436,19 @@ class TestSerialization:
         # every lookup of such a model would miss
         with pytest.raises(FormatError, match="ascending slot order"):
             replace(dm, fitted=dm.fitted[::-1].copy())
+
+    def test_records_are_read_only_once_checked(self):
+        rng = np.random.default_rng(119)
+        g = random_graph(rng)
+        dm = quick_fit(g, random_model(rng, g), min_members=12)
+        assert dm.n_fitted >= 2 and len(dm.skipped) >= 2
+        # a reorder would leave the cached slot codes naming other slots
+        with pytest.raises(ValueError, match="read-only"):
+            dm.fitted[:] = dm.fitted[::-1].copy()
+        with pytest.raises(ValueError, match="read-only"):
+            dm.skipped[:] = dm.skipped[::-1].copy()
+        with pytest.raises(ValueError, match="read-only"):
+            dm.fitted["center"][0] = np.nan
 
     def test_fingerprint_survives_the_file(self, tmp_path):
         rng = np.random.default_rng(114)

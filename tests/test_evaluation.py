@@ -69,7 +69,7 @@ class TestRankOfGold:
 
 
 def zero_model(graph, dim=4):
-    return EmbeddingModel("transe", "l1",
+    return EmbeddingModel("l1",
                           np.zeros((graph.n_entities, dim)),
                           np.zeros((graph.n_relations, dim)))
 
@@ -87,7 +87,7 @@ class TestEvaluate:
         ent[g.entities.id("c")] = (2.0, 0.0)
         ent[g.entities.id("x")] = (9.0, 9.0)
         # target x - r is the origin: f is b 1, c 2, a 3, x itself 18
-        m = EmbeddingModel("transe", "l1", ent, np.array([[9.0, 9.0]]))
+        m = EmbeddingModel("l1", ent, np.array([[9.0, 9.0]]))
         rep = evaluate(g, m)
         assert rep.overall[("raw", "head")].mean_rank == 3.0
         assert rep.overall[("filtered", "head")].mean_rank == 1.0
@@ -228,11 +228,8 @@ class TestEvaluate:
         m = random_model(rng, g, variant=variant)
         before = validation_hits10(g, m)
         m.entity_vecs[:] = m.entity_vecs[0]   # every score ties: rank 1
-        fresh = EmbeddingModel(
-            variant, m.dissimilarity, m.entity_vecs.copy(),
-            m.relation_vecs.copy(),
-            None if m.head_proj is None else m.head_proj.copy(),
-            m.tail_proj.copy() if variant == "stranse" else None)
+        fresh = EmbeddingModel(m.dissimilarity, m.entity_vecs.copy(),
+                               m.relation_vecs.copy(), m.proj.copy())
         after = validation_hits10(g, m)
         assert before < 100.0
         assert after == validation_hits10(g, fresh) == 100.0
@@ -391,7 +388,7 @@ class TestDomainPenalties:
         ent[rid("y")] = (4.0, 0.0)
         rel = np.array([[2.0, 0.0]])
         # f(e) = |e + r - y|: other 0.5, good 1.0, y 2.0, x 6.0
-        m = EmbeddingModel("transe", "l1", ent, rel)
+        m = EmbeddingModel("l1", ent, rel)
         base = evaluate(g, m)
         assert base.overall[("raw", "head")].mean_rank == 2.0
 

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import struct
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from drekge import models
 from drekge.data import build_graph
-from drekge.errors import ConfigurationError, FormatError
+from drekge.errors import (ConfigurationError, FormatError,
+                           TrainingDivergedError)
 from drekge.evaluation import validation_hits10
 from drekge.models import (EmbeddingModel, TrainConfig, load_model,
                            project_all, project_slots, save_model,
@@ -19,12 +21,10 @@ from generators import model_bytes, random_graph, random_model
 def tiny_model(variant="transe", dissim="l1"):
     ent = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 1.0]])
     rel = np.array([[1.0, 1.0]])
-    head_proj = tail_proj = None
-    if variant in ("transr", "stranse"):
-        head_proj = np.array([[[0.0, 1.0], [1.0, 0.0]]])
-    if variant == "stranse":
-        tail_proj = np.array([[[1.0, 0.0], [0.0, -1.0]]])
-    return EmbeddingModel(variant, dissim, ent, rel, head_proj, tail_proj)
+    # the one relation's head matrix, then stranse's tail matrix
+    mats = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
+    return EmbeddingModel(dissim, ent, rel,
+                          mats[:models.VARIANTS.index(variant), None])
 
 
 class TestConfig:
@@ -170,8 +170,8 @@ class TestScoring:
     def test_score_all_holds_no_residual_array(self, dissim):
         rng = np.random.default_rng(65)
         n, k = 20000, 50
-        m = EmbeddingModel("transe", dissim, rng.normal(size=(n, k)),
-                           rng.normal(size=(3, k)), None, None)
+        m = EmbeddingModel(dissim, rng.normal(size=(n, k)),
+                           rng.normal(size=(3, k)))
         cand = project_all(m, 2, "tail")
         tracemalloc.start()
         try:
@@ -191,13 +191,15 @@ class TestScoreGradients:
         # each distinct parameter slice against its total gradient: transr's
         # one matrix gets both projection terms, and h == t both entity terms
         blocks = {}
-        for name, arr, idx in (("head", m.entity_vecs, triple[0]),
-                               ("relation", m.relation_vecs, triple[1]),
-                               ("tail", m.entity_vecs, triple[2]),
-                               ("head_proj", m.head_proj, triple[1]),
-                               ("tail_proj", m.tail_proj, triple[1])):
-            if arr is None:
-                continue
+        r = triple[1]
+        params = [("head", m.entity_vecs, (triple[0],)),
+                  ("relation", m.relation_vecs, (r,)),
+                  ("tail", m.entity_vecs, (triple[2],))]
+        if len(m.proj):
+            # transr's two slots share one key: matrix 0 of relation r
+            params += [(f"{side}_proj", m.proj, (models._slot(m, side), r))
+                       for side in ("head", "tail")]
+        for name, arr, idx in params:
             key = (id(arr), idx)
             if key in blocks:
                 names, _, _, total = blocks[key]
@@ -209,7 +211,7 @@ class TestScoreGradients:
             fd = np.zeros_like(g)
             it = np.nditer(fd, flags=["multi_index"])
             for _ in it:
-                ix = (idx,) + it.multi_index
+                ix = idx + it.multi_index
                 keep = arr[ix]
                 arr[ix] = keep + h
                 up = score_triple(m, triple)
@@ -268,18 +270,20 @@ class TestBatchUpdate:
         neg[:, 2] = rng.integers(0, 6, 12)
         lr = 0.1
 
-        params = models._param_arrays(m)
+        params = (m.entity_vecs, m.relation_vecs, m.proj)
         expected = {id(a): a.copy() for a in params}
         for sign, triples in ((1.0, pos), (-1.0, neg)):
             for h, r, t in triples.tolist():
                 grads = score_gradients(m, (h, r, t))
-                for name, arr, idx in (("head", m.entity_vecs, h),
-                                       ("relation", m.relation_vecs, r),
-                                       ("tail", m.entity_vecs, t),
-                                       ("head_proj", m.head_proj, r),
-                                       ("tail_proj", m.tail_proj, r)):
-                    if arr is not None:
-                        expected[id(arr)][idx] -= lr * sign * grads[name]
+                steps = [("head", m.entity_vecs, h),
+                         ("relation", m.relation_vecs, r),
+                         ("tail", m.entity_vecs, t)]
+                if len(m.proj):
+                    steps += [(f"{side}_proj", m.proj,
+                               (models._slot(m, side), r))
+                              for side in ("head", "tail")]
+                for name, arr, idx in steps:
+                    expected[id(arr)][idx] -= lr * sign * grads[name]
 
         norm_grad = models._norm_grad
         models._batch_update(m, lr, pos, neg,
@@ -295,7 +299,7 @@ class TestBatchUpdate:
         base = train(g, TrainConfig(dim=5, lr=0.01, epochs=2, seed=0))
         staged = models._init_model(g, TrainConfig(variant="transr", dim=5),
                                     base, rng)
-        assert staged.tail_proj is staged.head_proj
+        assert staged.proj.shape == (1, g.n_relations, 5, 5)
 
         cfg = TrainConfig(variant="transr", dim=5, lr=0.05, epochs=12,
                           seed=1, eval_every=2, patience=2)
@@ -308,22 +312,16 @@ class TestBatchUpdate:
         m = train(g, cfg, init=base, validator=validator)
         assert len(seen) == 3 and seen[0] != seen[-1]
         assert model_bytes(m) == seen[0]       # restored
-        assert m.tail_proj is m.head_proj
+        assert m.proj.shape == (1, g.n_relations, 5, 5)
         assert not np.allclose(m.head_proj, np.eye(5))   # it did train
 
         path = str(tmp_path / "transr.bin")
         save_model(m, path)
         loaded = load_model(path)
-        assert loaded.tail_proj is loaded.head_proj
+        assert loaded.proj.shape == (1, g.n_relations, 5, 5)
         clone = copy.deepcopy(m)
-        assert clone.tail_proj is clone.head_proj
-        assert clone.head_proj is not m.head_proj
-
-    def test_transr_rejects_a_second_matrix(self):
-        m = tiny_model("transr")
-        with pytest.raises(ConfigurationError):
-            EmbeddingModel("transr", "l1", m.entity_vecs, m.relation_vecs,
-                           m.head_proj, m.head_proj.copy())
+        assert clone.proj.shape == (1, g.n_relations, 5, 5)
+        assert not np.shares_memory(clone.proj, m.proj)
 
 
 class TestScatterAdd:
@@ -443,7 +441,7 @@ class TestTraining:
             assert np.allclose(m.head_proj, eye, atol=1e-9)
             if variant == "stranse":
                 assert np.allclose(m.tail_proj, eye, atol=1e-9)
-                assert m.tail_proj is not m.head_proj
+                assert not np.shares_memory(m.tail_proj, m.head_proj)
 
     def test_staged_start_rejects_wrong_base(self):
         rng = np.random.default_rng(77)
@@ -533,12 +531,45 @@ class TestSerialization:
         assert m.fingerprint() == int.from_bytes(digest, "little")
         assert model_bytes(m) == blob
 
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_file_layout_is_header_vectors_head_then_tail_matrices(
+            self, variant, tmp_path):
+        """The v1 bytes written out by hand: transr stores its one matrix
+        per relation once, stranse its head matrices before its tails."""
+        rng = np.random.default_rng(84)
+        g = random_graph(rng)
+        m = random_model(rng, g, variant=variant, dim=5, dissimilarity="l2",
+                         rel_dim=None if variant == "transe" else 3)
+        arrays = [m.entity_vecs, m.relation_vecs]
+        if variant != "transe":
+            arrays.append(m.head_proj)
+        if variant == "stranse":
+            arrays.append(m.tail_proj)
+        payload = b"".join(a.astype("<f8").tobytes() for a in arrays)
+        header = (f"DREKGE v1 {variant} {g.n_entities} {g.n_relations} "
+                  f"5 {m.rel_dim} l2\n").encode("ascii")
+        path = tmp_path / "model.bin"
+        save_model(m, str(path))
+        assert path.read_bytes() == \
+            header + payload + struct.pack("<Q", len(payload))
+
+    @pytest.mark.parametrize("variant, name", [("stranse", "tail_proj"),
+                                               ("transr", "head_proj")])
+    def test_a_non_finite_matrix_is_named(self, variant, name):
+        rng = np.random.default_rng(85)
+        g = random_graph(rng)
+        m = random_model(rng, g, variant=variant, dim=4)
+        m.tail_proj[1, 2, 3] = np.nan     # transr: its one matrix
+        with pytest.raises(TrainingDivergedError,
+                           match=f"epoch 7: non-finite {name}$"):
+            models._check_finite(m, 7)
+
     def test_fingerprint_tracks_content(self):
         a = self.build("transe")
         b = self.build("transe")
         assert a.fingerprint() == b.fingerprint()
         b.entity_vecs[0, 0] += 1.0
-        assert EmbeddingModel(b.variant, b.dissimilarity, b.entity_vecs,
+        assert EmbeddingModel(b.dissimilarity, b.entity_vecs,
                               b.relation_vecs).fingerprint() != a.fingerprint()
 
     def test_corrupted_files_are_rejected(self, tmp_path):
