@@ -304,11 +304,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
     top = min(args.top, graph.n_entities)
     order = np.argsort(combined, kind="stable")[:top]
+    labels = graph.entities.labels
     print("rank\tentity\tbaseline\tpenalty\tcombined\tdomain")
     for rank, ent in enumerate(order, start=1):
         pen = 0.0 if pens is None else float(pens[ent])
         flag = "-" if pens is None else ("in" if pen == 0.0 else "out")
-        print(f"{rank}\t{graph.entities.labels[ent]}\t{base[ent]:.6f}"
+        print(f"{rank}\t{labels[ent]}\t{base[ent]:.6f}"
               f"\t{pen:.6f}\t{combined[ent]:.6f}\t{flag}")
     return 0
 

@@ -48,19 +48,41 @@ CATEGORY_THRESHOLD = 1.5
 
 
 class Vocab:
-    """Bidirectional label <-> integer id mapping, insertion ordered."""
+    """Bidirectional label <-> integer id mapping, insertion ordered.
+
+    The labels are held as one UTF-8 blob, in id order, each preceded
+    and followed by ``\n``, and no Python object is kept per label. A
+    lookup is one search of the blob for ``\nlabel\n`` and a count of
+    the line ends before the match; ``labels`` decodes a new list on
+    every access.
+    """
 
     def __init__(self, index: dict[str, int]):
         """The vocabulary of an index that maps its labels, in insertion
-        order, to 0, 1, 2, ..."""
-        self._index = index
-        self.labels: list[str] = list(index)
+        order, to 0, 1, 2, ...; a label holding ``\n`` is refused."""
+        self._blob = "\n".join(chain(("",), index, ("",))).encode("utf-8")
+        self._n = len(index)
+        if self._blob.count(b"\n") != self._n + 1:
+            bad = next(label for label in index if "\n" in label)
+            raise ValueError(f"label {bad!r} contains a line end")
 
     def id(self, label: str) -> int | None:
-        return self._index.get(label)
+        # "a\nb" would match the labels "a" and "b" in a row
+        if "\n" in label:
+            return None
+        # lone surrogates (undecodable command-line bytes) encode to bytes
+        # that valid UTF-8 never holds, so they are found nowhere
+        at = self._blob.find(b"\n" + label.encode("utf-8", "surrogatepass")
+                             + b"\n")
+        return None if at < 0 else self._blob.count(b"\n", 0, at)
+
+    @property
+    def labels(self) -> list[str]:
+        """A new list of the labels in id order, decoded from the blob."""
+        return self._blob.decode("utf-8").split("\n")[1:-1]
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return self._n
 
 
 def _distinct(codes: np.ndarray) -> np.ndarray:
@@ -235,8 +257,7 @@ def _build(labels: Iterable[str], sizes: list[int]) -> KnowledgeGraph:
             cycle((entity_index, relation_index, entity_index)), labels),
         dtype=np.int64, count=3 * n).reshape(n, 3)
     ids.flags.writeable = False
-    return KnowledgeGraph(Vocab(dict(entity_index)),
-                          Vocab(dict(relation_index)), ids,
+    return KnowledgeGraph(Vocab(entity_index), Vocab(relation_index), ids,
                           *np.split(ids, np.cumsum(sizes)[:2]))
 
 

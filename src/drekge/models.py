@@ -93,6 +93,12 @@ class EmbeddingModel:
     def __post_init__(self) -> None:
         if self.proj is None:
             self.proj = np.empty((0, self.n_relations, self.rel_dim, self.dim))
+        shape = np.shape(self.proj)
+        if shape[1:] != (self.n_relations, self.rel_dim, self.dim) \
+                or shape[0] >= len(VARIANTS):
+            raise ValueError(
+                f"proj has shape {shape}, expected (s, {self.n_relations}, "
+                f"{self.rel_dim}, {self.dim}) with s in 0..2")
 
     @property
     def variant(self) -> str:

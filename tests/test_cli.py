@@ -476,6 +476,18 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert "e00" in err and "e000" in err
 
+    @pytest.mark.parametrize("label", ["", "e000\ne001", "e000\udcff"])
+    def test_labels_no_file_can_hold_exit_two(self, dataset, tmp_path,
+                                              capsys, label):
+        model = str(tmp_path / "m.bin")
+        run_train(dataset, model)
+        rel = dataset["graph"].relations.labels[0]
+        capsys.readouterr()
+        rc = main(["predict", *dataset["args"], "--model", model,
+                   "--relation", rel, "--head", label])
+        assert rc == 2
+        assert "(closest: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [
         "fit-domains", "evaluate", "evaluate --domains", "predict",
         "predict --domains"])

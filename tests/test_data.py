@@ -1,4 +1,5 @@
 import gc
+import re
 from itertools import chain
 
 import numpy as np
@@ -244,6 +245,62 @@ def duplicate_heavy_graph(rng):
     valid = triples(10, n_e + 3, n_r + 1) + [train[0], train[-1]]
     test = triples(10, n_e + 4, n_r + 2) + [valid[0], train[0]]
     return data.build_graph(train, valid, test)
+
+
+def vocab_of(labels):
+    return data.Vocab({label: i for i, label in enumerate(labels)})
+
+
+class TestVocab:
+    """A vocabulary is one UTF-8 blob of its labels; lookups search it."""
+
+    def test_prefix_labels_resolve_to_their_own_ids(self):
+        # the first and the last id too, where the blob starts and ends
+        labels = ["e123", "e12", "e1", "e1 ", "xe1", "e"]
+        v = vocab_of(labels)
+        assert [v.id(label) for label in labels] == list(range(len(labels)))
+        for missing in ("e1234", "e2", "1", " ", "e1  ", "xe", "123"):
+            assert v.id(missing) is None
+
+    def test_every_label_round_trips(self):
+        labels = _PLAIN_LABELS + _ODD_LABELS + [" ", "\r", "\t"]
+        v = vocab_of(labels)
+        assert v.labels == labels
+        assert [v.id(label) for label in labels] == list(range(len(labels)))
+
+    def test_labels_is_a_new_list_in_first_seen_order(self):
+        g = data.build_graph([("b", "r", "a"), ("c", "s", "b")], [],
+                             [("d", "r", "a")])
+        labels = g.entities.labels
+        assert type(labels) is list and labels == ["b", "a", "c", "d"]
+        labels[0] = "changed"
+        assert g.entities.labels == ["b", "a", "c", "d"]
+        assert g.relations.labels == ["r", "s"]
+
+    @pytest.mark.parametrize("labels", [[], ["a", "b"], ["a\rb", "\x85"]])
+    def test_empty_and_line_end_labels_are_not_found(self, labels):
+        v = vocab_of(labels)
+        for label in ("", "a\nb", "\n", "a\n", "\udcff"):
+            assert v.id(label) is None
+        assert len(v) == len(labels) and v.labels == labels
+
+    @pytest.mark.parametrize("split", range(3))
+    @pytest.mark.parametrize("field", range(3))
+    def test_a_label_with_a_line_end_is_refused(self, split, field):
+        bad = ["h", "r", "t"]
+        bad[field] = "a\nb"
+        splits = [[("h", "r", "t")] for _ in range(3)]
+        splits[split] = [("h", "r", "t"), tuple(bad)]
+        with pytest.raises(ValueError, match=re.escape(repr("a\nb"))):
+            data.build_graph(*splits)
+
+    def test_no_object_per_label_after_a_load(self, tmp_path):
+        save_graph(random_graph(np.random.default_rng(3)), str(tmp_path))
+        g = data.load_graph(*(str(tmp_path / f"{name}.txt")
+                              for name in ("train", "valid", "test")))
+        for vocab in (g.entities, g.relations):
+            assert not [value for value in vars(vocab).values()
+                        if isinstance(value, (dict, list, str))]
 
 
 class TestFilterIndex:

@@ -58,6 +58,29 @@ class TestConfig:
         assert TrainConfig(dim=40, rel_dim=20).k == 20
 
 
+class TestProjShape:
+    """``proj`` must be (s, |R|, k, d) with s matrices per relation for
+    one of the variants."""
+
+    @pytest.mark.parametrize("s", range(len(models.VARIANTS)))
+    def test_each_variant_shape_is_accepted(self, s):
+        m = EmbeddingModel("l1", np.zeros((4, 3)), np.zeros((2, 3)),
+                           np.zeros((s, 2, 3, 3)))
+        assert m.variant == models.VARIANTS[s]
+
+    @pytest.mark.parametrize("shape", [
+        (3, 2, 3, 3),   # more matrices per relation than any variant
+        (1, 5, 3, 3),   # matrices for 5 relations beside 2 vectors
+        (1, 2, 4, 3),   # rows that are not k
+        (1, 2, 3, 4),   # columns that are not d
+        (2, 3, 3),      # no slot axis
+    ])
+    def test_other_shapes_are_refused(self, shape):
+        with pytest.raises(ValueError, match=r"proj has shape"):
+            EmbeddingModel("l1", np.zeros((4, 3)), np.zeros((2, 3)),
+                           np.zeros(shape))
+
+
 class TestScoring:
     # triple (0, 0, 1): h = (1,0), r = (1,1), t = (0,2)
     def test_translation_hand_values(self):
