@@ -21,6 +21,7 @@ domain fit, or a non-finite candidate score).
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import logging
 import os
@@ -117,12 +118,26 @@ def _edit_distance(a: str, b: str) -> int:
     return prev[-1]
 
 
+def _closest(label: str, labels: list[str], n: int = 5) -> list[str]:
+    """The first ``n`` of ``labels`` in a stable sort by edit distance to
+    ``label``. A running top ``n`` is kept, ties in id order, and a label
+    is skipped unscored when its length differs from ``label``'s by at
+    least the n-th best distance: its distance is at least that
+    difference, and an equal distance loses the tie to the earlier ids."""
+    best: list[tuple[int, int]] = []   # (distance, id), ascending
+    for i, known in enumerate(labels):
+        if len(best) == n and abs(len(known) - len(label)) >= best[-1][0]:
+            continue
+        bisect.insort(best, (_edit_distance(label, known), i))
+        del best[n:]
+    return [labels[i] for _, i in best]
+
+
 def _resolve_label(label: str, vocab: data.Vocab, kind: str) -> int:
     idx = vocab.id(label)
     if idx is not None:
         return idx
-    ranked = sorted(vocab.labels, key=lambda known: _edit_distance(label, known))
-    raise UnknownLabelError(label, kind, ranked[:5])
+    raise UnknownLabelError(label, kind, _closest(label, vocab.labels))
 
 
 def _load_config_file(path: str, known: set[str]) -> dict:

@@ -7,11 +7,18 @@ byte that is not valid UTF-8, raises ``ParseError`` with the path and the
 ``\r\n`` or a lone ``\r``); any other character, form feeds and Unicode
 line separators included, is part of a label. Labels are opaque strings;
 integer ids are assigned by first appearance while scanning train, then
-valid, then test. The three files reach the ids as one flat stream of
-labels, in one pass that also writes each label's id; no object is made
-per line. Each split is a read-only block of rows of one int64 id
-array; duplicate triples are kept there and collapsed in the filter
-index.
+valid, then test.
+
+Loading works on the files' bytes and makes no Python object per line,
+per field or per label. The tab and line-end positions that test every
+line at once also give each field's byte offset and length. Equal
+labels have equal lengths, so each vocabulary's fields are grouped by
+length, and each group is packed into uint64 words and sorted once; a
+run of equal words is one label, and the labels are ranked by the field
+where each first appears. ``build_graph`` feeds in-memory labels to the
+same id assignment, from their UTF-8 encodings. Each split is a
+read-only block of rows of one int64 id array; duplicate triples are
+kept there and collapsed in the filter index.
 
 The filter index (the known tails of each (h, r) and the known heads of
 each (r, t), over all splits) is built on first use, so only ranking
@@ -23,11 +30,10 @@ side, and each key's candidates a slice of it.
 from __future__ import annotations
 
 import operator
-from collections import defaultdict
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count, cycle
+from itertools import chain
 
 import numpy as np
 
@@ -66,6 +72,13 @@ class Vocab:
             bad = next(label for label in index if "\n" in label)
             raise ValueError(f"label {bad!r} contains a line end")
 
+    @classmethod
+    def _of(cls, blob: bytes, n: int) -> Vocab:
+        """The vocabulary of a blob laid out as above, holding n labels."""
+        vocab = cls.__new__(cls)
+        vocab._blob, vocab._n = blob, n
+        return vocab
+
     def id(self, label: str) -> int | None:
         # "a\nb" would match the labels "a" and "b" in a row
         if "\n" in label:
@@ -89,6 +102,15 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
     """Sorted distinct values of a non-negative integer array."""
     s = np.sort(codes)
     return s[np.diff(s, prepend=-1) != 0]
+
+
+def _groups(values: np.ndarray):
+    """(value, row indices) for each distinct value of a non-negative
+    integer array, ascending; rows keep their order within a group."""
+    order = np.argsort(values, kind="stable")
+    ids = values[order]
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    return zip(ids[starts].tolist(), np.split(order, starts[1:]))
 
 
 class _FilterIndex(Mapping):
@@ -172,21 +194,26 @@ class KnowledgeGraph:
                             self.n_entities)
 
 
-def _read_text(path: str) -> str:
-    """The whole file in one text-mode read (universal newlines); a byte
-    that is not UTF-8 raises ``ParseError`` naming its line."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as err:
-        # read() decodes the whole file in one call, so err.object holds
-        # all of its bytes and everything before err.start is valid
-        before = err.object[:err.start].decode("utf-8")
-        breaks = before.count("\n") + before.count("\r") \
-            - before.count("\r\n")
-        bad = err.object[err.start]
-        raise ParseError(path, breaks + 1, f"not valid UTF-8: byte "
-                         f"0x{bad:02x} ({err.reason})") from None
+def _read_text(path: str) -> bytes:
+    """The file's bytes with every line end (``\r\n`` or a lone ``\r``)
+    made ``\n``, as a text-mode read would leave them; a byte that is not
+    UTF-8 raises ``ParseError`` naming its line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            # everything before err.start is valid UTF-8, so its line
+            # ends are single bytes
+            before = raw[:err.start]
+            breaks = before.count(b"\n") + before.count(b"\r") \
+                - before.count(b"\r\n")
+            raise ParseError(path, breaks + 1, f"not valid UTF-8: byte "
+                             f"0x{raw[err.start]:02x} ({err.reason})") from None
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return raw
 
 
 def _raise_first_bad_line(path: str, text: str) -> None:
@@ -204,60 +231,139 @@ def _raise_first_bad_line(path: str, text: str) -> None:
             raise ParseError(path, line_no, f"empty {name} field")
 
 
-def _well_formed(text: str) -> bool:
-    """True when every non-blank line of ``text`` has two tabs and no
-    empty field, tested on all lines at once from the positions of the
-    tabs and line ends (single bytes in UTF-8)."""
-    code = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+def _field_offsets(text: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The byte offset and the byte length of every field of ``text``
+    (head, relation and tail of each line, in line order), or None when
+    a non-blank line lacks two tabs or has an empty field. All lines are
+    tested at once from the positions of the tabs and line ends."""
+    code = np.frombuffer(text, dtype=np.uint8)
     seps = np.flatnonzero((code == ord("\t")) | (code == ord("\n")))
     # every separator, between a line end before the text and one after it
     pos = np.concatenate(([-1], seps, [len(code)]))
     is_end = np.concatenate(([True], code[seps] == ord("\n"), [True]))
+    gaps = np.diff(pos) - 1
     # two neighbouring separators with nothing between them enclose an
     # empty field, unless both are line ends (a blank line)
-    if ((np.diff(pos) == 1) & ~(is_end[:-1] & is_end[1:])).any():
-        return False
+    if ((gaps == 0) & ~(is_end[:-1] & is_end[1:])).any():
+        return None
     # per line: the separators inside it are its tabs
     ends = np.flatnonzero(is_end)
     tabs = np.diff(ends) - 1
     blank = np.diff(pos[ends]) == 1
-    return bool(((tabs == 2) | blank).all())
+    if not ((tabs == 2) | blank).all():
+        return None
+    fields = gaps > 0
+    return (pos[:-1] + 1)[fields], gaps[fields]
 
 
-def _parse_file(path: str) -> list[str]:
-    """The labels of one file's triples, head, relation and tail of each,
-    in line order.
-
-    One read, one test of every line at once (``_well_formed``), and one
-    split of the text into fields on tabs and line ends: ``\n`` is the
-    only line end the text-mode read leaves, so no label is split on a
-    form feed or a Unicode line separator as ``str.splitlines`` would.
-    Only a file that fails the test is rescanned line by line, to name
-    its first bad line.
-    """
+def _read_fields(path: str) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """One triple file's bytes (line ends made ``\n``) and the offsets and
+    lengths of its fields. Only a file that fails the test of
+    ``_field_offsets`` is decoded and rescanned line by line, to name its
+    first bad line."""
     text = _read_text(path)
-    if not _well_formed(text):
-        _raise_first_bad_line(path, text)
-    # blank lines, and the end of the last line, leave empty pieces
-    return list(filter(None, text.replace("\n", "\t").split("\t")))
+    found = _field_offsets(text)
+    if found is None:
+        _raise_first_bad_line(path, text.decode("utf-8"))
+    return text, *found
 
 
-def _build(labels: Iterable[str], sizes: list[int]) -> KnowledgeGraph:
-    """The graph of a flat stream of labels (head, relation, tail of each
-    triple) holding ``sizes`` train, valid and test triples. One pass
-    looks each label up in its vocabulary's index, which gives a new
-    label the next id, and writes the id into the int64 id array."""
+# bytes per packed word of a label
+_WORD = 8
+
+
+def _label_runs(code: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                out: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Write into ``out``, in stream order, the label id of each field of
+    one vocabulary: the ``lengths[i]`` bytes of ``code`` at ``starts[i]``.
+    Ids go by first appearance in the stream.
+
+    Equal labels have equal lengths, so fields are grouped by length.
+    Each group's bytes are read as little-endian uint64 words, the bytes
+    past the label zeroed in the last word, and sorted; each run of
+    equal words is one label, first seen at the least stream position
+    in the run. Returns, per length group, the length, the words of its
+    labels (one row per word) and their ids.
+    """
+    if not len(starts):
+        return []
+    # unaligned words at every byte offset; ``code`` ends in _WORD spare
+    # bytes, so a field's last word never reads past it
+    words_at = np.ndarray((len(code) - _WORD + 1,), dtype="<u8",
+                          buffer=code, strides=(1,))
+    runs = []
+    for size, fields in _groups(lengths):
+        at = starts[fields]
+        words = np.empty((max(1, -(-size // _WORD)), len(at)), dtype="<u8")
+        for j in range(len(words)):
+            words[j] = words_at[at + _WORD * j]
+        words[-1] &= np.uint64(256 ** (size - _WORD * (len(words) - 1)) - 1)
+        order = np.argsort(words[0]) if len(words) == 1 \
+            else np.lexsort(words)
+        words, fields = words[:, order], fields[order]
+        new = np.zeros(len(fields), dtype=bool)
+        new[0] = True
+        for row in words:
+            new[1:] |= row[1:] != row[:-1]
+        heads = np.flatnonzero(new)
+        runs.append((size, words[:, heads], fields, heads))
+    first = np.concatenate([np.minimum.reduceat(fields, heads)
+                            for _, _, fields, heads in runs])
+    id_of_run = np.empty_like(first)
+    id_of_run[np.argsort(first)] = np.arange(len(first))
+    stream = np.empty(len(starts), dtype=np.int64)
+    labels, lo = [], 0
+    for size, words, fields, heads in runs:
+        ids = id_of_run[lo:lo + len(heads)]
+        lo += len(heads)
+        stream[fields] = np.repeat(ids, np.diff(heads, append=len(fields)))
+        labels.append((size, words, ids))
+    out[...] = stream.reshape(out.shape)
+    return labels
+
+
+def _vocab(labels: list[tuple[int, np.ndarray, np.ndarray]]) -> Vocab:
+    """The vocabulary of what ``_label_runs`` returned: its blob holds
+    each label in id order, preceded and followed by ``\n``."""
+    size_of = np.zeros(sum(len(ids) for _, _, ids in labels), dtype=np.int64)
+    for size, _, ids in labels:
+        size_of[ids] = size
+    # each label starts after a "\n" and the labels before it
+    at = np.cumsum(size_of + 1) - size_of
+    blob = np.full(len(size_of) + int(size_of.sum()) + 1, ord("\n"),
+                   dtype=np.uint8)
+    for size, words, ids in labels:
+        # every size-byte window of the blob, one row per start: writes
+        # to the rows land in the blob
+        windows = np.lib.stride_tricks.as_strided(
+            blob, (len(blob) - size + 1, size), (1, 1))
+        windows[at[ids]] = \
+            np.ascontiguousarray(words.T).view(np.uint8)[:, :size]
+    return Vocab._of(blob.tobytes(), len(size_of))
+
+
+def _build(chunks: list[bytes], starts: np.ndarray, lengths: np.ndarray,
+           sizes: list[int]) -> KnowledgeGraph:
+    """The graph of a flat stream of fields (head, relation, tail of each
+    triple) holding ``sizes`` train, valid and test triples: field i is
+    the ``lengths[i]`` bytes at ``starts[i]`` of the concatenated
+    ``chunks``. Each vocabulary's ids come from ``_label_runs``, with no
+    Python object per field or per label."""
     n = sum(sizes)
-    entity_index = defaultdict(count().__next__)
-    relation_index = defaultdict(count().__next__)
-    # dict.__getitem__ on a defaultdict falls back to its factory, which
-    # hands a missing label the next id
-    ids = np.fromiter(
-        map(dict.__getitem__,
-            cycle((entity_index, relation_index, entity_index)), labels),
-        dtype=np.int64, count=3 * n).reshape(n, 3)
+    # the output before the temporaries, so freeing them leaves no hole
+    # under it
+    ids = np.empty((n, 3), dtype=np.int64)
+    code = np.frombuffer(b"".join([*chunks, bytes(_WORD)]), dtype=np.uint8)
+    starts, lengths = starts.reshape(n, 3), lengths.reshape(n, 3)
+    # entities label the head and tail columns, relations the middle one
+    found = [_label_runs(code, starts[:, cols].ravel(),
+                         lengths[:, cols].ravel(), ids[:, cols])
+             for cols in (slice(0, 3, 2), slice(1, 2))]
+    # the blobs are made from the label words alone
+    del code
+    entities, relations = map(_vocab, found)
     ids.flags.writeable = False
-    return KnowledgeGraph(Vocab(entity_index), Vocab(relation_index), ids,
+    return KnowledgeGraph(entities, relations, ids,
                           *np.split(ids, np.cumsum(sizes)[:2]))
 
 
@@ -266,20 +372,33 @@ def build_graph(train: list[tuple[str, str, str]],
                 test: list[tuple[str, str, str]]) -> KnowledgeGraph:
     """Assemble a graph from label triples already split three ways, ids
     by first appearance (train, then valid, then test; in each triple
-    head, relation, tail), through the one pass ``load_graph`` makes."""
+    head, relation, tail), through the one id assignment ``load_graph``
+    makes. A label holding ``\n`` is refused with a ``ValueError``."""
     splits = (train, valid, test)
-    return _build(chain.from_iterable(chain.from_iterable(splits)),
+    labels = [label.encode("utf-8") for label in
+              chain.from_iterable(chain.from_iterable(splits))]
+    text = b"".join(labels)
+    if b"\n" in text:
+        bad = next(label for label in chain.from_iterable(
+            chain.from_iterable(splits)) if "\n" in label)
+        raise ValueError(f"label {bad!r} contains a line end")
+    lengths = np.fromiter(map(len, labels), dtype=np.int64,
+                          count=len(labels))
+    return _build([text], np.cumsum(lengths) - lengths, lengths,
                   [len(split) for split in splits])
 
 
 def load_graph(train_path: str, valid_path: str,
                test_path: str) -> KnowledgeGraph:
-    """The graph of three triple files, whose labels go in file order
-    through the one id pass ``build_graph`` also makes."""
-    fields = [_parse_file(path) for path in (train_path, valid_path,
-                                             test_path)]
-    return _build(chain.from_iterable(fields),
-                  [len(labels) // 3 for labels in fields])
+    """The graph of three triple files, whose fields go in file order
+    through the one id assignment ``build_graph`` also makes."""
+    texts, starts, lengths = zip(*map(_read_fields, (train_path, valid_path,
+                                                     test_path)))
+    shifts = np.cumsum([0, *map(len, texts)])
+    return _build(list(texts),
+                  np.concatenate([at + shift for at, shift
+                                  in zip(starts, shifts)]),
+                  np.concatenate(lengths), [len(at) // 3 for at in starts])
 
 
 def _slot_codes(graph: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -35,13 +35,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import HEAD, SIDES, TAIL, KnowledgeGraph
+from .data import HEAD, SIDES, TAIL, KnowledgeGraph, _distinct, _groups
 from .ellipsoid import (Ellipsoid, FitConfig, fit_stack, scores_test,
                         scores_train_stack)
 from .errors import (ConfigurationError, FormatError, NumericalError,
                      StaleDomainModelError)
-from .models import (EmbeddingModel, _groups, check_fits, project_all,
-                     project_slots, read_artifact)
+from .models import (EmbeddingModel, check_fits, project_all, project_slots,
+                     read_artifact)
 
 DOMAIN_MAGIC = "DREDOM"
 DOMAIN_VERSION = "v1"
@@ -203,7 +203,7 @@ def slot_members(graph: KnowledgeGraph) -> tuple[np.ndarray, list[np.ndarray]]:
     """
     h, r, t = graph.train.T
     n_e = graph.n_entities
-    slot, member = np.divmod(np.unique(np.concatenate(
+    slot, member = np.divmod(_distinct(np.concatenate(
         [2 * r * n_e + h, (2 * r + 1) * n_e + t])), n_e)
     starts = np.flatnonzero(np.diff(slot, prepend=-1))
     return slot[starts], np.split(member, starts)[1:]

@@ -29,11 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (CATEGORIES, HEAD, TAIL, KnowledgeGraph, classify_relations)
+from .data import (CATEGORIES, HEAD, TAIL, KnowledgeGraph, _groups,
+                   classify_relations)
 from .domains import DomainModel, penalties_all
 from .errors import ConfigurationError, NumericalError
-from .models import (EmbeddingModel, _groups, _projection_key,
-                     check_fits, project_all, score_all)
+from .models import (EmbeddingModel, _projection_key, check_fits,
+                     project_all, score_all)
 
 SETTINGS = ("raw", "filtered")
 COMBINED = "combined"

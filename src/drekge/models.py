@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import HEAD, TAIL, KnowledgeGraph, corrupt_head_probs
+from .data import HEAD, TAIL, KnowledgeGraph, _groups, corrupt_head_probs
 from .errors import ConfigurationError, FormatError, TrainingDivergedError
 
 VARIANTS = ("transe", "transr", "stranse")
@@ -252,15 +252,6 @@ def _norm_grad(u: np.ndarray, dissimilarity: str) -> np.ndarray:
     nz = n > 0
     out[nz] = u[nz] / n[nz][..., None]
     return out
-
-
-def _groups(values: np.ndarray):
-    """(value, row indices) for each distinct value of a non-negative
-    integer array, ascending; rows keep their order within a group."""
-    order = np.argsort(values, kind="stable")
-    ids = values[order]
-    starts = np.flatnonzero(np.diff(ids, prepend=-1))
-    return zip(ids[starts].tolist(), np.split(order, starts[1:]))
 
 
 def _relation_grads(model: EmbeddingModel, triples: np.ndarray,

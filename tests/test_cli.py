@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drekge import data
+from drekge import cli, data
 from drekge.cli import PRESETS, build_parser, main
 from drekge.evaluation import evaluate, format_report
 from drekge.domains import (fit_all_domains, load_domains, penalties_all,
@@ -475,6 +475,18 @@ class TestFailureModes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "e00" in err and "e000" in err
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_suggestions_are_the_stable_sort_head(self, seed):
+        # a two-letter alphabet and short labels tie many distances
+        rng = np.random.default_rng(700 + seed)
+        labels = list(dict.fromkeys(
+            "".join("ab"[i] for i in rng.integers(0, 2, size))
+            for size in rng.integers(0, 7, int(rng.integers(1, 60)))))
+        for label in ("", "a", "abba", "bbbbbbbbb", "ab" * 6):
+            ranked = sorted(labels,
+                            key=lambda known: cli._edit_distance(label, known))
+            assert cli._closest(label, labels) == ranked[:5]
 
     @pytest.mark.parametrize("label", ["", "e000\ne001", "e000\udcff"])
     def test_labels_no_file_can_hold_exit_two(self, dataset, tmp_path,

@@ -140,7 +140,8 @@ class TestParserEquivalence:
             assert (err.value.path, err.value.line_no) == \
                 (ref_err.path, ref_err.line_no)
             return
-        assert [data._parse_file(p) for p in paths] == \
+        assert [[text[a:a + n].decode() for a, n in zip(at, size)]
+                for text, at, size in map(data._read_fields, paths)] == \
             [list(chain.from_iterable(triples)) for triples in ref]
         entities, relations, splits = ref_build_ids(*ref)
         g = data.load_graph(*paths)
@@ -154,6 +155,93 @@ class TestParserEquivalence:
                        for split in (g.ids, g.train, g.valid, g.test))
         assert all(g.entities.id(label) == i
                    for i, label in enumerate(entities))
+
+
+def blob_of(labels):
+    return ("\n" + "".join(label + "\n" for label in labels)).encode()
+
+
+def packed_labels(rng):
+    """Labels that meet every case of the loader's word packing: lengths
+    on both sides of 8 and 16 bytes and beyond, NUL bytes, multi-byte
+    UTF-8, and chains of labels that are byte prefixes of each other."""
+    alphabet = ["a", "b", "\x00", "é", "日", "\U0001f600", " "]
+
+    def word(size, letters=len(alphabet)):
+        # index the list: numpy string arrays drop trailing NULs
+        return "".join(alphabet[i] for i in rng.integers(0, letters, size))
+
+    labels = [word(int(rng.integers(1, 30)))
+              for _ in range(int(rng.integers(3, 12)))]
+    stem = word(40, letters=3)
+    labels += [stem[:k] for k in (1, 7, 8, 9, 15, 16, 17, 24, 25, 40)]
+    labels += [stem[:16] + "\x00", stem[:8] + "\x00" * 8, "\x00"]
+    return list(dict.fromkeys(labels))
+
+
+class TestByteLoader:
+    """Ids, labels, blobs and splits of the byte-level loader against the
+    per-line reference in ``refparse``, on seeded files whose labels are
+    packed into one or more words."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_the_reference(self, tmp_path, seed):
+        rng = np.random.default_rng(9000 + seed)
+        labels = packed_labels(rng)
+        paths = []
+        for name in ("train", "valid", "test"):
+            path = tmp_path / f"{name}.txt"
+            # valid and test are sometimes empty, or only blank lines
+            text = "" if name != "train" and rng.random() < 0.3 else \
+                fuzz_file(rng, labels, malformed=False)
+            path.write_bytes(text.encode())
+            paths.append(str(path))
+        ref = [ref_parse_file(p) for p in paths]
+        entities, relations, splits = ref_build_ids(*ref)
+        for g in (data.load_graph(*paths), data.build_graph(*ref)):
+            assert g.entities.labels == entities
+            assert g.relations.labels == relations
+            assert g.entities._blob == blob_of(entities)
+            assert g.relations._blob == blob_of(relations)
+            assert [g.train.tolist(), g.valid.tolist(), g.test.tolist()] == \
+                [[list(row) for row in split] for split in splits]
+
+    def test_one_label_in_both_vocabularies(self):
+        g = data.build_graph([("x", "x", "y"), ("y", "r", "x")], [],
+                             [("r", "y", "r")])
+        assert g.entities.labels == ["x", "y", "r"]
+        assert g.relations.labels == ["x", "r", "y"]
+        assert g.ids.tolist() == [[0, 0, 1], [1, 1, 0], [2, 2, 2]]
+
+    def test_empty_valid_and_test_files(self, tmp_path):
+        write_triples(tmp_path / "train.txt", [("a", "r", "b")])
+        (tmp_path / "valid.txt").write_text("")
+        (tmp_path / "test.txt").write_text("\n\r\n\n")
+        g = data.load_graph(*(str(tmp_path / f"{name}.txt")
+                              for name in ("train", "valid", "test")))
+        assert g.ids.tolist() == [[0, 0, 1]]
+        assert g.valid.shape == g.test.shape == (0, 3)
+
+    def test_a_last_field_at_the_end_of_the_files(self, tmp_path):
+        # no final line end: the last word of each file's last field
+        # ends at the end of the file's bytes
+        paths = []
+        for name, text in (("train", "abcdefghijk\tr\tabcdefghijk"),
+                           ("valid", "abcdefghijk\tr\tabcdefghij"),
+                           ("test", "abcdefghij\tr\tz")):
+            (tmp_path / name).write_text(text)
+            paths.append(str(tmp_path / name))
+        g = data.load_graph(*paths)
+        assert g.entities.labels == ["abcdefghijk", "abcdefghij", "z"]
+        assert g.ids.tolist() == [[0, 0, 0], [0, 0, 1], [1, 0, 2]]
+
+    def test_build_graph_takes_tabs_and_carriage_returns(self):
+        g = data.build_graph([("a\tb", "r\r", "c\r")], [],
+                             [("c\r", "a\tb", "\t")])
+        assert g.entities.labels == ["a\tb", "c\r", "\t"]
+        assert g.relations.labels == ["r\r", "a\tb"]
+        assert g.entities._blob == blob_of(["a\tb", "c\r", "\t"])
+        assert g.ids.tolist() == [[0, 0, 1], [1, 1, 2]]
 
 
 class TestLoadAllocations:
