@@ -63,21 +63,11 @@ class Vocab:
     every access.
     """
 
-    def __init__(self, index: dict[str, int]):
-        """The vocabulary of an index that maps its labels, in insertion
-        order, to 0, 1, 2, ...; a label holding ``\n`` is refused."""
-        self._blob = "\n".join(chain(("",), index, ("",))).encode("utf-8")
-        self._n = len(index)
-        if self._blob.count(b"\n") != self._n + 1:
-            bad = next(label for label in index if "\n" in label)
-            raise ValueError(f"label {bad!r} contains a line end")
-
-    @classmethod
-    def _of(cls, blob: bytes, n: int) -> Vocab:
-        """The vocabulary of a blob laid out as above, holding n labels."""
-        vocab = cls.__new__(cls)
-        vocab._blob, vocab._n = blob, n
-        return vocab
+    def __init__(self, blob: bytes):
+        """The vocabulary of a blob laid out as above: ``\n``, then each
+        label followed by ``\n``."""
+        self._blob = blob
+        self._n = blob.count(b"\n") - 1
 
     def id(self, label: str) -> int | None:
         # "a\nb" would match the labels "a" and "b" in a row
@@ -216,56 +206,46 @@ def _read_text(path: str) -> bytes:
     return raw
 
 
-def _raise_first_bad_line(path: str, text: str) -> None:
-    """Rescan ``text`` line by line and raise ``ParseError`` for the first
-    line without exactly three non-empty fields."""
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError(path, line_no,
-                             f"expected 3 tab-separated fields, got {len(fields)}")
-        if "" in fields:
-            name = ("head", "relation", "tail")[fields.index("")]
-            raise ParseError(path, line_no, f"empty {name} field")
-
-
-def _field_offsets(text: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+def _field_offsets(path: str, text: bytes) -> tuple[np.ndarray, np.ndarray]:
     """The byte offset and the byte length of every field of ``text``
-    (head, relation and tail of each line, in line order), or None when
-    a non-blank line lacks two tabs or has an empty field. All lines are
-    tested at once from the positions of the tabs and line ends."""
+    (head, relation and tail of each line, in line order). All lines are
+    tested at once from the positions of the tabs and line ends. The
+    first line that is neither blank nor three non-empty fields raises
+    ``ParseError`` naming ``path``, the line and its field count, or its
+    first empty field when the count is 3."""
     code = np.frombuffer(text, dtype=np.uint8)
     seps = np.flatnonzero((code == ord("\t")) | (code == ord("\n")))
     # every separator, between a line end before the text and one after it
     pos = np.concatenate(([-1], seps, [len(code)]))
     is_end = np.concatenate(([True], code[seps] == ord("\n"), [True]))
     gaps = np.diff(pos) - 1
-    # two neighbouring separators with nothing between them enclose an
-    # empty field, unless both are line ends (a blank line)
-    if ((gaps == 0) & ~(is_end[:-1] & is_end[1:])).any():
-        return None
-    # per line: the separators inside it are its tabs
+    # line k runs from separator ends[k] to ends[k + 1]; the separators
+    # inside it are its tabs
     ends = np.flatnonzero(is_end)
     tabs = np.diff(ends) - 1
-    blank = np.diff(pos[ends]) == 1
-    if not ((tabs == 2) | blank).all():
-        return None
+    miscounted = np.flatnonzero((tabs != 2) & (np.diff(pos[ends]) != 1))
+    # two neighbouring separators with nothing between them enclose an
+    # empty field, unless both are line ends (a blank line)
+    empty = np.flatnonzero((gaps == 0) & ~(is_end[:-1] & is_end[1:]))
+    if len(miscounted) or len(empty):
+        # an empty field lies on the line of the last line end before it
+        line = int(min([*miscounted[:1],
+                        *np.searchsorted(ends, empty[:1], "right") - 1]))
+        if tabs[line] != 2:
+            message = f"expected 3 tab-separated fields, got {tabs[line] + 1}"
+        else:
+            field_name = ("head", "relation", "tail")[empty[0] - ends[line]]
+            message = f"empty {field_name} field"
+        raise ParseError(path, line + 1, message)
     fields = gaps > 0
     return (pos[:-1] + 1)[fields], gaps[fields]
 
 
 def _read_fields(path: str) -> tuple[bytes, np.ndarray, np.ndarray]:
     """One triple file's bytes (line ends made ``\n``) and the offsets and
-    lengths of its fields. Only a file that fails the test of
-    ``_field_offsets`` is decoded and rescanned line by line, to name its
-    first bad line."""
+    lengths of its fields."""
     text = _read_text(path)
-    found = _field_offsets(text)
-    if found is None:
-        _raise_first_bad_line(path, text.decode("utf-8"))
-    return text, *found
+    return text, *_field_offsets(path, text)
 
 
 # bytes per packed word of a label
@@ -339,7 +319,7 @@ def _vocab(labels: list[tuple[int, np.ndarray, np.ndarray]]) -> Vocab:
             blob, (len(blob) - size + 1, size), (1, 1))
         windows[at[ids]] = \
             np.ascontiguousarray(words.T).view(np.uint8)[:, :size]
-    return Vocab._of(blob.tobytes(), len(size_of))
+    return Vocab(blob.tobytes())
 
 
 def _build(chunks: list[bytes], starts: np.ndarray, lengths: np.ndarray,

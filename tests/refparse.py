@@ -1,11 +1,12 @@
 """Reference triple-file parser and id assignment, kept as the judge of
-``data._parse_file`` and ``data.build_graph``.
+``data.load_graph`` and ``data.build_graph``.
 
 This is the per-line parser and the two-pass id assignment the package
 first shipped: file iteration (universal newlines) with one ``split``
 per line, then a vocabulary built in first-seen order and every label
-looked up in it. It accepts empty fields and does not catch invalid
-UTF-8; the package rejects both, so comparisons use files without them.
+looked up in it. A line's field count is checked before its fields are
+checked for an empty one, with the package's messages. It does not
+catch invalid UTF-8, so comparisons use files without it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ def ref_parse_file(path: str) -> list[tuple[str, str, str]]:
             if len(fields) != 3:
                 raise ParseError(path, line_no,
                                  f"expected 3 tab-separated fields, got {len(fields)}")
+            if "" in fields:
+                name = ("head", "relation", "tail")[fields.index("")]
+                raise ParseError(path, line_no, f"empty {name} field")
             triples.append((fields[0], fields[1], fields[2]))
     return triples
 

@@ -83,6 +83,27 @@ class TestParseErrors:
         assert err.value.line_no == 3
         assert "empty" in str(err.value)
 
+    @pytest.mark.parametrize("body, line_no, message", [
+        (b"\tr\tc\n", 1, "empty head field"),
+        (b"a\t\tc\n", 1, "empty relation field"),
+        (b"a\tr\t\n", 1, "empty tail field"),
+        (b"a\tr\t", 1, "empty tail field"),
+        (b"\t\t\n", 1, "empty head field"),
+        # the field count is named before the empty field
+        (b"a\t\tb\tc\n", 1, "expected 3 tab-separated fields, got 4"),
+        (b"a\tr\tb\r\n\r\nb\tr\tc\r\na\t\tc\r\n", 4,
+         "empty relation field"),
+        (b"a\tr\tb\r\rb\tr\tc\ra\tr\t\r", 4, "empty tail field"),
+        (b"a\tr\tb\r\n\rb\tr\tc\n\r\n\tr\tc\n", 5, "empty head field"),
+    ])
+    def test_exact_message(self, tmp_path, body, line_no, message):
+        p = tmp_path / "t.txt"
+        p.write_bytes(body)
+        with pytest.raises(ParseError) as err:
+            data.load_graph(str(p), str(p), str(p))
+        assert err.value.line_no == line_no
+        assert str(err.value) == f"{p}:{line_no}: {message}"
+
 
 # labels that file iteration keeps whole and str.splitlines would split
 _ODD_LABELS = ["a\x0cb", "x\x85", "\u2028y", "z\x1cz", "\x1d", "\x1e\x1e",
@@ -155,6 +176,33 @@ class TestParserEquivalence:
                        for split in (g.ids, g.train, g.valid, g.test))
         assert all(g.entities.id(label) == i
                    for i, label in enumerate(entities))
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_empty_fields_match_the_per_line_parser(self, tmp_path, seed):
+        rng = np.random.default_rng(7000 + seed)
+        labels = ["", *_PLAIN_LABELS, *_ODD_LABELS]
+        malformed = rng.random() < 0.3
+        paths = []
+        for name in ("train", "valid", "test"):
+            path = tmp_path / f"{name}.txt"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(fuzz_file(rng, labels, malformed))
+            paths.append(str(path))
+
+        try:
+            ref = [ref_parse_file(p) for p in paths]
+        except ParseError as ref_err:
+            with pytest.raises(ParseError) as err:
+                data.load_graph(*paths)
+            assert (err.value.path, err.value.line_no, str(err.value)) == \
+                (ref_err.path, ref_err.line_no, str(ref_err))
+            return
+        entities, relations, splits = ref_build_ids(*ref)
+        g = data.load_graph(*paths)
+        assert g.entities.labels == entities
+        assert g.relations.labels == relations
+        assert g.ids.tolist() == [list(row) for split in splits
+                                  for row in split]
 
 
 def blob_of(labels):
@@ -336,7 +384,7 @@ def duplicate_heavy_graph(rng):
 
 
 def vocab_of(labels):
-    return data.Vocab({label: i for i, label in enumerate(labels)})
+    return data.Vocab(blob_of(labels))
 
 
 class TestVocab:
