@@ -21,7 +21,6 @@ domain fit, or a non-finite candidate score).
 from __future__ import annotations
 
 import argparse
-import bisect
 import json
 import logging
 import os
@@ -105,32 +104,28 @@ def _atomic_output(path: str):
         raise
 
 
-def _edit_distance(a: str, b: str) -> int:
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        for j, cb in enumerate(b, 1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1,
-                           prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
-
-
 def _closest(label: str, labels: list[str], n: int = 5) -> list[str]:
     """The first ``n`` of ``labels`` in a stable sort by edit distance to
-    ``label``. A running top ``n`` is kept, ties in id order, and a label
-    is skipped unscored when its length differs from ``label``'s by at
-    least the n-th best distance: its distance is at least that
-    difference, and an equal distance loses the tie to the earlier ids."""
-    best: list[tuple[int, int]] = []   # (distance, id), ascending
-    for i, known in enumerate(labels):
-        if len(best) == n and abs(len(known) - len(label)) >= best[-1][0]:
-            continue
-        bisect.insort(best, (_edit_distance(label, known), i))
-        del best[n:]
-    return [labels[i] for _, i in best]
+    ``label``, over code points. Every distance is computed, one DP per
+    label length: row i holds, for each label of that length, the
+    distances from the first i characters of ``label`` to its prefixes."""
+    sizes = np.fromiter(map(len, labels), dtype=np.int64, count=len(labels))
+    starts = np.cumsum(sizes) - sizes
+    points = np.frombuffer("".join(labels).encode("utf-32-le"), dtype="<u4")
+    dist = np.empty(len(labels), dtype=np.int64)
+    for size, rows in data._groups(sizes):
+        j = np.arange(size + 1)
+        known = points[starts[rows, None] + j[:-1]]
+        row = np.tile(j, (len(rows), 1))
+        for i, char in enumerate(label, 1):
+            # substitution and deletion come from the previous row
+            row[:, 1:] = np.minimum(row[:, :-1] + (known != ord(char)),
+                                    row[:, 1:] + 1)
+            row[:, 0] = i
+            # insertion: cell j is the least cell j' <= j plus j - j'
+            row = np.minimum.accumulate(row - j, axis=1) + j
+        dist[rows] = row[:, -1]
+    return [labels[i] for i in np.argsort(dist, kind="stable")[:n]]
 
 
 def _resolve_label(label: str, vocab: data.Vocab, kind: str) -> int:

@@ -15,10 +15,12 @@ line at once also give each field's byte offset and length. Equal
 labels have equal lengths, so each vocabulary's fields are grouped by
 length, and each group is packed into uint64 words and sorted once; a
 run of equal words is one label, and the labels are ranked by the field
-where each first appears. ``build_graph`` feeds in-memory labels to the
-same id assignment, from their UTF-8 encodings. Each split is a
-read-only block of rows of one int64 id array; duplicate triples are
-kept there and collapsed in the filter index.
+where each first appears. Each vocabulary's blob is cut from the same
+bytes in one gather, each label from its first field. ``build_graph``
+feeds in-memory labels to the same id assignment, from their UTF-8
+encodings. Each split is a read-only block of rows of one int64 id
+array; duplicate triples are kept there and collapsed in the filter
+index.
 
 The filter index (the known tails of each (h, r) and the known heads of
 each (r, t), over all splits) is built on first use, so only ranking
@@ -253,7 +255,7 @@ _WORD = 8
 
 
 def _label_runs(code: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-                out: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
+                out: np.ndarray) -> np.ndarray:
     """Write into ``out``, in stream order, the label id of each field of
     one vocabulary: the ``lengths[i]`` bytes of ``code`` at ``starts[i]``.
     Ids go by first appearance in the stream.
@@ -262,16 +264,15 @@ def _label_runs(code: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
     Each group's bytes are read as little-endian uint64 words, the bytes
     past the label zeroed in the last word, and sorted; each run of
     equal words is one label, first seen at the least stream position
-    in the run. Returns, per length group, the length, the words of its
-    labels (one row per word) and their ids.
+    in the run. Returns those positions in id order.
     """
     if not len(starts):
-        return []
+        return np.empty(0, dtype=np.int64)
     # unaligned words at every byte offset; ``code`` ends in _WORD spare
     # bytes, so a field's last word never reads past it
     words_at = np.ndarray((len(code) - _WORD + 1,), dtype="<u8",
                           buffer=code, strides=(1,))
-    runs = []
+    grouped, run_starts = [], []
     for size, fields in _groups(lengths):
         at = starts[fields]
         words = np.empty((max(1, -(-size // _WORD)), len(at)), dtype="<u8")
@@ -280,46 +281,36 @@ def _label_runs(code: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
         words[-1] &= np.uint64(256 ** (size - _WORD * (len(words) - 1)) - 1)
         order = np.argsort(words[0]) if len(words) == 1 \
             else np.lexsort(words)
-        words, fields = words[:, order], fields[order]
+        words = words[:, order]
         new = np.zeros(len(fields), dtype=bool)
         new[0] = True
         for row in words:
             new[1:] |= row[1:] != row[:-1]
-        heads = np.flatnonzero(new)
-        runs.append((size, words[:, heads], fields, heads))
-    first = np.concatenate([np.minimum.reduceat(fields, heads)
-                            for _, _, fields, heads in runs])
+        grouped.append(fields[order])
+        run_starts.append(new)
+    # every group's fields, each run of one label in a row
+    fields = np.concatenate(grouped)
+    heads = np.flatnonzero(np.concatenate(run_starts))
+    first = np.minimum.reduceat(fields, heads)
     id_of_run = np.empty_like(first)
     id_of_run[np.argsort(first)] = np.arange(len(first))
     stream = np.empty(len(starts), dtype=np.int64)
-    labels, lo = [], 0
-    for size, words, fields, heads in runs:
-        ids = id_of_run[lo:lo + len(heads)]
-        lo += len(heads)
-        stream[fields] = np.repeat(ids, np.diff(heads, append=len(fields)))
-        labels.append((size, words, ids))
+    stream[fields] = np.repeat(id_of_run, np.diff(heads, append=len(fields)))
     out[...] = stream.reshape(out.shape)
-    return labels
+    return np.sort(first)
 
 
-def _vocab(labels: list[tuple[int, np.ndarray, np.ndarray]]) -> Vocab:
-    """The vocabulary of what ``_label_runs`` returned: its blob holds
-    each label in id order, preceded and followed by ``\n``."""
-    size_of = np.zeros(sum(len(ids) for _, _, ids in labels), dtype=np.int64)
-    for size, _, ids in labels:
-        size_of[ids] = size
-    # each label starts after a "\n" and the labels before it
-    at = np.cumsum(size_of + 1) - size_of
-    blob = np.full(len(size_of) + int(size_of.sum()) + 1, ord("\n"),
-                   dtype=np.uint8)
-    for size, words, ids in labels:
-        # every size-byte window of the blob, one row per start: writes
-        # to the rows land in the blob
-        windows = np.lib.stride_tricks.as_strided(
-            blob, (len(blob) - size + 1, size), (1, 1))
-        windows[at[ids]] = \
-            np.ascontiguousarray(words.T).view(np.uint8)[:, :size]
-    return Vocab(blob.tobytes())
+def _blob(code: np.ndarray, at: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The ``Vocab`` blob whose label i is the ``size[i]`` bytes of
+    ``code`` at ``at[i]``: each label in id order, preceded and followed
+    by ``\n``."""
+    # byte k of the labels laid end to end is in label ``label[k]``; it
+    # goes after that label's id + 1 line ends
+    label = np.repeat(np.arange(len(at)), size)
+    k = np.arange(len(label))
+    blob = np.full(len(at) + len(k) + 1, ord("\n"), dtype=np.uint8)
+    blob[k + label + 1] = code[k + (at - np.cumsum(size) + size)[label]]
+    return blob
 
 
 def _build(chunks: list[bytes], starts: np.ndarray, lengths: np.ndarray,
@@ -327,7 +318,8 @@ def _build(chunks: list[bytes], starts: np.ndarray, lengths: np.ndarray,
     """The graph of a flat stream of fields (head, relation, tail of each
     triple) holding ``sizes`` train, valid and test triples: field i is
     the ``lengths[i]`` bytes at ``starts[i]`` of the concatenated
-    ``chunks``. Each vocabulary's ids come from ``_label_runs``, with no
+    ``chunks``. Each vocabulary's ids come from ``_label_runs``, and its
+    blob is cut from those bytes at each label's first field, with no
     Python object per field or per label."""
     n = sum(sizes)
     # the output before the temporaries, so freeing them leaves no hole
@@ -335,15 +327,18 @@ def _build(chunks: list[bytes], starts: np.ndarray, lengths: np.ndarray,
     ids = np.empty((n, 3), dtype=np.int64)
     code = np.frombuffer(b"".join([*chunks, bytes(_WORD)]), dtype=np.uint8)
     starts, lengths = starts.reshape(n, 3), lengths.reshape(n, 3)
+    blobs = []
     # entities label the head and tail columns, relations the middle one
-    found = [_label_runs(code, starts[:, cols].ravel(),
-                         lengths[:, cols].ravel(), ids[:, cols])
-             for cols in (slice(0, 3, 2), slice(1, 2))]
-    # the blobs are made from the label words alone
+    for cols in (slice(0, 3, 2), slice(1, 2)):
+        at, size = starts[:, cols].ravel(), lengths[:, cols].ravel()
+        first = _label_runs(code, at, size, ids[:, cols])
+        blobs.append(_blob(code, at[first], size[first]))
+    # free the file bytes before making the blobs' bytes objects, which
+    # live as long as the graph, so those reuse the space the file bytes
+    # held rather than pinning a new region under it
     del code
-    entities, relations = map(_vocab, found)
     ids.flags.writeable = False
-    return KnowledgeGraph(entities, relations, ids,
+    return KnowledgeGraph(*(Vocab(blob.tobytes()) for blob in blobs), ids,
                           *np.split(ids, np.cumsum(sizes)[:2]))
 
 

@@ -40,11 +40,10 @@ from .ellipsoid import (Ellipsoid, FitConfig, fit_stack, scores_test,
                         scores_train_stack)
 from .errors import (ConfigurationError, FormatError, NumericalError,
                      StaleDomainModelError)
-from .models import (EmbeddingModel, check_fits, project_all, project_slots,
-                     read_artifact)
+from .models import (ARTIFACT_VERSION, EmbeddingModel, check_fits, project_all,
+                     project_slots, read_artifact)
 
 DOMAIN_MAGIC = "DREDOM"
-DOMAIN_VERSION = "v1"
 
 MIN_MEMBERS = 2
 
@@ -303,7 +302,7 @@ def penalties_all(domain_model: DomainModel, model: EmbeddingModel,
 
 def save_domains(domain_model: DomainModel, path: str) -> None:
     with open(path, "wb") as fh:
-        fh.write(f"{DOMAIN_MAGIC} {DOMAIN_VERSION} {domain_model.rel_dim} "
+        fh.write(f"{DOMAIN_MAGIC} {ARTIFACT_VERSION} {domain_model.rel_dim} "
                  f"{domain_model.n_fitted} {len(domain_model.skipped)} "
                  f"{domain_model.model_fingerprint:016x}\n".encode("ascii"))
         fh.write(domain_model.fitted)

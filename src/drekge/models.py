@@ -30,7 +30,8 @@ VARIANTS = ("transe", "transr", "stranse")
 DISSIMILARITIES = ("l1", "l2")
 
 MODEL_MAGIC = "DREKGE"
-MODEL_VERSION = "v1"
+# the version field of every artifact header, model and domain files alike
+ARTIFACT_VERSION = "v1"
 
 # a header count as the writers print it: decimal digits, no sign, no
 # leading zero
@@ -501,7 +502,7 @@ def _param_arrays(model: EmbeddingModel) -> list[np.ndarray]:
 
 def _model_chunks(model: EmbeddingModel):
     """The model file as buffers: header, parameter arrays, footer."""
-    yield (f"{MODEL_MAGIC} {MODEL_VERSION} {model.variant} "
+    yield (f"{MODEL_MAGIC} {ARTIFACT_VERSION} {model.variant} "
            f"{model.n_entities} {model.n_relations} "
            f"{model.dim} {model.rel_dim} {model.dissimilarity}\n"
            ).encode("ascii")
@@ -521,11 +522,12 @@ def save_model(model: EmbeddingModel, path: str) -> None:
 
 def read_artifact(path: str, magic: str, n_fields: int,
                   counts: slice) -> tuple[list, memoryview]:
-    """The header fields and the body of a v1 artifact file, accepted
-    only in the form its writer prints: an ASCII line of ``n_fields``
-    fields joined by single spaces, the first ``magic`` and the second
-    ``v1``, then the body. The fields in ``counts`` come back as ints;
-    each must match ``_COUNT``. The body is a view of the bytes read."""
+    """The header fields and the body of an artifact file, accepted only
+    in the form its writer prints: an ASCII line of ``n_fields`` fields
+    joined by single spaces, the first ``magic`` and the second
+    ``ARTIFACT_VERSION``, then the body. The fields in ``counts`` come
+    back as ints; each must match ``_COUNT``. The body is a view of the
+    bytes read."""
     with open(path, "rb") as fh:
         raw = fh.read()
     nl = raw.find(b"\n")
@@ -534,7 +536,7 @@ def read_artifact(path: str, magic: str, n_fields: int,
     fields = raw[:nl].decode("ascii", errors="replace").split(" ")
     if len(fields) != n_fields or fields[0] != magic:
         raise FormatError(f"{path}: not a {magic} file")
-    if fields[1] != "v1":
+    if fields[1] != ARTIFACT_VERSION:
         raise FormatError(f"{path}: unsupported version {fields[1]!r}")
     if not all(_COUNT.fullmatch(x) for x in fields[counts]):
         raise FormatError(f"{path}: bad header counts")

@@ -18,6 +18,18 @@ from drekge.models import TrainConfig, load_model, save_model, score_all, train
 from generators import domain_model, random_graph, save_graph
 
 
+def _edit_distance(a: str, b: str) -> int:
+    """Levenshtein distance over code points, one row at a time."""
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        cur = [i]
+        for j, cb in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1,
+                           prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
 @pytest.fixture()
 def dataset(tmp_path):
     rng = np.random.default_rng(151)
@@ -478,14 +490,16 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_suggestions_are_the_stable_sort_head(self, seed):
-        # a two-letter alphabet and short labels tie many distances
+        # a four-letter alphabet of 1-, 2- and 4-byte characters and short
+        # labels tie many distances
         rng = np.random.default_rng(700 + seed)
         labels = list(dict.fromkeys(
-            "".join("ab"[i] for i in rng.integers(0, 2, size))
-            for size in rng.integers(0, 7, int(rng.integers(1, 60)))))
-        for label in ("", "a", "abba", "bbbbbbbbb", "ab" * 6):
+            "".join("abΩ😀"[i] for i in rng.integers(0, 4, size))
+            for size in rng.integers(0, 13, int(rng.integers(1, 60)))))
+        for label in ("", "a", "abba", "bbbbbbbbb", "ab" * 6, "a\nb",
+                      "Ω😀", "\udcff", "aΩb😀" * 3 + "ab"):
             ranked = sorted(labels,
-                            key=lambda known: cli._edit_distance(label, known))
+                            key=lambda known: _edit_distance(label, known))
             assert cli._closest(label, labels) == ranked[:5]
 
     @pytest.mark.parametrize("label", ["", "e000\ne001", "e000\udcff"])

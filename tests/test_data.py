@@ -284,12 +284,15 @@ class TestByteLoader:
         assert g.ids.tolist() == [[0, 0, 0], [0, 0, 1], [1, 0, 2]]
 
     def test_build_graph_takes_tabs_and_carriage_returns(self):
-        g = data.build_graph([("a\tb", "r\r", "c\r")], [],
-                             [("c\r", "a\tb", "\t")])
-        assert g.entities.labels == ["a\tb", "c\r", "\t"]
+        # and an empty label, a zero-length byte range of the blob
+        g = data.build_graph([("", "r\r", "a\tb"), ("a\tb", "r\r", "c\r")],
+                             [], [("c\r", "a\tb", "\t")])
+        assert g.entities.labels == ["", "a\tb", "c\r", "\t"]
         assert g.relations.labels == ["r\r", "a\tb"]
-        assert g.entities._blob == blob_of(["a\tb", "c\r", "\t"])
-        assert g.ids.tolist() == [[0, 0, 1], [1, 1, 2]]
+        assert g.entities._blob == blob_of(["", "a\tb", "c\r", "\t"])
+        assert g.entities._blob.startswith(b"\n\n")
+        assert g.entities.id("") == 0
+        assert g.ids.tolist() == [[0, 0, 1], [1, 0, 2], [2, 1, 3]]
 
 
 class TestLoadAllocations:
