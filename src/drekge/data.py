@@ -22,11 +22,15 @@ encodings. Each split is a read-only block of rows of one int64 id
 array; duplicate triples are kept there and collapsed in the filter
 index.
 
-The filter index (the known tails of each (h, r) and the known heads of
-each (r, t), over all splits) is built on first use, so only ranking
-pays for it: ``evaluate`` and validation during training. It is built
-from sorted int64 codes: one sort per side, one candidate array per
-side, and each key's candidates a slice of it.
+Three tables group entity ids by a key, and ``_index`` builds each with
+one sort of the int64 codes key * |E| + entity: the filter index (the
+known tails of each (h, r) and the known heads of each (r, t), over all
+splits), the training domains of ``domains.slot_members`` and the
+per-relation counts behind ``classify_relations`` and
+``corrupt_head_probs``. Each key's entities are a slice of one array. A
+graph whose codes could pass 2**63 (|E|^2 * |R| > 2**63) raises
+``DataError``. The filter index is built on first use, so only ranking
+pays for it: ``evaluate`` and validation during training.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DataError, ParseError
 
 HEAD = "head"
 TAIL = "tail"
@@ -105,26 +109,34 @@ def _groups(values: np.ndarray):
     return zip(ids[starts].tolist(), np.split(order, starts[1:]))
 
 
+def _index(keys: np.ndarray, entity: np.ndarray,
+           n_entities: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keys, starts, entities) of pairs of non-negative int64 keys and
+    entity ids below ``n_entities``: the sorted distinct keys, and every
+    key's sorted distinct entities in one int64 array, those of the i-th
+    key at ``entities[starts[i]:starts[i + 1]]``. One sort of the codes
+    key * |E| + entity makes them; codes that could pass 2**63 raise
+    ``DataError`` before any is made."""
+    if (int(keys.max(initial=-1)) + 1) * n_entities > 2 ** 63:
+        raise DataError(f"{n_entities} entities and keys up to "
+                        f"{int(keys.max())} make (key, entity) codes past "
+                        f"2**63: |E|^2 * |R| must be at most 2**63")
+    key, entities = np.divmod(_distinct(keys * n_entities + entity),
+                              n_entities)
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    return key[starts], np.append(starts, len(key)), entities
+
+
 class _FilterIndex(Mapping):
     """Read-only map from a key (a, b), with 0 <= a < n_a and
-    0 <= b < n_b, to the sorted int64 entities known with it.
-
-    Keys are the sorted distinct codes a * n_b + b. Each distinct
-    (key, entity) pair is the code (position of its key) * |E| + entity,
-    so no code can overflow or alias another pair; one sort of those
-    codes lays every key's entities out as a slice of one array.
-    """
+    0 <= b < n_b, to the sorted int64 entities known with it: the
+    ``_index`` of the key codes a * n_b + b."""
 
     def __init__(self, a: np.ndarray, b: np.ndarray, entity: np.ndarray,
                  n_a: int, n_b: int, n_entities: int):
         self._shape = (n_a, n_b)
-        key = a * n_b + b
-        self._keys = _distinct(key)
-        pairs = _distinct(np.searchsorted(self._keys, key) * n_entities
-                          + entity)
-        self._starts = np.searchsorted(
-            pairs, np.arange(len(self._keys) + 1) * n_entities)
-        self._entities = pairs % n_entities
+        self._keys, self._starts, self._entities = _index(
+            a * n_b + b, entity, n_entities)
         self._entities.flags.writeable = False
 
     def _find(self, key) -> int:
@@ -376,13 +388,6 @@ def load_graph(train_path: str, valid_path: str,
                   np.concatenate(lengths), [len(at) // 3 for at in starts])
 
 
-def _slot_codes(graph: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Per training triple, its (r, h) and its (r, t) as r * |E| + entity."""
-    h, r, t = graph.train.T
-    base = r * graph.n_entities
-    return base + h, base + t
-
-
 def _relation_stats(graph: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:
     """(hpt, tph) per relation over distinct training triples.
 
@@ -390,44 +395,31 @@ def _relation_stats(graph: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:
     heads. Relations absent from training get 0 for both.
     """
     n_e, n_r = graph.n_entities, graph.n_relations
-    t = graph.train[:, 2]
-    rh, rt = _slot_codes(graph)
-    # distinct (r, h) and (r, t) codes, and distinct (r, h, t) as
-    # (index of its (r, h) code) * |E| + t
-    heads = _distinct(rh)
-    tails = _distinct(rt)
-    pairs = _distinct(np.searchsorted(heads, rh) * n_e + t)
-
-    n_pairs = np.bincount(heads[pairs // n_e] // n_e, minlength=n_r)
+    h, r, t = graph.train.T
+    # each distinct (r, h) code, with its distinct tails
+    heads, starts, _ = _index(r * n_e + h, t, n_e)
+    n_pairs = np.bincount(heads // n_e, np.diff(starts), n_r)
+    n_heads = np.bincount(heads // n_e, minlength=n_r)
+    n_tails = np.bincount(_distinct(r * n_e + t) // n_e, minlength=n_r)
     hpt = np.zeros(n_r)
     tph = np.zeros(n_r)
     seen = n_pairs > 0
-    hpt[seen] = n_pairs[seen] / np.bincount(tails // n_e, minlength=n_r)[seen]
-    tph[seen] = n_pairs[seen] / np.bincount(heads // n_e, minlength=n_r)[seen]
+    hpt[seen] = n_pairs[seen] / n_tails[seen]
+    tph[seen] = n_pairs[seen] / n_heads[seen]
     return hpt, tph
 
 
-def classify_relations(graph: KnowledgeGraph) -> dict[int, str]:
-    """Assign each relation one of the four mapping categories.
+def classify_relations(graph: KnowledgeGraph) -> np.ndarray:
+    """The mapping category of each relation, as an (|R|,) array of
+    ``CATEGORIES`` strings.
 
     A side counts as "many" when its average multiplicity exceeds the
     threshold: tph > 1.5 means a head maps to many tails, hpt > 1.5 means
     a tail maps to many heads.
     """
     hpt, tph = _relation_stats(graph)
-    out = {}
-    for r in range(graph.n_relations):
-        many_tails = tph[r] > CATEGORY_THRESHOLD
-        many_heads = hpt[r] > CATEGORY_THRESHOLD
-        if many_tails and many_heads:
-            out[r] = CAT_N_TO_N
-        elif many_tails:
-            out[r] = CAT_1_TO_N
-        elif many_heads:
-            out[r] = CAT_N_TO_1
-        else:
-            out[r] = CAT_1_TO_1
-    return out
+    return np.array(CATEGORIES)[(tph > CATEGORY_THRESHOLD)
+                                + 2 * (hpt > CATEGORY_THRESHOLD)]
 
 
 def corrupt_head_probs(graph: KnowledgeGraph) -> np.ndarray:

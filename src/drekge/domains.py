@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import HEAD, SIDES, TAIL, KnowledgeGraph, _distinct, _groups
+from .data import HEAD, SIDES, TAIL, KnowledgeGraph, _groups, _index
 from .ellipsoid import (Ellipsoid, FitConfig, fit_stack, scores_test,
                         scores_train_stack)
 from .errors import (ConfigurationError, FormatError, NumericalError,
@@ -191,21 +191,22 @@ def _domain_seed(base: int, relation: int, flag: int) -> int:
     return int(np.random.SeedSequence((base, relation, flag)).generate_state(1)[0])
 
 
-def slot_members(graph: KnowledgeGraph) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The training domains: the ascending slot codes of every slot seen
-    in training and, per slot, its members as a sorted array of distinct
-    int64 entity ids. One sort of the (slot, entity) codes
-    code * |E| + entity lays every slot's members out in turn.
+def slot_members(graph: KnowledgeGraph
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The training domains as ``(codes, starts, members)``: the
+    ascending slot codes 2 * relation + side flag of every slot seen in
+    training, and every slot's members as sorted distinct int64 entity
+    ids in one array, those of the i-th slot at
+    ``members[starts[i]:starts[i + 1]]``, so ``np.diff(starts)`` is
+    each slot's member count. One sort of the (slot, entity) codes lays
+    every slot's members out in turn.
 
     Only the training split contributes; held-out triples must not leak
     into the regions the ellipsoids are fitted on.
     """
     h, r, t = graph.train.T
-    n_e = graph.n_entities
-    slot, member = np.divmod(_distinct(np.concatenate(
-        [2 * r * n_e + h, (2 * r + 1) * n_e + t])), n_e)
-    starts = np.flatnonzero(np.diff(slot, prepend=-1))
-    return slot[starts], np.split(member, starts)[1:]
+    return _index(np.concatenate([2 * r, 2 * r + 1]), np.concatenate([h, t]),
+                  graph.n_entities)
 
 
 def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
@@ -232,10 +233,10 @@ def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
     if min_members < 0:
         raise ConfigurationError("min_members must be >= 0")
     check_fits(model, graph)
-    codes, members = slot_members(graph)
+    codes, starts, members = slot_members(graph)
     slots = np.zeros(len(codes), dtype=_SLOT)
     slots["relation"], slots["flag"] = np.divmod(codes, 2)
-    sizes = np.array([len(ids) for ids in members], dtype=np.int64)
+    sizes = np.diff(starts)
     is_fitted = sizes >= min_members
     kept = np.flatnonzero(is_fitted)
     k = model.rel_dim
@@ -253,7 +254,7 @@ def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
             relations = fitted["relation"][rows].tolist()
             flags = fitted["flag"][rows].tolist()
             points = project_slots(
-                model, np.stack([members[i] for i in kept[rows]]),
+                model, members[starts[kept[rows], None] + np.arange(size)],
                 fitted["relation"][rows], [SIDES[f] for f in flags])
             seeds = [_domain_seed(config.seed, r, f)
                      for r, f in zip(relations, flags)]

@@ -257,8 +257,7 @@ def evaluate(graph: KnowledgeGraph, model: EmbeddingModel,
     ranks, terms, missing = _rank_split(graph, model, domain_model, triples,
                                         tie_break, with_terms=True)
 
-    categories = classify_relations(graph)
-    cats = np.repeat([categories[r] for r in triples[:, 1].tolist()], 2)
+    cats = np.repeat(classify_relations(graph)[triples[:, 1]], 2)
     sides = np.tile([HEAD, TAIL], len(triples))
     stats = {term: _summary(values) for term, values in zip(_TERMS, terms)}
     baseline = _report(ranks[0], sides, cats, len(triples), 0,

@@ -79,9 +79,10 @@ def random_ellipsoid(rng: np.random.Generator, k: int,
 def domain_members(graph: KnowledgeGraph) -> dict[tuple[int, str], list[int]]:
     """The training domains of ``domains.slot_members`` as
     {(relation, side): sorted member ids}."""
-    codes, members = domains.slot_members(graph)
-    return {(code // 2, SIDES[code % 2]): ids.tolist()
-            for code, ids in zip(codes.tolist(), members)}
+    codes, starts, members = domains.slot_members(graph)
+    return {(code // 2, SIDES[code % 2]): members[lo:hi].tolist()
+            for code, lo, hi in zip(codes.tolist(), starts[:-1].tolist(),
+                                    starts[1:].tolist())}
 
 
 def domain_model(rel_dim: int, fingerprint: int,

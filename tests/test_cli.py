@@ -200,6 +200,37 @@ class TestPipeline:
                                                batch_size=3)), str(lib))
         assert out.read_bytes() == lib.read_bytes()
 
+    @pytest.mark.parametrize("flags, settings", [
+        (["--neg-sampling", "bernoulli"], {"negative_sampling": "bernoulli"}),
+        (["--normalize-entities"], {"normalize_entities": True}),
+        (["--split", "valid"], None)],
+        ids=["neg-sampling", "normalize-entities", "split-valid"])
+    def test_flags_reaching_the_relation_stats_and_the_filter_index(
+            self, dataset, tmp_path, capsys, flags, settings):
+        """The train flags that read the relation statistics and the
+        evaluate split that ranks with the filter index."""
+        g = data.load_graph(*dataset["args"][1::2])
+        base = tmp_path / "base.bin"
+        assert run_train(dataset, str(base)) == 0
+        if settings is None:
+            capsys.readouterr()
+            assert main(["evaluate", *dataset["args"], "--model", str(base),
+                         *flags]) == 0
+            text = capsys.readouterr().out
+            assert f"\nn_test={len(g.valid)}\n" in text
+            assert len(g.valid) != len(g.test)
+            assert text.startswith(format_report(
+                evaluate(g, load_model(str(base)), split="valid"),
+                title="baseline"))
+            return
+        out = tmp_path / "cli.bin"
+        assert run_train(dataset, str(out), flags) == 0
+        # 3 epochs end before the first validation
+        lib = tmp_path / "lib.bin"
+        save_model(train(g, TrainConfig(dim=6, epochs=3, lr=0.01, seed=3,
+                                        **settings)), str(lib))
+        assert out.read_bytes() == lib.read_bytes() != base.read_bytes()
+
     @pytest.mark.parametrize("variant", ["transr", "stranse"])
     def test_staged_variant_via_init_flag(self, dataset, tmp_path, variant):
         base = str(tmp_path / "transe.bin")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from drekge import data, domains
-from drekge.errors import ParseError
+from drekge.errors import DataError, ParseError
 
 from generators import domain_members, random_graph, save_graph
 from refparse import ref_build_ids, ref_parse_file
@@ -477,6 +477,20 @@ class TestFilterIndex:
         n_e, n_r = g.n_entities, g.n_relations
         assert built == [(n_e, n_r, n_e), (n_r, n_e, n_e)]
 
+    def test_codes_past_the_int64_range_are_refused(self):
+        # (key + 1) * |E| one past 2**63 (code 2**63), and far past it
+        for key, n_entities in ((2 ** 61, 4), (2 ** 61 - 1, 5)):
+            with pytest.raises(DataError, match=re.escape("2**63")):
+                data._index(np.array([key]), np.array([0]), n_entities)
+        # the largest code, 2**63 - 1, comes back apart
+        limit = np.array([2 ** 61 - 1])
+        keys, starts, entities = data._index(limit, np.array([3]), 4)
+        assert keys.tolist() == limit.tolist() and starts.tolist() == [0, 1]
+        assert entities.tolist() == [3]
+        keys, starts, entities = data._index(np.empty(0, dtype=np.int64),
+                                             np.empty(0, dtype=np.int64), 4)
+        assert len(keys) == len(entities) == 0 and starts.tolist() == [0]
+
     def test_train_ids_are_the_training_split(self):
         g = duplicate_heavy_graph(np.random.default_rng(9))
         splits = (g.train, g.valid, g.test)
@@ -560,11 +574,12 @@ class TestDomains:
     @pytest.mark.parametrize("seed", range(4))
     def test_codes_ascend_and_members_are_int64(self, seed):
         g = duplicate_heavy_graph(np.random.default_rng(310 + seed))
-        codes, members = domains.slot_members(g)
-        assert len(codes) == len(members) > 0
-        assert (np.diff(codes) > 0).all()
-        assert all(ids.dtype == np.int64 and (np.diff(ids) > 0).all()
-                   for ids in members)
+        codes, starts, members = domains.slot_members(g)
+        assert len(codes) + 1 == len(starts) > 1
+        assert starts[0] == 0 and starts[-1] == len(members)
+        assert (np.diff(codes) > 0).all() and members.dtype == np.int64
+        assert all((np.diff(members[lo:hi]) > 0).all() and hi > lo
+                   for lo, hi in zip(starts[:-1], starts[1:]))
 
 
 class TestRelationCategories:
@@ -656,3 +671,12 @@ class TestRelationCategories:
         seen = ref_denom > 0
         ref_probs[seen] = ref_tph[seen] / ref_denom[seen]
         assert np.array_equal(data.corrupt_head_probs(g), ref_probs)
+        # keyed by (many tails, many heads)
+        ref_cats = {(False, False): data.CAT_1_TO_1,
+                    (True, False): data.CAT_1_TO_N,
+                    (False, True): data.CAT_N_TO_1,
+                    (True, True): data.CAT_N_TO_N}
+        assert data.classify_relations(g).tolist() == [
+            ref_cats[tph > data.CATEGORY_THRESHOLD,
+                     hpt > data.CATEGORY_THRESHOLD]
+            for hpt, tph in zip(ref_hpt.tolist(), ref_tph.tolist())]
