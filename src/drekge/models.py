@@ -257,17 +257,23 @@ def _norm_grad(u: np.ndarray, dissimilarity: str) -> np.ndarray:
 
 def _relation_grads(model: EmbeddingModel, triples: np.ndarray,
                     g: np.ndarray):
-    """Per relation present, the gradients of sum_i g_i . u_i (u_i row
-    i's residual) w.r.t. the rows' head and tail entities and the
-    relation's two matrices. Each group is computed as it is yielded."""
+    """The gradients of sum_i g_i . u_i (u_i row i's residual), one group
+    of rows at a time, as ``(rows, head, tail, mats)``: ``head`` and
+    ``tail`` are w.r.t. the rows' head and tail entities, and ``mats``
+    holds ``(slot, relation, gradient)`` for the group's head matrix and
+    then its tail matrix. transe has no matrix, so its one group is every
+    row, with ``g`` and ``-g``. A projected variant yields one group per
+    relation present, each computed as it is yielded."""
+    if not len(model.proj):
+        yield slice(None), g, -g, ()
+        return
     ent = model.entity_vecs
     for relation, rows in _groups(triples[:, 1]):
         g_r = g[rows]
-        yield (relation, rows,
-               g_r @ model.proj[0, relation],
+        yield (rows, g_r @ model.proj[0, relation],
                -(g_r @ model.proj[-1, relation]),
-               g_r.T @ ent[triples[rows, 0]],
-               -(g_r.T @ ent[triples[rows, 2]]))
+               ((0, relation, g_r.T @ ent[triples[rows, 0]]),
+                (-1, relation, -(g_r.T @ ent[triples[rows, 2]]))))
 
 
 def score_gradients(model: EmbeddingModel, triple: tuple[int, int, int]) -> dict:
@@ -276,16 +282,15 @@ def score_gradients(model: EmbeddingModel, triple: tuple[int, int, int]) -> dict
     Returns a dict with ``head``, ``relation``, ``tail`` vectors and,
     for projected variants, ``head_proj`` / ``tail_proj`` matrices (the
     per-relation slices; transr's one matrix gets their sum). This is
-    the one-row case of the training update.
+    the one-row case of ``_relation_grads``, the training update's
+    backward path.
     """
     row = np.array([triple], dtype=np.int64)
     g = _norm_grad(_residuals(model, row), model.dissimilarity)
-    if not len(model.proj):
-        return {"head": g[0], "relation": g[0].copy(), "tail": -g[0]}
-    ((_, _, head, tail, head_proj, tail_proj),) = \
-        _relation_grads(model, row, g)
-    return {"head": head[0], "relation": g[0], "tail": tail[0],
-            "head_proj": head_proj, "tail_proj": tail_proj}
+    ((_, head, tail, mats),) = _relation_grads(model, row, g)
+    grads = {"head": head[0], "relation": g[0].copy(), "tail": tail[0]}
+    grads.update(zip(("head_proj", "tail_proj"), [m for _, _, m in mats]))
+    return grads
 
 
 def _init_model(graph: KnowledgeGraph, config: TrainConfig,
@@ -329,42 +334,30 @@ def _scatter_add(table: np.ndarray, ids: np.ndarray,
     np.add.at(table.reshape(-1), index, rows.ravel())
 
 
-def _batch_update(model: EmbeddingModel, lr: float,
-                  pos: np.ndarray, neg: np.ndarray, g_pos: np.ndarray,
-                  g_neg: np.ndarray) -> None:
+def _batch_update(model: EmbeddingModel, lr: float, triples: np.ndarray,
+                  g: np.ndarray) -> None:
     """Apply one mini-batch of margin-violation gradient steps.
 
-    ``pos``/``neg`` are (B, 3) id arrays for the violating pairs and
-    ``g_pos``/``g_neg`` the norm gradients of their residuals. All
-    gradients are evaluated at the batch-start parameters. Repeated ids
-    accumulate in ``_scatter_add``, one step after another in the order
-    the steps are listed: the relation steps in pair order; for transe
-    the positive heads, positive tails, negative heads, then negative
-    tails; for the projected variants the heads of the positives and
-    then of the negatives, followed by their tails in the same order.
+    ``triples`` is a (2m, 3) id array, the m violating positives and then
+    their negatives, and ``g`` the norm gradients of their residuals with
+    the negatives' half negated: one signed pass over sum f(pos) - f(neg).
+    All gradients are evaluated at the batch-start parameters. Repeated
+    ids accumulate in ``_scatter_add``, one step after another in the
+    order the steps are listed: the relation steps in pair order; the
+    heads of every row, then their tails; then relation by relation its
+    head matrix and its tail matrix (transr's one matrix takes both).
     """
-    ent = model.entity_vecs
-    _scatter_add(model.relation_vecs, pos[:, 1], -lr * (g_pos - g_neg))
-    if not len(model.proj):
-        _scatter_add(ent, np.concatenate([pos[:, 0], pos[:, 2],
-                                          neg[:, 0], neg[:, 2]]),
-                     np.concatenate([-lr * g_pos, lr * g_pos,
-                                     lr * g_neg, -lr * g_neg]))
-        return
-
-    # one signed pass over both halves of sum f(pos) - f(neg); entities
-    # move after the loop, each relation's matrices once they are read
-    triples = np.concatenate([pos, neg])
-    n = len(triples)
+    m, n = len(triples) // 2, len(triples)
+    _scatter_add(model.relation_vecs, triples[:m, 1], -lr * (g[:m] + g[m:]))
+    # entities move after the loop, each matrix once it is read
     d_ent = np.empty((2 * n, model.dim))
-    for relation, rows, head, tail, head_proj, tail_proj in _relation_grads(
-            model, triples, np.concatenate([g_pos, -g_neg])):
-        d_ent[rows] = head
-        d_ent[n + rows] = tail
-        model.proj[0, relation] -= lr * head_proj
-        model.proj[-1, relation] -= lr * tail_proj
-    _scatter_add(ent, np.concatenate([triples[:, 0], triples[:, 2]]),
-                 -lr * d_ent)
+    for rows, head, tail, mats in _relation_grads(model, triples, g):
+        d_ent[:n][rows] = head
+        d_ent[n:][rows] = tail
+        for slot, relation, grad in mats:
+            model.proj[slot, relation] -= lr * grad
+    _scatter_add(model.entity_vecs,
+                 np.concatenate([triples[:, 0], triples[:, 2]]), -lr * d_ent)
 
 
 def _check_finite(model: EmbeddingModel, epoch: int) -> None:
@@ -432,16 +425,17 @@ def train(graph: KnowledgeGraph, config: TrainConfig,
             neg[corrupt_head, 0] = repl[corrupt_head]
             neg[~corrupt_head, 2] = repl[~corrupt_head]
 
-            u = _residuals(model, np.concatenate([pos, neg]))
+            pairs = np.concatenate([pos, neg])
+            u = _residuals(model, pairs)
             f = _norms(u, model.dissimilarity)
             viol = config.margin + f[:b] - f[b:]
             mask = viol > 0
             loss_sum += float(viol[mask].sum())
             if mask.any():
-                g = _norm_grad(u[np.concatenate([mask, mask])],
-                               model.dissimilarity)
-                _batch_update(model, config.lr, pos[mask], neg[mask],
-                              *np.split(g, 2))
+                both = np.concatenate([mask, mask])
+                g = _norm_grad(u[both], model.dissimilarity)
+                g[len(g) // 2:] *= -1     # the loss holds -f(neg)
+                _batch_update(model, config.lr, pairs[both], g)
 
         mean_loss = loss_sum / n
         if not np.isfinite(mean_loss):

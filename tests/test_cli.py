@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drekge import cli, data
+from drekge import cli, data, models
 from drekge.cli import PRESETS, build_parser, main
 from drekge.evaluation import evaluate, format_report
 from drekge.domains import (fit_all_domains, load_domains, penalties_all,
@@ -200,6 +200,24 @@ class TestPipeline:
                                                batch_size=3)), str(lib))
         assert out.read_bytes() == lib.read_bytes()
 
+    def test_domains_all_skipped_leave_every_prediction_missing(
+            self, dataset, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="drekge")
+        model, doms = str(tmp_path / "m.bin"), str(tmp_path / "d.bin")
+        report = tmp_path / "r.txt"
+        run_train(dataset, model)
+        g = dataset["graph"]
+        assert main(["fit-domains", *dataset["args"], "--model", model,
+                     "--min-members", str(len(g.train) + 1),
+                     "--fit-epochs", "1", "--out", doms]) == 0
+        n_domains = 2 * len(np.unique(g.train[:, 1]))
+        assert caplog.text.count("members, skipped") == n_domains
+        assert load_domains(doms).n_fitted == 0
+        assert main(["evaluate", *dataset["args"], "--model", model,
+                     "--domains", doms, "--report-out", str(report)]) == 0
+        assert f"missing_domain_predictions={2 * len(g.test)}" \
+            in report.read_text().splitlines()
+
     @pytest.mark.parametrize("flags, settings", [
         (["--neg-sampling", "bernoulli"], {"negative_sampling": "bernoulli"}),
         (["--normalize-entities"], {"normalize_entities": True}),
@@ -307,10 +325,15 @@ class TestFailureModes:
         assert main(["train", *dataset["args"]]) == 1  # --out missing
         assert main(["nonsense"]) == 1
         capsys.readouterr()
+        # the other triple files, with no --train and no config file
+        assert main(["train", *dataset["args"][2:],
+                     "--out", str(tmp_path / "x.bin")]) == 1
+        assert "error: --train is required" in capsys.readouterr().err
+        assert not (tmp_path / "x.bin").exists()
 
     @pytest.mark.parametrize("value", [
         pytest.param(value, id=f"predict-top={value}")
-        for value in ("0", "-3")])
+        for value in ("0", "-3", "abc", "1.5")])
     def test_counts_below_one_exit_one(self, dataset, tmp_path, capsys,
                                        value):
         model = str(tmp_path / "m.bin")
@@ -788,6 +811,18 @@ class TestFailureModes:
         assert not out.exists()
         assert list(tmp_path.iterdir()) == [tmp_path / "data"]
         capsys.readouterr()
+
+    def test_a_write_failing_after_its_temp_file_leaves_no_files(
+            self, dataset, tmp_path, capsys, monkeypatch):
+        def write_then_fail(model, path):
+            with open(path, "wb") as fh:
+                fh.write(b"DREKGE")
+            raise OSError("no space left")
+
+        monkeypatch.setattr(models, "save_model", write_then_fail)
+        assert run_train(dataset, str(tmp_path / "model.bin")) == 2
+        assert "error: no space left" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "data"]
 
     @pytest.mark.parametrize("flag,what", [("--margin", "loss"),
                                            ("--lr", "entity_vecs")])

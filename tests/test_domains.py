@@ -312,6 +312,18 @@ class TestSerialization:
         for ell in back.ellipsoids.values():
             assert (ell.factor == np.tril(ell.factor)).all()
 
+    @pytest.mark.parametrize("key", [0, (0,), (0, "middle"), ("0", "head"),
+                                     (0.5, "head")],
+                             ids=["int", "one-tuple", "side", "str-relation",
+                                  "float-relation"])
+    def test_a_key_that_is_no_slot_is_missing(self, key):
+        dm = domain_model(2, 0, {(0, "head"): Ellipsoid(np.zeros(2),
+                                                        np.eye(2))})
+        assert (0, "head") in dm.ellipsoids
+        with pytest.raises(KeyError):
+            dm.ellipsoids[key]
+        assert dm.ellipsoids.get(key) is None
+
     def test_corrupted_files_are_rejected(self, tmp_path):
         rng = np.random.default_rng(113)
         g = random_graph(rng)

@@ -47,6 +47,10 @@ class TestConfig:
             for value in (np.nan, np.inf):
                 with pytest.raises(ConfigurationError, match="finite"):
                     TrainConfig(**{name: value}).validate()
+        for dims in ({"dim": 0}, {"rel_dim": 0}):
+            with pytest.raises(ConfigurationError,
+                               match="embedding dimensions must be >= 1"):
+                TrainConfig(variant="transr", **dims).validate()
 
     def test_translation_only_variant_rejects_projection_size(self):
         with pytest.raises(ConfigurationError):
@@ -113,6 +117,11 @@ class TestScoring:
                         score_triple(m, (h, r, e)), rel=1e-12, abs=1e-12)
                     assert heads[e] == pytest.approx(
                         score_triple(m, (e, r, t)), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("anchors", [{"head": 0, "tail": 1}, {}])
+    def test_score_all_needs_exactly_one_anchor(self, anchors):
+        with pytest.raises(ConfigurationError, match="fix exactly one"):
+            score_all(tiny_model(), 0, **anchors)
 
     @pytest.mark.parametrize("dim,rel_dim", [(9, 6), (6, 9)])
     def test_rectangular_projections_score_every_candidate(self, dim,
@@ -309,12 +318,72 @@ class TestBatchUpdate:
                     expected[id(arr)][idx] -= lr * sign * grads[name]
 
         norm_grad = models._norm_grad
-        models._batch_update(m, lr, pos, neg,
-                             norm_grad(models._residuals(m, pos), dissim),
-                             norm_grad(models._residuals(m, neg), dissim))
+        models._batch_update(m, lr, np.concatenate([pos, neg]), np.concatenate(
+            [norm_grad(models._residuals(m, pos), dissim),
+             -norm_grad(models._residuals(m, neg), dissim)]))
         for arr in params:
             np.testing.assert_allclose(arr, expected[id(arr)], rtol=0,
                                        atol=1e-12)
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    @pytest.mark.parametrize("dissim", models.DISSIMILARITIES)
+    def test_steps_add_in_the_documented_order(self, variant, dissim):
+        """The update has the bits of its steps added one by one in the
+        order its docstring lists, with each row's values from
+        ``_relation_grads``."""
+        rng = np.random.default_rng(67)
+        g = random_graph(rng, n_entities=6, n_relations=3)
+        m = random_model(rng, g, variant=variant, dissimilarity=dissim,
+                         dim=4)
+        # relation 1 repeats, and entity 2 is a positive tail and a
+        # negative head
+        pos = np.array([[0, 1, 2], [3, 1, 2], [2, 0, 4], [5, 1, 1]])
+        neg = np.array([[2, 1, 2], [3, 1, 5], [2, 0, 2], [5, 1, 3]])
+        triples, half = np.concatenate([pos, neg]), len(pos)
+        # rows scaled by 1e-8 .. 1e8, so another summation order changes
+        # bits
+        grad = models._norm_grad(models._residuals(m, triples), dissim) \
+            * 10.0 ** np.array([0, 8, 0, -8, 0, 8, 0, -8])[:, None]
+        grad[half:] *= -1
+        lr = 0.1
+
+        ends = {0: np.empty((len(triples), m.dim)),
+                2: np.empty((len(triples), m.dim))}
+        mat_steps = []
+        for rows, head, tail, mats in models._relation_grads(m, triples,
+                                                             grad):
+            ends[0][rows], ends[2][rows] = head, tail
+            # the head matrix, then the tail matrix
+            assert [slot for slot, _, _ in mats] == [0, -1][:len(mats)]
+            mat_steps += mats
+
+        def reference(segments):
+            """The steps added one by one: relations, then the entity
+            steps of each (column, rows) segment, then the matrices."""
+            ent, rel, proj = (a.copy() for a in (m.entity_vecs,
+                                                 m.relation_vecs, m.proj))
+            for i in range(half):
+                rel[triples[i, 1]] += -lr * (grad[i] + grad[half + i])
+            for column, rows in segments:
+                for e, step in zip(triples[rows, column],
+                                   ends[column][rows]):
+                    ent[e] += -lr * step
+            for slot, r, step in mat_steps:
+                proj[slot, r] -= lr * step
+            return ent, rel, proj
+
+        every, positives, negatives = (slice(None), slice(None, half),
+                                       slice(half, None))
+        expected = reference([(0, every), (2, every)])
+        # tails before heads, or positives before negatives, move bits
+        for other in ([(2, every), (0, every)],
+                      [(0, positives), (2, positives), (0, negatives),
+                       (2, negatives)]):
+            assert not np.array_equal(reference(other)[0], expected[0])
+        models._batch_update(m, lr, triples, grad)
+        for arr, want in zip((m.entity_vecs, m.relation_vecs, m.proj),
+                             expected, strict=True):
+            assert np.array_equal(arr, want)
 
     def test_transr_keeps_one_matrix(self, tmp_path):
         rng = np.random.default_rng(64)
