@@ -211,8 +211,6 @@ def cmd_train(args: argparse.Namespace) -> int:
                                 normalize_entities=args.normalize_entities,
                                 **settings)
 
-    init = models.load_model(args.init_model) if args.init_model else None
-
     def on_epoch(epoch: int, mean_loss: float) -> None:
         log.info("epoch %d mean loss %.6f", epoch, mean_loss)
 
@@ -226,8 +224,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     log.info("training %s: %d entities, %d relations, %d triples",
              config.variant, graph.n_entities, graph.n_relations,
              len(graph.train))
-    model = models.train(graph, config, init, validator=validator,
-                         on_epoch=on_epoch)
+    # the init goes in as a temporary, so that train can free it once
+    # the new model holds its copies
+    model = models.train(
+        graph, config,
+        models.load_model(args.init_model) if args.init_model else None,
+        validator=validator, on_epoch=on_epoch)
     with _atomic_output(args.out) as tmp:
         models.save_model(model, tmp)
     log.info("wrote model to %s", args.out)

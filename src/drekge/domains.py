@@ -47,9 +47,11 @@ DOMAIN_MAGIC = "DREDOM"
 
 MIN_MEMBERS = 2
 
-# most bytes in one stack's (G, m, k) member clouds and in its (G, k, k)
-# factors: the fit's per-step temporaries have those shapes, so capping
-# G keeps a fit's memory flat however many domains share a member count
+# most bytes in each of one stack's arrays: its (G, m, d) member vectors
+# and (G, k, d) projection matrices, its (G, m, k) member clouds, and its
+# (G, k, k) factors and their one gradient together. The fit's per-step
+# temporaries have those shapes, so capping G keeps a fit's memory flat
+# however many domains share a member count
 STACK_BYTES = 4 << 20
 
 _SIDE_FLAGS = {HEAD: 0, TAIL: 1}
@@ -217,7 +219,8 @@ def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
 
     The paper fits each domain on its own, so all domains with the same
     member count are fitted together, one size at a time, in stacks of
-    at most ``STACK_BYTES`` of member clouds and of factors; each still
+    at most ``STACK_BYTES`` of gathered member vectors and matrices, of
+    member clouds, and of factors with their gradient; each still
     draws its batches from its own seed and ends exactly as a lone
     ``fit`` of its projected members would. Each stack's centers and
     factor triangles are packed straight into the fitted records. After
@@ -239,7 +242,7 @@ def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
     sizes = np.diff(starts)
     is_fitted = sizes >= min_members
     kept = np.flatnonzero(is_fitted)
-    k = model.rel_dim
+    k, d = model.rel_dim, model.dim
     fitted = np.zeros(len(kept), dtype=_fitted_record(k))
     fitted[["relation", "flag"]] = slots[kept]
 
@@ -248,7 +251,7 @@ def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
     # member counts in the order of their first slot, so the first
     # slot's fit runs, and is checked, first
     for size, group in sorted(_groups(sizes[kept]), key=lambda g: g[1][0]):
-        cap = max(1, STACK_BYTES // (8 * k * max(k, size)))
+        cap = max(1, STACK_BYTES // (8 * max(k, d) * max(2 * k, size)))
         for lo in range(0, len(group), cap):
             rows = group[lo:lo + cap]
             relations = fitted["relation"][rows].tolist()

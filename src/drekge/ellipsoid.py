@@ -34,9 +34,12 @@ SURFACE_TOL = 1e-9
 
 DIAG_FLOOR = 1e-6
 
-# columns per block of ``scores_test``'s w = L^T v, counted from the
-# first column, so that w never needs a second (k, n) array
-_TEST_BLOCK = 8192
+# columns per block of ``scores_test``'s v = X - a and w = L^T v,
+# counted from the first column, so that neither is ever a (k, n) array.
+# numpy 2's ufuncs buffer a 2-D operation whose rows are shorter than
+# about a third of their 8,192-element buffer, which made v's broadcast
+# subtraction twice as slow in 2,048-column blocks
+_TEST_BLOCK = 4096
 
 
 @dataclass
@@ -148,21 +151,29 @@ def scores_test(ell: Ellipsoid, points: np.ndarray) -> np.ndarray:
     The points are worked on as columns of their (k, n) transpose,
     which is C-ordered for ``models.project_all`` output, in fixed-offset
     blocks of ``_TEST_BLOCK`` columns: v = X - a, then w = L^T v and
-    q = sum of w*w down each column. No (k, n) temporary is held.
+    q = sum of w*w down each column. No (k, n) temporary is held: v and
+    w are written into two scratch buffers made once per call, each
+    block's as a C-ordered (k, width) view of a buffer's head: the
+    layout a fresh array of the block would have. Once q is taken, the
+    outside columns of v are copied into w's buffer for their norms.
     """
     cols = _as_batch(points).T
-    n = cols.shape[1]
+    k, n = cols.shape
     lt = ell.factor.T
     out = np.zeros(n)
+    scratch = np.empty((2, k * min(n, _TEST_BLOCK)))
     for lo in range(0, n, _TEST_BLOCK):
-        v = np.subtract(cols[:, lo:lo + _TEST_BLOCK], ell.center[:, None],
-                        order="C")
-        w = lt @ v
+        width = min(n - lo, _TEST_BLOCK)
+        v, w = (buf[:k * width].reshape(k, width) for buf in scratch)
+        np.subtract(cols[:, lo:lo + width], ell.center[:, None], out=v)
+        np.matmul(lt, v, out=w)
         q = np.multiply(w, w, out=w).sum(axis=0)
         outside = np.flatnonzero(q >= 1.0)
         # take keeps the copy C-ordered (v[:, outside] would not), so its
-        # norms are sums down each column, like q
-        v_out = np.take(v, outside, axis=1)
+        # norms are sums down each column, like q. The indices are all in
+        # range; mode "clip" lets take write into w's buffer with no copy
+        v_out = np.take(v, outside, axis=1, mode="clip", out=scratch[1][
+            :k * outside.size].reshape(k, outside.size))
         norm = np.sqrt(np.multiply(v_out, v_out, out=v_out).sum(axis=0))
         out[lo + outside] = _radial(q[outside], norm)
     return out
@@ -245,7 +256,11 @@ def _gradients(factors: np.ndarray, v: np.ndarray, w: np.ndarray,
     c2 = s * (1.0 - q_m12) / n        # weight on the v / n term
     lw = w @ factors.transpose(0, 2, 1)
     grad_center = -(c1[..., None] * lw + c2[..., None] * v).sum(axis=1)
-    grad_factor = np.tril((v * c1[..., None]).transpose(0, 2, 1) @ w)
+    grad_factor = (v * c1[..., None]).transpose(0, 2, 1) @ w
+    # np.tril's +0.0 above the diagonal, written in place: no second
+    # (G, k, k) array
+    k = factors.shape[-1]
+    np.copyto(grad_factor, 0.0, where=~np.tri(k, dtype=bool))
     return grad_center, grad_factor
 
 
@@ -265,8 +280,12 @@ def _step_stack(centers: np.ndarray, factors: np.ndarray, batch: np.ndarray,
     v, w, q = _quad_stack(centers, factors, batch)
     q[~((q >= Q_FLOOR) & (np.abs(q - 1.0) >= SURFACE_TOL))] = 1.0
     grad_center, grad_factor = _gradients(factors, v, w, q)
-    centers -= lr * grad_center
-    factors -= lr * grad_factor
+    # scaled in place: the factor gradient is the one (G, k, k) array
+    # held beside the factors
+    grad_center *= lr
+    centers -= grad_center
+    grad_factor *= lr
+    factors -= grad_factor
     diag = _diagonals(factors)
     np.maximum(diag, diag_floor, out=diag)
 

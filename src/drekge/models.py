@@ -33,6 +33,9 @@ MODEL_MAGIC = "DREKGE"
 # the version field of every artifact header, model and domain files alike
 ARTIFACT_VERSION = "v1"
 
+# most elements that one ``np.add.at`` call of ``_scatter_add`` indexes
+_SCATTER_CHUNK = 1 << 17
+
 # a header count as the writers print it: decimal digits, no sign, no
 # leading zero
 _COUNT = re.compile("0|[1-9][0-9]*")
@@ -325,13 +328,19 @@ def _scatter_add(table: np.ndarray, ids: np.ndarray,
     """``np.add.at(table, ids, rows)`` for a 2-D ``table``, run on its
     flat view with one element index ``id * k + column`` per value: the
     same element additions in the same order, so the same bits, on
-    numpy's fast 1-D path. ``table`` must be C-contiguous, so that the
-    flat array is a view and not a copy."""
+    numpy's fast 1-D path. The rows go in order in chunks of at most
+    ``_SCATTER_CHUNK`` elements (one row if a row is longer), so no
+    index outgrows one chunk. ``table`` must be C-contiguous, so that
+    the flat array is a view and not a copy."""
     if not table.flags.c_contiguous:
         raise ValueError("scatter target must be C-contiguous")
     k = table.shape[1]
-    index = (ids[:, None] * k + np.arange(k)).ravel()
-    np.add.at(table.reshape(-1), index, rows.ravel())
+    flat, columns = table.reshape(-1), np.arange(k)
+    step = max(1, _SCATTER_CHUNK // k)
+    for lo in range(0, len(ids), step):
+        # a temporary, so one chunk's index is freed before the next's
+        np.add.at(flat, (ids[lo:lo + step, None] * k + columns).ravel(),
+                  rows[lo:lo + step].ravel())
 
 
 def _batch_update(model: EmbeddingModel, lr: float, triples: np.ndarray,
@@ -356,8 +365,10 @@ def _batch_update(model: EmbeddingModel, lr: float, triples: np.ndarray,
         d_ent[n:][rows] = tail
         for slot, relation, grad in mats:
             model.proj[slot, relation] -= lr * grad
+    # scaled in place: the (2n, d) steps are the update's largest array
+    d_ent *= -lr
     _scatter_add(model.entity_vecs,
-                 np.concatenate([triples[:, 0], triples[:, 2]]), -lr * d_ent)
+                 np.concatenate([triples[:, 0], triples[:, 2]]), d_ent)
 
 
 def _check_finite(model: EmbeddingModel, epoch: int) -> None:
@@ -397,6 +408,9 @@ def train(graph: KnowledgeGraph, config: TrainConfig,
         raise ConfigurationError("training split is empty")
     rng = np.random.default_rng(config.seed)
     model = _init_model(graph, config, init, rng)
+    # the model holds copies; a caller that passed the init as a
+    # temporary no longer keeps it alive through training
+    del init
 
     triples = graph.train
     n = len(triples)

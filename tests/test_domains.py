@@ -195,24 +195,33 @@ class TestFitAllDomains:
         assert seen[domains.STACK_BYTES] == seen[1]
 
     def test_stacks_hold_at_most_stack_bytes(self, monkeypatch):
-        # a stack of several clouds holds at most STACK_BYTES of (G, m, k)
-        # clouds and of (G, k, k) factors, whichever is larger
-        rng = np.random.default_rng(104)
-        g = random_graph(rng, n_entities=40, n_relations=8)
-        m = random_model(rng, g, dim=4)
-        monkeypatch.setattr(domains, "STACK_BYTES", 8 * 4 * 4 * 4)
-        shapes = []
+        # a stack of several clouds holds at most STACK_BYTES in each of
+        # its (G, m, d) member vectors, (G, k, d) matrices, (G, m, k)
+        # clouds, and (G, k, k) factors with their gradient; the transr
+        # model's entity space is three times its relation space
+        for variant, dim in (("transe", 4), ("transr", 12)):
+            rng = np.random.default_rng(104)
+            # many slots share a member count, so the cap splits their
+            # groups
+            g = random_graph(rng, n_entities=40, n_relations=40,
+                             n_train=240)
+            m = random_model(rng, g, variant=variant, dim=dim, rel_dim=4)
+            # room for four of the smallest domains
+            monkeypatch.setattr(domains, "STACK_BYTES", 8 * dim * 2 * 4 * 4)
+            shapes = []
 
-        def recording(points, *args):
-            shapes.append(points.shape)
-            return fit_stack(points, *args)
-        monkeypatch.setattr(domains, "fit_stack", recording)
-        quick_fit(g, m, epochs=2)
-        stacks = [(n, size, k) for n, size, k in shapes if n > 1]
-        assert stacks and len(stacks) < len(shapes)
-        for n, size, k in stacks:
-            assert 8 * n * size * k <= domains.STACK_BYTES
-            assert 8 * n * k * k <= domains.STACK_BYTES
+            def recording(points, *args):
+                shapes.append(points.shape)
+                return fit_stack(points, *args)
+            monkeypatch.setattr(domains, "fit_stack", recording)
+            quick_fit(g, m, epochs=2)
+            stacks = [(n, size, k) for n, size, k in shapes if n > 1]
+            assert stacks and len(stacks) < len(shapes)
+            for n, size, k in stacks:
+                assert 8 * n * size * dim <= domains.STACK_BYTES
+                assert 8 * n * k * dim <= domains.STACK_BYTES
+                assert 8 * n * size * k <= domains.STACK_BYTES
+                assert 16 * n * k * k <= domains.STACK_BYTES
 
     def test_callback_runs_in_slot_order(self):
         rng = np.random.default_rng(105)

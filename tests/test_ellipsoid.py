@@ -170,6 +170,46 @@ class TestDistance:
         grown = 6 * block * 8
         assert peaks[8 * block] - peaks[2 * block] <= 2 * grown
 
+    def test_batch_holds_two_blocks(self):
+        # v, w and the outside columns of v share two (k, block) buffers
+        rng = np.random.default_rng(28)
+        k, block = 50, ellipsoid._TEST_BLOCK
+        ell = random_ellipsoid(rng, k)
+        n = 3 * block
+        pts = np.asfortranarray(ell.center + rng.normal(size=(n, k)))
+        tracemalloc.start()
+        try:
+            scores = scores_test(ell, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (scores > 0).all()
+        assert peak < 2.5 * k * block * 8 + n * 8
+
+    @pytest.mark.parametrize("n_blocks, extra", [(1, -1), (1, 0), (3, 1)])
+    def test_scratch_blocks_give_fresh_block_bits(self, n_blocks, extra):
+        """One block less a column, one block, and a last block of one
+        column after three full ones: the scratch views give the bits
+        that fresh C-ordered arrays per block give."""
+        rng = np.random.default_rng(27)
+        k, block = 12, ellipsoid._TEST_BLOCK
+        n = n_blocks * block + extra
+        ell = random_ellipsoid(rng, k)
+        pts = np.asfortranarray(ell.center
+                                + rng.normal(scale=0.5, size=(n, k)))
+        want = np.zeros(n)
+        for lo in range(0, n, block):
+            v = np.subtract(pts.T[:, lo:lo + block], ell.center[:, None],
+                            order="C")
+            w = ell.factor.T @ v
+            q = (w * w).sum(axis=0)
+            norm = np.sqrt((v * v).sum(axis=0))
+            outside = q >= 1.0
+            want[lo:lo + block][outside] = (1.0 - q[outside] ** -0.5) \
+                * norm[outside]
+        assert 0 < np.count_nonzero(want) < n
+        assert np.array_equal(scores_test(ell, pts), want)
+
     def test_ray_monotonicity(self):
         rng = np.random.default_rng(23)
         ell = random_ellipsoid(rng, 4)
@@ -451,6 +491,22 @@ class TestFitStack:
             np.testing.assert_allclose(new_f[g] - factors[g], -lr * grad_f,
                                        rtol=0, atol=1e-12)
             assert np.abs(grad_c).max() > 1e-3
+
+    def test_step_holds_one_k_by_k_array_beside_the_factors(self):
+        # k large against the batch, so the (G, k, k) arrays dominate
+        rng = np.random.default_rng(65)
+        g, k, b = 4, 64, 2
+        centers = rng.normal(size=(g, k))
+        factors = np.tril(rng.normal(scale=0.1, size=(g, k, k)))
+        ellipsoid._diagonals(factors)[:] = 1.0
+        batch = centers[:, None, :] + rng.normal(size=(g, b, k))
+        tracemalloc.start()
+        try:
+            ellipsoid._step_stack(centers, factors, batch, 1e-3, DIAG_FLOOR)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * factors.nbytes
 
 
 class TestRotationEquivariance:

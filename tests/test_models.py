@@ -1,7 +1,9 @@
 import copy
 import hashlib
 import struct
+import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -385,6 +387,30 @@ class TestBatchUpdate:
                              expected, strict=True):
             assert np.array_equal(arr, want)
 
+    def test_update_holds_one_step_array_and_one_chunk_index(self):
+        """A transr update holds its (2n, d) entity steps, scaled in
+        place, and one chunk of the scatter index at a time: no scaled
+        copy and no whole-batch index."""
+        rng = np.random.default_rng(68)
+        d, n_rel, half = 32, 20, 4000
+        m = EmbeddingModel("l2", rng.normal(size=(500, d)),
+                           rng.normal(size=(n_rel, d)),
+                           rng.normal(size=(1, n_rel, d, d)))
+        triples = np.stack([rng.integers(0, 500, 2 * half),
+                            rng.integers(0, n_rel, 2 * half),
+                            rng.integers(0, 500, 2 * half)], axis=1)
+        grad = rng.normal(size=(2 * half, d))
+        steps = 2 * len(triples) * d * 8
+        # the steps span several chunks
+        assert steps // 8 > 3 * models._SCATTER_CHUNK
+        tracemalloc.start()
+        try:
+            models._batch_update(m, 1e-3, triples, grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * steps + 8 * models._SCATTER_CHUNK
+
     def test_transr_keeps_one_matrix(self, tmp_path):
         rng = np.random.default_rng(64)
         g = random_graph(rng)
@@ -439,6 +465,23 @@ class TestScatterAdd:
         models._scatter_add(table, ids, rows)
         assert np.array_equal(table, expected)
 
+    def test_chunks_add_in_the_two_d_order(self):
+        """Ids spanning several chunks, one of them on both sides of a
+        chunk boundary, add in the order a 2-D ``np.add.at`` adds them."""
+        rng = np.random.default_rng(69)
+        k = 50
+        per_chunk = models._SCATTER_CHUNK // k
+        ids = rng.integers(0, 30, 3 * per_chunk + 7)
+        ids[per_chunk - 1:per_chunk + 1] = 4     # the last and first rows
+        table = rng.normal(size=(30, k))
+        rows = rng.normal(size=(len(ids), k)) \
+            * 10.0 ** rng.integers(-8, 9, size=(len(ids), 1))
+        expected = table.copy()
+        np.add.at(expected, ids, rows)
+        models._scatter_add(table, ids, rows)
+        assert len(ids) * k > 3 * models._SCATTER_CHUNK
+        assert np.array_equal(table, expected)
+
     def test_a_fortran_ordered_table_raises(self):
         table = np.asfortranarray(np.arange(12.0).reshape(4, 3))
         before = table.copy()
@@ -483,6 +526,25 @@ class TestScatterAdd:
 
 
 class TestTraining:
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="Python 3.10 keeps a call's arguments on "
+                               "the caller's stack until it returns")
+    def test_an_init_passed_as_a_temporary_is_freed(self):
+        rng = np.random.default_rng(79)
+        g = random_graph(rng)
+        base = random_model(rng, g, dim=4)
+        refs = []
+
+        def temporary():
+            init = copy.deepcopy(base)
+            refs.append(weakref.ref(init))
+            return init
+
+        alive = []
+        train(g, TrainConfig(variant="transr", dim=4, epochs=2), temporary(),
+              on_epoch=lambda epoch, loss: alive.append(refs[0]() is not None))
+        assert alive == [False, False]
+
     def test_loss_goes_down(self):
         rng = np.random.default_rng(71)
         g = random_graph(rng, n_entities=20, n_train=80)
