@@ -401,7 +401,11 @@ def train(graph: KnowledgeGraph, config: TrainConfig,
     ``validator(model) -> float`` (higher is better) is called every
     ``eval_every`` epochs; after ``patience`` validations without
     improvement training stops and the best-scoring parameters are
-    returned. A fixed seed makes the run bit-reproducible.
+    returned. A fixed seed makes the run bit-reproducible on any host
+    as long as numpy's BLAS runs on one thread, as it does when drekge
+    is imported before numpy: a threaded BLAS splits the projected
+    variants' matrix gradients over the cores, and the split changes
+    their rounding.
     """
     config.validate()
     if len(graph.train) == 0:

@@ -2,11 +2,14 @@ import itertools
 import json
 import logging
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import drekge
 from drekge import cli, data, models
 from drekge.cli import PRESETS, build_parser, main
 from drekge.evaluation import evaluate, format_report
@@ -1077,3 +1080,72 @@ class TestFilterIndexIsLazy:
         with pytest.raises(_IndexBuilt):
             run_train(dataset, str(tmp_path / "t.bin"),
                       ["--eval-every", "1"])
+
+
+# the variables drekge sets, and every other one from which OpenBLAS
+# takes its thread count
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS")
+NUMPY_DEFAULT = (*BLAS_THREADS, "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _child_env(**preset):
+    """This environment without any BLAS thread variable, plus ``preset``,
+    with drekge's source on the path."""
+    env = {k: v for k, v in os.environ.items() if k not in NUMPY_DEFAULT}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(drekge.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                     env.get("PYTHONPATH")]))
+    env.update(preset)
+    return env
+
+
+class TestBlasThreads:
+    """Every stage runs its BLAS on one thread, set when drekge loads."""
+
+    def _read_after_import(self, **preset):
+        code = ("import json, os, drekge; print(json.dumps("
+                f"{{n: os.environ.get(n) for n in {BLAS_THREADS!r}}}))")
+        done = subprocess.run([sys.executable, "-c", code],
+                              env=_child_env(**preset), capture_output=True,
+                              text=True, check=True)
+        return json.loads(done.stdout)
+
+    def test_import_sets_one_thread(self):
+        assert self._read_after_import() == dict.fromkeys(BLAS_THREADS, "1")
+
+    def test_a_preset_value_wins(self):
+        assert self._read_after_import(OPENBLAS_NUM_THREADS="3") == {
+            **dict.fromkeys(BLAS_THREADS, "1"), "OPENBLAS_NUM_THREADS": "3"}
+
+    def test_projected_bits_do_not_depend_on_the_core_count(self, tmp_path):
+        """A transr model trained by ``python -m drekge.cli`` with numpy's
+        own BLAS thread count is the one trained with one thread. A
+        1,200-row relation group makes ``_relation_grads``' matrix
+        gradient a product that OpenBLAS splits over its threads, and
+        the split changes its rounding. On a 1-CPU host OpenBLAS runs
+        one thread in both runs, so there the test passes with or
+        without that setting."""
+        rng = np.random.default_rng(0)
+        rows = [(f"e{h}", "r0", f"e{t}")
+                for h, t in rng.integers(0, 300, size=(1200, 2))]
+        rows += [(f"e{i}", "r1", f"e{(i + 1) % 300}") for i in range(300)]
+        for name, part in (("train", rows), ("valid", rows[:5]),
+                           ("test", rows[5:10])):
+            (tmp_path / f"{name}.txt").write_text(
+                "".join("\t".join(row) + "\n" for row in part))
+        files = [f"--{name}={tmp_path / name}.txt"
+                 for name in ("train", "valid", "test")]
+        init = str(tmp_path / "transe.bin")
+        assert main(["train", *files, "--epochs", "1", "--out", init]) == 0
+        outs = {}
+        for name, preset in (("default", {}),
+                             ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            outs[name] = tmp_path / f"transr-{name}.bin"
+            subprocess.run(
+                [sys.executable, "-m", "drekge.cli", "train", *files,
+                 "--variant", "transr", "--init-model", init,
+                 "--batch", "1500", "--epochs", "1", "--eval-every", "0",
+                 "--out", str(outs[name])],
+                env=_child_env(**preset), capture_output=True, check=True)
+        assert outs["default"].read_bytes() == outs["one"].read_bytes()
