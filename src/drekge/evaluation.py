@@ -21,10 +21,22 @@ partial triple (``drekge predict``). Every path checks that the model
 fits the graph, takes its penalties from ``domains.penalties_all`` (which
 checks the domain model against the embedding model) and refuses a
 non-finite score.
+
+Ranking a split does not score every candidate exactly. A screen
+scores every candidate cheaply (float32 sums for transe's L1, the GEMM
+form ||x||^2 + 2 a^T x + ||a||^2 for L2) and bounds each exact score by
+its screen value plus or minus a radius, from the worst-case rounding of
+both and the candidate's own norm. Only the candidates whose bounds
+cannot place them against the gold are re-scored exactly, with the gold
+and its filtered rivals, in the order ``models.score_all`` adds, so
+every rank, tie count and score term is the one the exact scores give,
+bit for bit. A projected L1 variant is not screened (see ``_Screen``).
+``score_query`` prints scores, so it scores every candidate exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +45,8 @@ from .data import (CATEGORIES, HEAD, TAIL, KnowledgeGraph, _groups,
                    classify_relations)
 from .domains import DomainModel, penalties_all
 from .errors import ConfigurationError, NumericalError
-from .models import (EmbeddingModel, _projection_key, check_fits,
-                     project_all, score_all)
+from .models import (EmbeddingModel, _anchor, _projection_key, _score_rows,
+                     check_fits, project_all, score_all)
 
 SETTINGS = ("raw", "filtered")
 COMBINED = "combined"
@@ -147,6 +159,193 @@ def _split_triples(graph: KnowledgeGraph, model: EmbeddingModel,
     return triples
 
 
+# unit roundoffs of float32, in which the L1 screen adds, and of
+# float64, in which the L2 screen and every exact score add
+_U32, _U64 = 2.0 ** -24, 2.0 ** -53
+# a query is screened only while its upper bounds stay below this: every
+# exact score is then finite
+_CEILING = 2.0 ** 500
+
+
+class _Screen:
+    """Bounds on the exact ``score_all`` score of every candidate of one
+    ``_projection_key``, from one cheap pass per query.
+
+    ``rows`` holds the candidates' exact float64 vectors, (|E|, k), from
+    which ``_score_rows`` re-scores: transe's ``entity_vecs`` itself, or
+    a projected variant's ``project_all`` result. L1 screens transe from
+    one C-ordered float32 (k, |E|) copy of ``entity_vecs``, summed
+    coordinate by coordinate as ``score_all`` sums; L2 screens from the
+    GEMM form ||x||^2 + 2 a^T x + ||a||^2 over ``rows``, with one (|E|,)
+    vector of squared norms and no further (k, |E|) array. Both keep the
+    (|E|,) candidate norms that their radii scale with. A projected L1
+    variant is not screened: its float32 block would be held beside the
+    float64 projection that exact scores must read (a projection's bits
+    depend on its width), half as much candidate memory again, so its
+    queries take the exact path.
+    """
+
+    def __init__(self, model: EmbeddingModel, relation: int, side: str):
+        self.l1 = model.dissimilarity == "l1"
+        projected = bool(len(model.proj))
+        self.rows = model.entity_vecs if not projected \
+            else project_all(model, relation, side)
+        self.on = not (self.l1 and projected)
+        if not self.on:
+            return
+        # an entity past float32's range (L1), or one whose squared norm
+        # overflows (L2), screens as inf: its queries take the exact path
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.l1:
+                self.block = np.ascontiguousarray(self.rows.T,
+                                                  dtype=np.float32)
+                # each candidate's ||x||_1, one coordinate row at a time:
+                # np.abs of all the rows would be a float64 copy of them
+                self.norms = np.zeros(len(self.rows))
+                for coords in self.block:
+                    self.norms += np.abs(coords)
+            else:
+                self.squares = np.einsum("ij,ij->i", self.rows, self.rows)
+                self.norms = np.sqrt(self.squares)
+
+    def __call__(self, anchor: np.ndarray, pen_max: float) \
+            -> tuple[np.ndarray, np.ndarray] | None:
+        """(lo, hi) for the query of ``anchor``: float64 bounds with
+        lo <= s <= hi for each candidate's exact score s. None when the
+        query takes the exact path: the screen is off, a bound is not
+        finite and below ``_CEILING``, or the largest bound plus
+        ``pen_max`` (the slot's largest penalty) overflows.
+
+        Each candidate's radius, v +- radius for its screen value v, is
+        twice the sum of the screen's and the exact loop's worst-case
+        rounding (Higham, *Accuracy and Stability of Numerical
+        Algorithms*, 2002, ch. 3), which scale with its own norm ||x||
+        and the query's ||a||; the factor of two also absorbs the
+        rounding of lo and hi. L1 in float32, with k coordinates:
+        rounding x and a costs u32 (|x_i| + |a_i|) a coordinate, the sum
+        (k - 1) u32 its terms, and the exact float64 loop far less, so
+        (k + 2) u32 (||x||_1 + ||a||_1) bounds both, with an absolute
+        k 2^-148 for float32's subnormals. L2 bounds the squared sums:
+        the GEMM form (in any summation order) and the exact loop are
+        each within gamma_{k+2} (||x|| + ||a||)^2 of ||x + a||^2, a
+        square root moves a difference d by at most sqrt(d), and the two
+        square roots round by u64 of their result each; as
+        sqrt(d + e) <= sqrt(d) + sqrt(e), the radius is linear in
+        ||x|| + ||a||, with an absolute term for subnormals.
+        """
+        if not self.on:
+            return None
+        k = len(anchor)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.l1:
+                offsets = anchor.astype(np.float32)
+                total = np.zeros(self.block.shape[1], dtype=np.float32)
+                term = np.empty_like(total)
+                for coords, offset in zip(self.block, offsets):
+                    np.add(coords, offset, out=term)
+                    total += np.abs(term, out=term)
+                values = total.astype(np.float64)
+                radius = self.norms + float(np.abs(anchor).sum())
+                radius *= 2 * (k + 2) * _U32
+                radius += 2 * k * 2.0 ** -148
+            else:
+                square = float(anchor @ anchor)
+                values = self.rows @ anchor
+                values *= 2
+                values += self.squares
+                values += square
+                np.sqrt(np.maximum(values, 0.0, out=values), out=values)
+                radius = self.norms + math.sqrt(square)
+                radius *= 2 * (math.sqrt(2 * (k + 2) * _U64) + 2 * _U64)
+                radius += 2 * math.sqrt(k * 2.0 ** -1060)
+            lo = values - radius
+            hi = np.add(values, radius, out=radius)
+            top = float(hi.max())
+            if not (top < _CEILING and top + pen_max < math.inf):
+                return None
+        return lo, hi
+
+
+def _split(lo: np.ndarray, hi: np.ndarray,
+           center: float) -> tuple[np.ndarray, np.ndarray]:
+    """(below, band) masks: the candidates whose exact score is certainly
+    below ``center`` (hi below it), and those their bounds leave
+    undecided (lo at or below it, hi not)."""
+    below = hi < center
+    return below, (lo <= center) ^ below
+
+
+def _settled(exact: np.ndarray, cand: np.ndarray, gold: int,
+             known: np.ndarray, below: np.ndarray,
+             tie_break: str) -> np.ndarray:
+    """``_ranks`` of the gold from the exact scores of the candidates
+    ``cand`` (sorted ids, the gold's included), plus the candidates
+    outside ``cand`` that ``below`` counts as certainly better: they
+    are unfiltered rivals, better in both settings."""
+    more = np.count_nonzero(below) - np.count_nonzero(below[cand])
+    return np.add(_ranks(exact, int(np.searchsorted(cand, gold)),
+                         np.searchsorted(cand, known), tie_break),
+                  (more, 0, more, 0))
+
+
+def _screened_median(lo: np.ndarray, hi: np.ndarray, exact) -> float:
+    """``np.median`` of the exact scores s, from their bounds. Order
+    statistics are monotone, so lo_(j) <= s_(j) <= hi_(j): a candidate
+    whose hi is below the lower middle lo_(j) is certainly below s_(j),
+    and one whose lo is above the upper middle hi_(j') certainly above
+    s_(j'). Only the candidates in between are re-scored by
+    ``exact(ids)``; sorted, they hold s_(j) at j minus the count below."""
+    n = len(lo)
+    first, last = (n - 1) // 2, n // 2
+    floor = np.partition(lo, first)[first]
+    ceiling = np.partition(hi, last)[last]
+    below = hi < floor
+    count = int(np.count_nonzero(below))
+    band = np.sort(exact(np.flatnonzero((lo <= ceiling) & ~below)))
+    # np.median's own arithmetic: the mean of the one or two middle values
+    return float(np.mean(band[[first - count, last - count]]))
+
+
+def _rank_query(model: EmbeddingModel, screen: _Screen, relation: int,
+                fixed: dict[str, int], gold: int, known: np.ndarray,
+                pen: np.ndarray | None, pen_max: float, tie_break: str,
+                with_median: bool):
+    """(baseline ``_ranks``, penalized ``_ranks``, gold score, median
+    score) of one query, the one of ``fixed`` (``head=`` or ``tail=``),
+    from one screen pass: see ``_rank_split``. The median is 0.0 unless
+    ``with_median``."""
+    anchor = _anchor(model, relation, **fixed)
+    bounds = screen(anchor, pen_max)
+    if bounds is None:
+        base = score_all(model, relation, projected=screen.rows, **fixed)
+        scores = _combined(base, pen, relation)
+        ranks = _ranks(base, gold, known, tie_break)
+        return (ranks, ranks if pen is None
+                else _ranks(scores, gold, known, tie_break),
+                base[gold], np.median(base) if with_median else 0.0)
+    lo, hi = bounds
+
+    def exact(ids):
+        return _score_rows(screen.rows, ids, anchor, model.dissimilarity)
+
+    (gold_score,) = exact([gold])
+    median = _screened_median(lo, hi, exact) if with_median else 0.0
+    below, band = _split(lo, hi, gold_score)
+    if pen is not None:
+        # rounding is monotone: fl(lo + p) <= fl(s + p) <= fl(hi + p)
+        lo += pen
+        hi += pen
+        below_pen, band_pen = _split(lo, hi, gold_score + pen[gold])
+        band |= band_pen
+    cand = np.unique(np.concatenate([np.flatnonzero(band), known, [gold]]))
+    base = exact(cand)
+    ranks = _settled(base, cand, gold, known, below, tie_break)
+    return (ranks, ranks if pen is None
+            else _settled(base + pen[cand], cand, gold, known, below_pen,
+                          tie_break),
+            gold_score, median)
+
+
 def _rank_split(graph: KnowledgeGraph, model: EmbeddingModel,
                 domain_model: DomainModel | None,
                 triples: np.ndarray, tie_break: str,
@@ -157,48 +356,59 @@ def _rank_split(graph: KnowledgeGraph, model: EmbeddingModel,
     Triple ``i`` predicts its head into row ``2 i`` and its tail into
     row ``2 i + 1`` of ``ranks`` (baseline and penalized ``_ranks``),
     ``terms`` (one row per ``_TERMS`` entry; None unless ``with_terms``)
-    and ``missing``. Each query is scored once, and the baseline and
-    penalized ranks both come from those scores.
+    and ``missing``. The baseline and penalized ranks both come from one
+    screen pass per query (``_rank_query``).
 
     Work is grouped by relation, each group in split order, so each
-    slot's penalties and their median are computed once per group.
-    Candidates are projected once per ``_projection_key`` (once per call
-    for transe, once per relation for transr, once per slot for
-    stranse), and no other (k, |E|) array is held.
+    slot's penalties and their median are computed once per group. A
+    ``_Screen`` is built once per ``_projection_key`` (once per call for
+    transe, once per relation for transr, once per slot for stranse).
+
+    Ranks are exact. A query bounds every candidate's exact score s by
+    lo <= s <= hi from its screen, then re-scores exactly, by
+    ``_score_rows``, the gold, its filtered rivals and every candidate
+    whose bounds hold the gold's exact score; the bounds decide the
+    rest, certainly below or above the gold. A penalized score is
+    fl(s + p): rounding is monotone, so fl(lo + p) and fl(hi + p) bound
+    it. Ties are only ever decided exactly, so ranks and tie counts are
+    those of ``score_all``'s scores, and so is the ``median_baseline``
+    term (``_screened_median``). A query that ``_Screen`` does not bound
+    (a projected L1 variant, a bound past ``_CEILING`` as an entity
+    beyond float32's range makes it, a slot with a non-finite penalty)
+    takes the exact path: ``score_all`` and ``_combined``, which
+    refuses a non-finite score.
     """
     n_pred = 2 * len(triples)
     ranks = np.empty((2, n_pred, 4), dtype=np.int64)  # baseline, penalized
     terms = np.empty((len(_TERMS), n_pred)) if with_terms else None
     missing = np.empty(n_pred, dtype=bool)
-    # one candidate array, (k, E) in memory: a projection is made once
-    # and kept while the next slots share it
-    key = cand = None
+    key = screen = None
     for relation, rows in _groups(triples[:, 1]):
         for col, side in enumerate((HEAD, TAIL)):
             slot_key = _projection_key(model, relation, side)
-            if cand is None or slot_key != key:
-                cand = None   # free the last candidates before the next
-                key, cand = slot_key, project_all(model, relation, side)
-            pen = None if domain_model is None else \
-                penalties_all(domain_model, model, relation, side, cand)
+            if screen is None or slot_key != key:
+                screen = None   # free the last candidates before the next
+                key, screen = slot_key, _Screen(model, relation, side)
+            pen = None   # and the last slot's penalties
+            if domain_model is not None:
+                pen = penalties_all(domain_model, model, relation, side,
+                                    screen.rows)
             med_pen = 0.0 if pen is None else float(np.median(pen))
+            pen_max = 0.0 if pen is None else float(pen.max())
             for i, (h, _, t) in zip(rows.tolist(), triples[rows].tolist()):
                 row = 2 * i + col
                 if side == HEAD:
-                    gold = h
-                    base = score_all(model, relation, tail=t, projected=cand)
+                    gold, fixed = h, {"tail": t}
                     known = graph.heads_by_rt[(relation, t)]
                 else:
-                    gold = t
-                    base = score_all(model, relation, head=h, projected=cand)
+                    gold, fixed = t, {"head": h}
                     known = graph.tails_by_hr[(h, relation)]
-                scores = _combined(base, pen, relation)
-                ranks[0, row] = _ranks(base, gold, known, tie_break)
-                ranks[1, row] = ranks[0, row] if pen is None \
-                    else _ranks(scores, gold, known, tie_break)
+                ranks[0, row], ranks[1, row], gold_score, median = \
+                    _rank_query(model, screen, relation, fixed, gold, known,
+                                pen, pen_max, tie_break, with_terms)
                 missing[row] = pen is None
                 if with_terms:
-                    terms[:, row] = (base[gold], np.median(base),
+                    terms[:, row] = (gold_score, median,
                                      0.0 if pen is None else pen[gold],
                                      med_pen)
     return ranks, terms, missing

@@ -178,10 +178,14 @@ def project_all(model: EmbeddingModel, relation: int, side: str) -> np.ndarray:
 
     It is stored column-major: its transpose is a C-ordered (k, |E|)
     array, so each coordinate runs contiguously across every entity and
-    a sum over the coordinates is k row additions across |E|. transe's
-    result is a transposed copy of ``entity_vecs``; a projected variant
-    makes one product ``W @ entity_vecs.T``. The copy belongs to the
-    caller, so it goes stale once the parameters change.
+    ``score_all``'s sum over the coordinates is k row additions across
+    |E|. transe's result is a transposed copy of ``entity_vecs``; a
+    projected variant makes one product ``W @ entity_vecs.T``, whose
+    bits depend on the product's width, so an exact score of a projected
+    candidate is always read from the full projection, never from a
+    projection of a subset. The copy belongs to the caller, so it goes
+    stale once the parameters change. Ranking a split needs no copy for
+    transe: the screen in ``evaluation`` reads ``entity_vecs`` itself.
     """
     if not len(model.proj):
         return np.ascontiguousarray(model.entity_vecs.T).T
@@ -211,6 +215,21 @@ def score_triple(model: EmbeddingModel, triple: tuple[int, int, int]) -> float:
     return float(_norms(_residuals(model, row), model.dissimilarity)[0])
 
 
+def _anchor(model: EmbeddingModel, relation: int, *,
+            head: int | None = None, tail: int | None = None) -> np.ndarray:
+    """The (k,) offset a of one query, with exactly one of ``head`` and
+    ``tail`` fixed: a candidate whose open-slot vector is x scores
+    ||x + a||, each coordinate's term formed as x_i + a_i."""
+    if (head is None) == (tail is None):
+        raise ConfigurationError("fix exactly one of head and tail")
+    r_vec = model.relation_vecs[relation]
+    fixed, fixed_side = (head, HEAD) if tail is None else (tail, TAIL)
+    (anchor,) = project_slots(model, np.array([[fixed]]),
+                              np.array([relation]), (fixed_side,))[0]
+    # t - x is -(x - t): the same magnitude, so the same |.| and square
+    return -(anchor + r_vec) if tail is None else r_vec - anchor
+
+
 def score_all(model: EmbeddingModel, relation: int, *, head: int | None = None,
               tail: int | None = None,
               projected: np.ndarray | None = None) -> np.ndarray:
@@ -218,22 +237,17 @@ def score_all(model: EmbeddingModel, relation: int, *, head: int | None = None,
 
     Exactly one of ``head`` and ``tail`` is fixed. ``projected`` lets a
     caller reuse ``project_all`` output for the open slot across many
-    queries with the same relation. Each coordinate's |t_i - X_i| (or
-    its square) is formed across all |E| candidates, one row of their
-    (k, |E|) layout at a time, and added into one |E|-length sum, so no
-    (k, |E|) residual is ever held.
+    queries with the same relation (for transe, ``entity_vecs`` holds
+    the same values). Each coordinate's |x_i + a_i| (or its square) is
+    formed across all |E| candidates, one row of their (k, |E|) layout
+    at a time, and added into one |E|-length sum, so no (k, |E|)
+    residual is ever held. Every candidate's sum runs over the
+    coordinates left to right, so ``_score_rows`` gives any subset of
+    these scores bit for bit.
     """
-    if (head is None) == (tail is None):
-        raise ConfigurationError("fix exactly one of head and tail")
-    r_vec = model.relation_vecs[relation]
-    fixed, fixed_side, side = (head, HEAD, TAIL) if tail is None \
-        else (tail, TAIL, HEAD)
-    (anchor,) = project_slots(model, np.array([[fixed]]),
-                              np.array([relation]), (fixed_side,))[0]
-    # t - x is -(x - t): the same magnitude, so the same |.| and square
-    anchor = -(anchor + r_vec) if tail is None else r_vec - anchor
+    anchor = _anchor(model, relation, head=head, tail=tail)
     cand = projected if projected is not None \
-        else project_all(model, relation, side)
+        else project_all(model, relation, TAIL if tail is None else HEAD)
     term = np.empty(model.n_entities)
     total = np.zeros(model.n_entities)
     for row, offset in zip(cand.T, anchor):
@@ -244,6 +258,24 @@ def score_all(model: EmbeddingModel, relation: int, *, head: int | None = None,
             np.multiply(term, term, out=term)
         total += term
     return total if model.dissimilarity == "l1" else np.sqrt(total, out=total)
+
+
+def _score_rows(rows: np.ndarray, ids, anchor: np.ndarray,
+                dissimilarity: str) -> np.ndarray:
+    """``score_all``'s scores of the candidates ``ids``, whose open-slot
+    vectors are those rows of ``rows`` (|E|, k), for the query of
+    ``anchor``. The gathered (m, k) rows are the one array made: each
+    row's terms are formed in place and added left to right by one
+    in-place accumulation, as the loop of ``score_all`` adds them (its
+    first addition, onto 0, is exact), so the bits are the same."""
+    term = rows[ids]
+    term += anchor
+    if dissimilarity == "l1":
+        np.abs(term, out=term)
+    else:
+        np.multiply(term, term, out=term)
+    total = np.add.accumulate(term, axis=1, out=term)[:, -1]
+    return total.copy() if dissimilarity == "l1" else np.sqrt(total)
 
 
 def _norm_grad(u: np.ndarray, dissimilarity: str) -> np.ndarray:
@@ -378,8 +410,15 @@ def _check_finite(model: EmbeddingModel, epoch: int) -> None:
             raise TrainingDivergedError(epoch, name)
 
 
-def _snapshot(model: EmbeddingModel) -> list[np.ndarray]:
-    return [a.copy() for a in _param_arrays(model)]
+def _snapshot(model: EmbeddingModel,
+              snap: list[np.ndarray] | None = None) -> list[np.ndarray]:
+    """The parameters copied into the arrays of ``snap``, which are
+    made on the first call: a refresh holds no second copy."""
+    if snap is None:
+        return [a.copy() for a in _param_arrays(model)]
+    for dst, src in zip(snap, _param_arrays(model)):
+        np.copyto(dst, src)
+    return snap
 
 
 def _restore(model: EmbeddingModel, snap: list[np.ndarray]) -> None:
@@ -467,7 +506,7 @@ def train(graph: KnowledgeGraph, config: TrainConfig,
             score = float(validator(model))
             if score > best_score:
                 best_score = score
-                best_params = _snapshot(model)
+                best_params = _snapshot(model, best_params)
                 stale = 0
             else:
                 stale += 1

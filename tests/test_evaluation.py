@@ -1,15 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from drekge import data, evaluation
 from drekge.domains import fit_all_domains, penalties_all
 from drekge.ellipsoid import Ellipsoid, FitConfig
-from drekge.errors import ConfigurationError, StaleDomainModelError
+from drekge.errors import (ConfigurationError, NumericalError,
+                           StaleDomainModelError)
 from drekge.evaluation import (EvalReport, comparison_rows, csv_rows,
                                evaluate, format_comparison, format_report,
                                rank_of_gold, score_query,
                                validation_hits10)
-from drekge.models import VARIANTS, EmbeddingModel, score_all
+from drekge.models import (VARIANTS, EmbeddingModel, _anchor, _score_rows,
+                           project_all, score_all)
 
 from generators import (domain_model, random_domain_model, random_graph,
                         random_model)
@@ -454,6 +458,316 @@ class TestSinglePass:
         assert plain.term_stats == {k: stats[k] for k in
                                     ("gold_baseline", "median_baseline")}
         assert rep.term_stats == stats
+
+
+def exact_split(g, m, dm, tie_break, penalties=penalties_all):
+    """``_rank_split``'s (ranks, terms, missing) over the test split from
+    every candidate's ``score_all`` score: the pass without a screen."""
+    n = 2 * len(g.test)
+    ranks = np.empty((2, n, 4), dtype=np.int64)
+    terms = np.empty((4, n))
+    missing = np.empty(n, dtype=bool)
+    for i, (h, r, t) in enumerate(g.test.tolist()):
+        for col, (side, gold, fixed, known) in enumerate((
+                ("head", h, {"tail": t}, g.heads_by_rt[(r, t)]),
+                ("tail", t, {"head": h}, g.tails_by_hr[(h, r)]))):
+            row = 2 * i + col
+            base = score_all(m, r, **fixed)
+            pen = None if dm is None else penalties(dm, m, r, side)
+            ranks[0, row] = evaluation._ranks(base, gold, known, tie_break)
+            ranks[1, row] = ranks[0, row] if pen is None else \
+                evaluation._ranks(base + pen, gold, known, tie_break)
+            terms[:, row] = (base[gold], np.median(base),
+                             0.0 if pen is None else pen[gold],
+                             0.0 if pen is None else np.median(pen))
+            missing[row] = pen is None
+    return ranks, terms, missing
+
+
+def assert_exact(g, m, dm, tie_break, penalties=penalties_all):
+    """The screened pass gives the unscreened pass's ranks and terms,
+    bit for bit."""
+    got = evaluation._rank_split(g, m, dm, g.test, tie_break,
+                                 with_terms=True)
+    want = exact_split(g, m, dm, tie_break, penalties)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
+    assert np.array_equal(got[2], want[2])
+
+
+def assert_matches_oracle(g, m, variant, dissim, dm, tie_break):
+    params = {"entity": m.entity_vecs, "relation": m.relation_vecs,
+              "head_proj": m.head_proj, "tail_proj": m.tail_proj}
+    ells = None if dm is None else {key: (ell.center, ell.factor)
+                                    for key, ell in dm.ellipsoids.items()}
+    ref = ref_evaluate(g.n_entities, g.train, g.valid, g.test, variant,
+                       dissim, params, ellipsoids=ells, tie_break=tie_break)
+    rep = evaluate(g, m, dm, tie_break=tie_break)
+    for key, block in rep.overall.items():
+        assert block.mean_rank == ref[key]["mean_rank"], key
+        assert block.hits == ref[key]["hits"], key
+
+
+def plant(m, g, rng, steps):
+    """Copies of the golds of the first test triples, each moved along
+    one random entity coordinate by one of ``steps`` (a function of the
+    coordinate's value): a copy scores within a few roundings, or a
+    relative 1e-9, of its gold. Returns the planted (copy, gold) ids."""
+    ent = m.entity_vecs
+    golds = sorted({e for h, _, t in g.test[:2].tolist() for e in (h, t)})
+    others = [e for e in range(g.n_entities) if e not in set(
+        g.test[:, [0, 2]].ravel().tolist())]
+    copies = rng.choice(others, size=len(golds) * len(steps), replace=False)
+    pairs = []
+    for j, (copy, gold) in enumerate(zip(copies.tolist(),
+                                         np.repeat(golds, len(steps)))):
+        coord = int(rng.integers(m.dim))
+        ent[copy] = ent[gold]
+        ent[copy, coord] = steps[j % len(steps)](ent[gold, coord])
+        pairs.append((copy, int(gold)))
+    return pairs
+
+
+def ulps(n):
+    """A step of ``n`` floats up (or down, for negative ``n``)."""
+    def step(x):
+        for _ in range(abs(n)):
+            x = np.nextafter(x, np.inf if n > 0 else -np.inf)
+        return x
+    return step
+
+
+def relative(eps):
+    """A step to ``x * (1 + eps)``."""
+    return lambda x: x * (1 + eps)
+
+
+class TestScreen:
+    """The screen decides only what its bound allows; everything else is
+    re-scored exactly, so ranks, tie counts and the median term are
+    those of ``score_all``, and those of the oracle."""
+
+    SHAPES = [("transe", "l1"), ("transe", "l2"), ("transr", "l1"),
+              ("transr", "l2")]
+
+    def build(self, seed, variant, dissim, n_entities=60, n_train=180):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n_entities=n_entities, n_relations=3,
+                         n_train=n_train, n_test=10)
+        m = random_model(rng, g, variant=variant, dim=7,
+                         dissimilarity=dissim)
+        return rng, g, m
+
+    @pytest.mark.parametrize("dissim", ["l1", "l2"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_gathered_rescore_is_score_all_bit_for_bit(self, variant,
+                                                       dissim):
+        rng, g, m = self.build([150, VARIANTS.index(variant)], variant,
+                               dissim)
+        for r in range(g.n_relations):
+            for side, fixed in (("head", {"tail": 3}), ("tail", {"head": 5})):
+                full = score_all(m, r, **fixed)
+                rows = m.entity_vecs if variant == "transe" \
+                    else project_all(m, r, side)
+                ids = rng.permutation(g.n_entities)[:25]
+                got = _score_rows(rows, ids, _anchor(m, r, **fixed), dissim)
+                assert np.array_equal(got.view(np.int64),
+                                      full[ids].view(np.int64))
+
+    @pytest.mark.parametrize("tie_break", evaluation.TIE_BREAKS)
+    @pytest.mark.parametrize("with_domains", [False, True],
+                             ids=["plain", "domains"])
+    @pytest.mark.parametrize("variant,dissim", SHAPES)
+    def test_near_ties_inside_the_bound(self, variant, dissim, with_domains,
+                                        tie_break):
+        rng, g, m = self.build([151, VARIANTS.index(variant),
+                                dissim == "l2"], variant, dissim)
+        steps = [ulps(1), ulps(-1), ulps(3), ulps(-4), relative(1e-9),
+                 relative(-1e-9), relative(0.0)]
+        pairs = plant(m, g, rng, steps)
+        dm = random_domain_model(rng, g, m, coverage=1.0) \
+            if with_domains else None
+        # the planted copies' bounds hold their gold's exact score, and
+        # some differ from it: the screen alone cannot rank them. A
+        # projected L1 variant is not screened at all
+        screened = (variant, dissim) != ("transr", "l1")
+        inside = differ = 0
+        for copy, gold in pairs:
+            for r in range(g.n_relations):
+                anchor = _anchor(m, r, head=0)
+                screen = evaluation._Screen(m, r, "tail")
+                bounds = screen(anchor, 0.0)
+                assert (bounds is not None) == screened
+                exact = _score_rows(screen.rows, [copy, gold], anchor, dissim)
+                if screened:
+                    lo, hi = bounds
+                    inside += lo[copy] <= exact[1] <= hi[copy]
+                differ += exact[0] != exact[1]
+        assert differ > 0
+        assert inside == (len(pairs) * g.n_relations if screened else 0)
+        assert_exact(g, m, dm, tie_break)
+
+    @pytest.mark.parametrize("tie_break", evaluation.TIE_BREAKS)
+    @pytest.mark.parametrize("with_domains", [False, True],
+                             ids=["plain", "domains"])
+    @pytest.mark.parametrize("variant,dissim", SHAPES)
+    def test_near_ties_match_the_oracle(self, variant, dissim, with_domains,
+                                        tie_break):
+        # exact copies tie in any summation order, and a relative 1e-9
+        # is far above any order's rounding, so the oracle's own sums
+        # rank them as the library does
+        rng, g, m = self.build([152, VARIANTS.index(variant),
+                                dissim == "l2"], variant, dissim)
+        plant(m, g, rng, [relative(1e-9), relative(-1e-9), relative(0.0),
+                          relative(0.0)])
+        dm = random_domain_model(rng, g, m, coverage=1.0) \
+            if with_domains else None
+        assert_matches_oracle(g, m, variant, dissim, dm, tie_break)
+        assert evaluate(g, m, dm, tie_break=tie_break).tie_rate > 0
+
+    @pytest.mark.parametrize("n_entities", [59, 60], ids=["odd", "even"])
+    @pytest.mark.parametrize("variant,dissim", SHAPES)
+    def test_a_median_inside_a_band(self, variant, dissim, n_entities):
+        # most entities are copies of one vector a few roundings apart,
+        # so every query's middle order statistics sit among them
+        rng, g, m = self.build([153, VARIANTS.index(variant),
+                                dissim == "l2", n_entities], variant, dissim,
+                               n_entities=n_entities, n_train=500)
+        golds = set(g.test[:, [0, 2]].ravel().tolist())
+        cluster = [e for e in range(g.n_entities) if e not in golds]
+        assert 2 * len(cluster) > g.n_entities == n_entities
+        # steps on both sides of float32's resolution, so that the
+        # screen's order of the cluster is not its exact order
+        steps = [ulps(1), ulps(-2), relative(3e-8), relative(-5e-8),
+                 relative(1e-7), relative(-2e-7), ulps(0)]
+        for j, e in enumerate(cluster[1:]):
+            coord = j % m.dim
+            m.entity_vecs[e] = m.entity_vecs[cluster[0]]
+            m.entity_vecs[e, coord] = steps[j % len(steps)](
+                m.entity_vecs[e, coord])
+        assert_exact(g, m, random_domain_model(rng, g, m), "optimistic")
+
+    @pytest.mark.parametrize("variant,dissim", SHAPES)
+    def test_penalized_near_ties_of_far_baselines(self, variant, dissim,
+                                                  monkeypatch):
+        # penalties that level every candidate of a slot's first query to
+        # within a few roundings of one combined score, whatever its
+        # baseline: the baseline screen decides them all, the penalized
+        # one none
+        rng, g, m = self.build([158, VARIANTS.index(variant),
+                                dissim == "l2"], variant, dissim)
+        pens = {}
+        for h, r, t in g.test.tolist():
+            for side, fixed in (("head", {"tail": t}), ("tail", {"head": h})):
+                if (r, side) not in pens:
+                    base = score_all(m, r, **fixed)
+                    pen = base.max() + 1.0 - base
+                    pen[::3] = np.nextafter(pen[::3], np.inf)
+                    pen[1::3] = np.nextafter(pen[1::3], 0.0)
+                    pens[(r, side)] = pen
+
+        def planted(domain_model, model, relation, side, projected=None):
+            return pens.get((relation, side))
+
+        monkeypatch.setattr(evaluation, "penalties_all", planted)
+        dm = random_domain_model(rng, g, m)   # stands in for the planted
+        for tie_break in evaluation.TIE_BREAKS:
+            assert_exact(g, m, dm, tie_break, planted)
+
+    @pytest.mark.parametrize("with_domains", [False, True],
+                             ids=["plain", "domains"])
+    @pytest.mark.parametrize("variant", ["transe", "transr"])
+    def test_a_coordinate_past_float32_is_rescored(self, variant,
+                                                   with_domains):
+        # finite in float64, inf in float32: those queries take the
+        # exact path, and rank as the oracle ranks them
+        rng, g, m = self.build([154, VARIANTS.index(variant)], variant, "l1")
+        m.entity_vecs[7, 2] = 1e39
+        dm = random_domain_model(rng, g, m) if with_domains else None
+        for tie_break in evaluation.TIE_BREAKS:
+            assert_exact(g, m, dm, tie_break)
+            assert_matches_oracle(g, m, variant, "l1", dm, tie_break)
+
+    def test_an_overflowing_l2_screen_is_rescored(self):
+        # every entity's first coordinate is 1e155: ||x||^2 overflows,
+        # but it cancels from every exact x + a
+        rng, g, m = self.build(155, "transe", "l2")
+        m.entity_vecs[:, 0] = 1e155
+        assert_exact(g, m, None, "pessimistic")
+        assert_matches_oracle(g, m, "transe", "l2", None, "pessimistic")
+
+    @pytest.mark.parametrize("variant,dissim", SHAPES)
+    def test_a_float64_overflow_is_still_refused(self, variant, dissim):
+        rng, g, m = self.build([156, VARIANTS.index(variant),
+                                dissim == "l2"], variant, dissim)
+        m.entity_vecs[7, :2] = 1.7e308
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="non-finite score"):
+            evaluate(g, m)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="non-finite score"):
+            validation_hits10(g, m)
+
+    @pytest.mark.parametrize("dissim", ["l1", "l2"])
+    def test_a_large_entity_widens_only_its_own_bounds(self, dissim):
+        rng, g, m = self.build(159, "transe", dissim)
+        anchor = _anchor(m, 0, head=0)
+        lo, hi = evaluation._Screen(m, 0, "tail")(anchor, 0.0)
+        m.entity_vecs[7] *= 1e6
+        big_lo, big_hi = evaluation._Screen(m, 0, "tail")(anchor, 0.0)
+        others = np.arange(g.n_entities) != 7
+        assert np.array_equal(big_hi[others] - big_lo[others],
+                              (hi - lo)[others])
+        assert big_hi[7] - big_lo[7] > 1e5 * (hi[7] - lo[7])
+
+    def test_a_gathered_rescore_holds_only_the_gather(self):
+        rng = np.random.default_rng(160)
+        rows = rng.normal(size=(8000, 50))
+        ids = rng.permutation(8000)[:5000]
+        for dissim in ("l1", "l2"):
+            tracemalloc.start()
+            try:
+                _score_rows(rows, ids, rows[0], dissim)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.1 * rows[ids].nbytes
+
+    def test_validation_holds_no_float64_candidate_copy(self):
+        # transe screens from a float32 (k, E) block, half the size of
+        # entity_vecs; a float64 copy of the candidates would be all of it
+        rng = np.random.default_rng(157)
+        n = 20000
+        chain = [(f"e{i}", f"r{i % 3}", f"e{i + 1}") for i in range(n - 1)]
+        g = data.build_graph(chain, chain[:40:2], chain[1:40:2])
+        m = EmbeddingModel("l1", rng.normal(size=(n, 50)),
+                           rng.normal(size=(3, 50)))
+        g.heads_by_rt, g.tails_by_hr   # the filter index is the graph's
+        tracemalloc.start()
+        try:
+            validation_hits10(g, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * m.entity_vecs.nbytes
+
+    def test_projected_l1_holds_only_its_projection(self):
+        # a projected L1 variant is not screened: no float32 block beside
+        # the float64 projection, which the exact path reads
+        rng = np.random.default_rng(161)
+        n = 20000
+        chain = [(f"e{i}", f"r{i % 3}", f"e{i + 1}") for i in range(n - 1)]
+        g = data.build_graph(chain, chain[:40:2], chain[1:40:2])
+        m = random_model(rng, g, variant="transr", dim=50)
+        g.heads_by_rt, g.tails_by_hr   # the filter index is the graph's
+        assert not hasattr(evaluation._Screen(m, 0, "tail"), "block")
+        tracemalloc.start()
+        try:
+            validation_hits10(g, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * m.entity_vecs.nbytes
 
 
 class TestReportRendering:

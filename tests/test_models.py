@@ -654,6 +654,40 @@ class TestTraining:
         assert len(epochs_run) < 100
         assert model_bytes(m) == seen[0]
 
+    def test_a_better_validation_refreshes_the_snapshot_in_place(
+            self, monkeypatch):
+        # two improving validations: the second copies the parameters
+        # into the arrays the first made, so the best parameters are
+        # never held twice
+        rng = np.random.default_rng(82)
+        g = random_graph(rng)
+        scores = iter([1.0, 2.0, 0.0, 0.0])
+        seen, params, snaps = [], [], []
+        snapshot = models._snapshot
+
+        def recording(model, snap=None):
+            out = snapshot(model, snap)
+            snaps.append((out, [a.copy() for a in out]))
+            return out
+
+        def validator(model):
+            seen.append(model_bytes(model))
+            params.append([a.copy() for a in models._param_arrays(model)])
+            return next(scores)
+
+        monkeypatch.setattr(models, "_snapshot", recording)
+        m = train(g, TrainConfig(dim=6, lr=0.01, epochs=100, seed=1,
+                                 eval_every=2, patience=2),
+                  validator=validator)
+        assert len(seen) == 4 and len(snaps) == 2
+        (first, held_first), (second, held_second) = snaps
+        assert len(second) == len(first) == 2
+        assert all(a is b for a, b in zip(first, second))
+        for held, want in ((held_first, params[0]), (held_second, params[1])):
+            assert all(np.array_equal(a, b) for a, b in zip(held, want))
+        assert not np.array_equal(params[0][0], params[1][0])
+        assert model_bytes(m) == seen[1]
+
 
 class TestSerialization:
     def build(self, variant):
