@@ -148,9 +148,10 @@ def scores_test(ell: Ellipsoid, points: np.ndarray) -> np.ndarray:
     """Batch ``score_test``: zero inside (the center included), radial
     distance outside. Only the outside points get a distance computed.
 
-    The points are worked on as columns of their (k, n) transpose,
-    which is C-ordered for ``models.project_all`` output, in fixed-offset
-    blocks of ``_TEST_BLOCK`` columns: v = X - a, then w = L^T v and
+    The points are worked on as columns of their (k, n) transpose (a
+    C-ordered one for a projection from ``models.project_all``, a
+    strided view of transe's ``entity_vecs``), in fixed-offset blocks of
+    ``_TEST_BLOCK`` columns: v = X - a, then w = L^T v and
     q = sum of w*w down each column. No (k, n) temporary is held: v and
     w are written into two scratch buffers made once per call, each
     block's as a C-ordered (k, width) view of a buffer's head: the

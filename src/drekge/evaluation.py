@@ -26,12 +26,12 @@ Ranking a split does not score every candidate exactly. A screen
 scores every candidate cheaply (float32 sums for transe's L1, the GEMM
 form ||x||^2 + 2 a^T x + ||a||^2 for L2) and bounds each exact score by
 its screen value plus or minus a radius, from the worst-case rounding of
-both and the candidate's own norm. Only the candidates whose bounds
+both and the candidate's own norm; a query no screen bounds takes its
+exact scores as zero-width bounds. Only the candidates whose bounds
 cannot place them against the gold are re-scored exactly, with the gold
 and its filtered rivals, in the order ``models.score_all`` adds, so
 every rank, tie count and score term is the one the exact scores give,
-bit for bit. A projected L1 variant is not screened (see ``_Screen``).
-``score_query`` prints scores, so it scores every candidate exactly.
+bit for bit. ``score_query`` prints scores, so it scores every one.
 """
 
 from __future__ import annotations
@@ -171,26 +171,24 @@ class _Screen:
     """Bounds on the exact ``score_all`` score of every candidate of one
     ``_projection_key``, from one cheap pass per query.
 
-    ``rows`` holds the candidates' exact float64 vectors, (|E|, k), from
-    which ``_score_rows`` re-scores: transe's ``entity_vecs`` itself, or
-    a projected variant's ``project_all`` result. L1 screens transe from
-    one C-ordered float32 (k, |E|) copy of ``entity_vecs``, summed
-    coordinate by coordinate as ``score_all`` sums; L2 screens from the
-    GEMM form ||x||^2 + 2 a^T x + ||a||^2 over ``rows``, with one (|E|,)
-    vector of squared norms and no further (k, |E|) array. Both keep the
-    (|E|,) candidate norms that their radii scale with. A projected L1
-    variant is not screened: its float32 block would be held beside the
-    float64 projection that exact scores must read (a projection's bits
-    depend on its width), half as much candidate memory again, so its
-    queries take the exact path.
+    ``rows`` is the slot's ``project_all`` result, (|E|, k), the
+    candidates' exact float64 vectors from which ``score_all`` and
+    ``_score_rows`` score (transe's is ``entity_vecs`` itself). L1
+    screens transe from one C-ordered float32 (k, |E|) copy of ``rows``,
+    summed coordinate by coordinate as ``score_all`` sums; L2 screens
+    from the GEMM form ||x||^2 + 2 a^T x + ||a||^2 over ``rows``, with
+    one (|E|,) vector of squared norms and no further (k, |E|) array.
+    Both keep the (|E|,) candidate norms that their radii scale with. A
+    projected L1 variant is not screened: its float32 block would be
+    held beside the float64 projection that exact scores must read (a
+    projection's bits depend on its width), half as much candidate
+    memory again, so its queries take zero-width bounds.
     """
 
     def __init__(self, model: EmbeddingModel, relation: int, side: str):
         self.l1 = model.dissimilarity == "l1"
-        projected = bool(len(model.proj))
-        self.rows = model.entity_vecs if not projected \
-            else project_all(model, relation, side)
-        self.on = not (self.l1 and projected)
+        self.rows = project_all(model, relation, side)
+        self.on = not (self.l1 and len(model.proj))
         if not self.on:
             return
         # an entity past float32's range (L1), or one whose squared norm
@@ -211,10 +209,10 @@ class _Screen:
     def __call__(self, anchor: np.ndarray, pen_max: float) \
             -> tuple[np.ndarray, np.ndarray] | None:
         """(lo, hi) for the query of ``anchor``: float64 bounds with
-        lo <= s <= hi for each candidate's exact score s. None when the
-        query takes the exact path: the screen is off, a bound is not
-        finite and below ``_CEILING``, or the largest bound plus
-        ``pen_max`` (the slot's largest penalty) overflows.
+        lo <= s <= hi for each candidate's exact score s. None (the
+        query then takes zero-width bounds) when the screen is off, a
+        bound is not finite and below ``_CEILING``, or the largest bound
+        plus ``pen_max`` (the slot's largest penalty) overflows.
 
         Each candidate's radius, v +- radius for its screen value v, is
         twice the sum of the screen's and the exact loop's worst-case
@@ -312,32 +310,30 @@ def _rank_query(model: EmbeddingModel, screen: _Screen, relation: int,
                 with_median: bool):
     """(baseline ``_ranks``, penalized ``_ranks``, gold score, median
     score) of one query, the one of ``fixed`` (``head=`` or ``tail=``),
-    from one screen pass: see ``_rank_split``. The median is 0.0 unless
-    ``with_median``."""
+    from one screen pass or zero-width bounds: see ``_rank_split``. The
+    median is 0.0 unless ``with_median``."""
     anchor = _anchor(model, relation, **fixed)
     bounds = screen(anchor, pen_max)
     if bounds is None:
+        # zero-width bounds: the exact scores, once refused if not finite
         base = score_all(model, relation, projected=screen.rows, **fixed)
-        scores = _combined(base, pen, relation)
-        ranks = _ranks(base, gold, known, tie_break)
-        return (ranks, ranks if pen is None
-                else _ranks(scores, gold, known, tie_break),
-                base[gold], np.median(base) if with_median else 0.0)
+        _combined(base, pen, relation)
+        bounds, exact = (base, base), base.take
+    else:
+        def exact(ids):
+            return _score_rows(screen.rows, ids, anchor, model.dissimilarity)
     lo, hi = bounds
-
-    def exact(ids):
-        return _score_rows(screen.rows, ids, anchor, model.dissimilarity)
-
     (gold_score,) = exact([gold])
     median = _screened_median(lo, hi, exact) if with_median else 0.0
     below, band = _split(lo, hi, gold_score)
     if pen is not None:
-        # rounding is monotone: fl(lo + p) <= fl(s + p) <= fl(hi + p)
-        lo += pen
-        hi += pen
+        # rounding is monotone: fl(lo + p) <= fl(s + p) <= fl(hi + p).
+        # New arrays: zero-width bounds are the scores ``exact`` reads
+        lo, hi = lo + pen, hi + pen
         below_pen, band_pen = _split(lo, hi, gold_score + pen[gold])
         band |= band_pen
-    cand = np.unique(np.concatenate([np.flatnonzero(band), known, [gold]]))
+    band[np.append(known, gold)] = True
+    cand = np.flatnonzero(band)
     base = exact(cand)
     ranks = _settled(base, cand, gold, known, below, tie_break)
     return (ranks, ranks if pen is None
@@ -375,8 +371,9 @@ def _rank_split(graph: KnowledgeGraph, model: EmbeddingModel,
     term (``_screened_median``). A query that ``_Screen`` does not bound
     (a projected L1 variant, a bound past ``_CEILING`` as an entity
     beyond float32's range makes it, a slot with a non-finite penalty)
-    takes the exact path: ``score_all`` and ``_combined``, which
-    refuses a non-finite score.
+    takes its ``score_all`` scores as zero-width bounds, lo = hi = s,
+    and reads its exact scores from them, once ``_combined`` has refused
+    a non-finite score.
     """
     n_pred = 2 * len(triples)
     ranks = np.empty((2, n_pred, 4), dtype=np.int64)  # baseline, penalized

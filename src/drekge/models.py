@@ -174,21 +174,17 @@ def project_slots(model: EmbeddingModel, entities: np.ndarray,
 
 def project_all(model: EmbeddingModel, relation: int, side: str) -> np.ndarray:
     """All entity vectors mapped into the relation's space for one slot,
-    as an (|E|, k) array whose row e is entity e.
-
-    It is stored column-major: its transpose is a C-ordered (k, |E|)
-    array, so each coordinate runs contiguously across every entity and
-    ``score_all``'s sum over the coordinates is k row additions across
-    |E|. transe's result is a transposed copy of ``entity_vecs``; a
-    projected variant makes one product ``W @ entity_vecs.T``, whose
-    bits depend on the product's width, so an exact score of a projected
-    candidate is always read from the full projection, never from a
-    projection of a subset. The copy belongs to the caller, so it goes
-    stale once the parameters change. Ranking a split needs no copy for
-    transe: the screen in ``evaluation`` reads ``entity_vecs`` itself.
+    as an (|E|, k) array whose row e is entity e. It is read-only:
+    transe's is ``entity_vecs`` itself. A projected variant makes one
+    product ``W @ entity_vecs.T``, stored column-major (its transpose is
+    a C-ordered (k, |E|) array, each coordinate contiguous across every
+    entity), whose bits depend on the product's width, so an exact score
+    of a projected candidate is always read from the full projection,
+    never from a projection of a subset. It goes stale once the
+    parameters change.
     """
     if not len(model.proj):
-        return np.ascontiguousarray(model.entity_vecs.T).T
+        return model.entity_vecs
     return (model.proj[_slot(model, side), relation] @ model.entity_vecs.T).T
 
 
@@ -237,13 +233,12 @@ def score_all(model: EmbeddingModel, relation: int, *, head: int | None = None,
 
     Exactly one of ``head`` and ``tail`` is fixed. ``projected`` lets a
     caller reuse ``project_all`` output for the open slot across many
-    queries with the same relation (for transe, ``entity_vecs`` holds
-    the same values). Each coordinate's |x_i + a_i| (or its square) is
-    formed across all |E| candidates, one row of their (k, |E|) layout
-    at a time, and added into one |E|-length sum, so no (k, |E|)
-    residual is ever held. Every candidate's sum runs over the
-    coordinates left to right, so ``_score_rows`` gives any subset of
-    these scores bit for bit.
+    queries with the same relation. Each coordinate's |x_i + a_i| (or
+    its square) is formed across all |E| candidates, one row of their
+    (k, |E|) transpose at a time, and added into one |E|-length sum, so
+    no (k, |E|) residual is ever held. Every candidate's sum runs over
+    the coordinates left to right, so ``_score_rows`` gives any subset
+    of these scores bit for bit.
     """
     anchor = _anchor(model, relation, head=head, tail=tail)
     cand = projected if projected is not None \

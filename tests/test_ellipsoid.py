@@ -151,14 +151,18 @@ class TestDistance:
             assert np.array_equal(q_rows >= 1.0, outside)
             np.testing.assert_allclose(want, rows, rtol=1e-13)
 
-    def test_batch_holds_no_full_size_temporary(self):
+    # candidates as project_all lays them out: transe's entity_vecs,
+    # C-ordered, and a projection, column-major
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray,
+                                        np.asfortranarray],
+                             ids=["c-ordered", "column-major"])
+    def test_batch_holds_no_full_size_temporary(self, layout):
         rng = np.random.default_rng(26)
         k, block = 16, ellipsoid._TEST_BLOCK
         ell = random_ellipsoid(rng, k)
         peaks = {}
         for n in (2 * block, 8 * block):
-            # candidates as project_all lays them out: column-major
-            pts = np.asfortranarray(ell.center + rng.normal(size=(n, k)))
+            pts = layout(ell.center + rng.normal(size=(n, k)))
             tracemalloc.start()
             try:
                 scores_test(ell, pts)

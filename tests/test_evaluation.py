@@ -260,6 +260,27 @@ class TestScoreQuery:
         with pytest.raises(ConfigurationError, match="counts do not match"):
             score_query(g, m, None, 0, head=0)
 
+    def test_transe_holds_no_candidate_copy(self):
+        # transe's candidates are entity_vecs itself: only the |E|-length
+        # score arrays are made
+        rng = np.random.default_rng(130)
+        n = 20000
+        chain = [(f"e{i}", f"r{i % 3}", f"e{i + 1}") for i in range(n - 1)]
+        g = data.build_graph(chain, chain[:40:2], chain[1:40:2])
+        m = EmbeddingModel("l1", rng.normal(size=(n, 50)),
+                           rng.normal(size=(3, 50)))
+        for r in range(g.n_relations):
+            for side in ("head", "tail"):
+                assert np.shares_memory(project_all(m, r, side),
+                                        m.entity_vecs)
+        tracemalloc.start()
+        try:
+            score_query(g, m, None, 0, head=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * m.entity_vecs.nbytes
+
 
 class TestOracleShapes:
     """The oracle comparison where candidates laid out (k, E) differ most
@@ -567,8 +588,7 @@ class TestScreen:
         for r in range(g.n_relations):
             for side, fixed in (("head", {"tail": 3}), ("tail", {"head": 5})):
                 full = score_all(m, r, **fixed)
-                rows = m.entity_vecs if variant == "transe" \
-                    else project_all(m, r, side)
+                rows = project_all(m, r, side)
                 ids = rng.permutation(g.n_entities)[:25]
                 got = _score_rows(rows, ids, _anchor(m, r, **fixed), dissim)
                 assert np.array_equal(got.view(np.int64),
@@ -673,6 +693,27 @@ class TestScreen:
         dm = random_domain_model(rng, g, m)   # stands in for the planted
         for tie_break in evaluation.TIE_BREAKS:
             assert_exact(g, m, dm, tie_break, planted)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("variant,dissim", SHAPES)
+    def test_a_non_finite_penalty_is_refused(self, variant, dissim, bad,
+                                             monkeypatch):
+        # one candidate's penalty in one slot: whether or not the slot is
+        # screened, its queries end in the refusal, not in a rank
+        rng, g, m = self.build([163, VARIANTS.index(variant),
+                                dissim == "l2"], variant, dissim)
+        _, r, _ = g.test[0].tolist()
+
+        def planted(domain_model, model, relation, side, projected=None):
+            pen = np.zeros(model.n_entities)
+            if (relation, side) == (r, "tail"):
+                pen[7] = bad
+            return pen
+
+        monkeypatch.setattr(evaluation, "penalties_all", planted)
+        dm = random_domain_model(rng, g, m)   # stands in for the planted
+        with pytest.raises(NumericalError, match="non-finite score"):
+            evaluate(g, m, dm)
 
     @pytest.mark.parametrize("with_domains", [False, True],
                              ids=["plain", "domains"])
