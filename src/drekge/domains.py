@@ -220,9 +220,9 @@ def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
     The paper fits each domain on its own, so all domains with the same
     member count are fitted together, one size at a time, in stacks of
     at most ``STACK_BYTES`` of gathered member vectors and matrices, of
-    member clouds, and of factors with their gradient; each still
-    draws its batches from its own seed and ends exactly as a lone
-    ``fit`` of its projected members would. Each stack's centers and
+    member clouds, and of factors with their step's gradient product;
+    each still draws its batches from its own seed and ends exactly as
+    a lone ``fit`` of its projected members would. Each stack's centers and
     factor triangles are packed straight into the fitted records. After
     the fits, ``on_domain(relation, side, n_members, mean_score)`` is
     called once per domain in (relation, side) order, with the mean
@@ -251,7 +251,10 @@ def fit_all_domains(graph: KnowledgeGraph, model: EmbeddingModel,
     # member counts in the order of their first slot, so the first
     # slot's fit runs, and is checked, first
     for size, group in sorted(_groups(sizes[kept]), key=lambda g: g[1][0]):
-        cap = max(1, STACK_BYTES // (8 * max(k, d) * max(2 * k, size)))
+        # a domain's (k, k) factor and the (k + 1, k) product its step
+        # makes count 2k + 1 rows of k
+        cap = max(1, STACK_BYTES // (8 * max(k, d)
+                                     * max(2 * k + 1, size)))
         for lo in range(0, len(group), cap):
             rows = group[lo:lo + cap]
             relations = fitted["relation"][rows].tolist()

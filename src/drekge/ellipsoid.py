@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,12 +35,12 @@ SURFACE_TOL = 1e-9
 
 DIAG_FLOOR = 1e-6
 
-# columns per block of ``scores_test``'s v = X - a and w = L^T v,
-# counted from the first column, so that neither is ever a (k, n) array.
-# numpy 2's ufuncs buffer a 2-D operation whose rows are shorter than
-# about a third of their 8,192-element buffer, which made v's broadcast
+# points per block of the scores' v = e - a and w = L^T v, counted from
+# the first, so that neither is the size of all the points. numpy 2's
+# ufuncs buffer a 2-D operation whose rows are shorter than about a third
+# of their 8,192-element buffer, which made ``scores_test``'s broadcast
 # subtraction twice as slow in 2,048-column blocks
-_TEST_BLOCK = 4096
+_BLOCK = 4096
 
 
 @dataclass
@@ -80,39 +81,45 @@ def _quad_stack(centers: np.ndarray, factors: np.ndarray,
                 points: np.ndarray):
     """For each row of each (b, k) batch of a (G, b, k) stack, at its
     own ellipsoid: v = e - a and w = (L^T v)^T as (G, b, k) arrays, and
-    q = w^T w as a (G, b) array."""
-    v = points - centers[:, None, :]
-    w = v @ factors
-    return v, w, np.einsum("gbi,gbi->gb", w, w)
+    the squared norms ||v||^2 and q = w^T w as (G, b) arrays.
+
+    v and w are the two halves of one buffer, so one einsum takes both
+    squared norms: the one place a norm of v is formed."""
+    vw = np.empty((2,) + points.shape)
+    v, w = vw[0], vw[1]
+    np.subtract(points, centers[:, None, :], out=v)
+    np.matmul(v, factors, out=w)
+    squares = np.einsum("xgbi,xgbi->xgb", vw, vw)
+    return v, w, squares[0], squares[1]
 
 
 def _off_center_row(ell: Ellipsoid, point: np.ndarray):
     """``_quad_stack`` of one point at one ellipsoid; raises
     DegeneratePointError when the point sits at the center."""
-    v, w, q = _quad_stack(ell.center[None], ell.factor[None],
-                          _as_batch(point)[None])
+    v, w, nsq, q = _quad_stack(ell.center[None], ell.factor[None],
+                               _as_batch(point)[None])
     if q[0, 0] < Q_FLOOR:
         raise DegeneratePointError(f"quadratic form {q[0, 0]:.3e} below "
                                    "floor")
-    return v, w, q
+    return v, w, nsq, q
 
 
-def _radial(q, n):
-    """D = |1 - q^{-1/2}| n, from q and n = ||e - a||."""
-    return np.abs(1.0 - q ** -0.5) * n
+def _radial(q, nsq):
+    """D = |1 - q^{-1/2}| n, from q and nsq = n^2 = ||e - a||^2."""
+    return np.abs(1.0 - q ** -0.5) * np.sqrt(nsq)
 
 
 def quad_form(ell: Ellipsoid, point: np.ndarray) -> float:
     """q = (e - a)^T L L^T (e - a)."""
     return float(_quad_stack(ell.center[None], ell.factor[None],
-                             _as_batch(point)[None])[2][0, 0])
+                             _as_batch(point)[None])[3][0, 0])
 
 
 def distance(ell: Ellipsoid, point: np.ndarray) -> float:
     """Radial distance from ``point`` to the surface. Raises
     DegeneratePointError at the center, where no ray direction exists."""
-    v, _, q = _off_center_row(ell, point)
-    return float(_radial(q[0, 0], np.linalg.norm(v[0, 0])))
+    nsq, q = _off_center_row(ell, point)[2:]
+    return float(_radial(q[0, 0], nsq[0, 0]))
 
 
 def score_test(ell: Ellipsoid, point: np.ndarray) -> float:
@@ -130,17 +137,21 @@ def scores_train(ell: Ellipsoid, points: np.ndarray) -> np.ndarray:
 def scores_train_stack(centers: np.ndarray, factors: np.ndarray,
                        points: np.ndarray) -> np.ndarray:
     """``scores_train`` of each (m, k) cloud of a (G, m, k) stack at its
-    own ellipsoid, as a (G, m) array."""
-    v, w, q = _quad_stack(centers, factors, points)
-    # each (G, m, k) temporary is dropped once used: a stack of large
-    # domains is several times the size of one domain, and the norm
-    # makes one more
-    del w
-    n = np.linalg.norm(v, axis=2)
-    del v
-    out = np.zeros(q.shape)
-    ok = q >= Q_FLOOR
-    out[ok] = _radial(q[ok], n[ok])
+    own ellipsoid, as a (G, m) array.
+
+    A stack of large domains is several times the size of one domain, so
+    its clouds are scored as many whole clouds as ``_BLOCK`` rows hold
+    (at least one) at a time: v and w are not the size of the stack, and
+    each cloud is scored by the products that score it alone."""
+    g, m, _ = points.shape
+    out = np.zeros((g, m))
+    clouds = max(1, _BLOCK // max(m, 1))
+    for lo in range(0, g, clouds):
+        block = slice(lo, lo + clouds)
+        nsq, q = _quad_stack(centers[block], factors[block],
+                             points[block])[2:]
+        ok = q >= Q_FLOOR
+        out[block][ok] = _radial(q[ok], nsq[ok])
     return out
 
 
@@ -151,20 +162,21 @@ def scores_test(ell: Ellipsoid, points: np.ndarray) -> np.ndarray:
     The points are worked on as columns of their (k, n) transpose (a
     C-ordered one for a projection from ``models.project_all``, a
     strided view of transe's ``entity_vecs``), in fixed-offset blocks of
-    ``_TEST_BLOCK`` columns: v = X - a, then w = L^T v and
+    ``_BLOCK`` columns: v = X - a, then w = L^T v and
     q = sum of w*w down each column. No (k, n) temporary is held: v and
     w are written into two scratch buffers made once per call, each
     block's as a C-ordered (k, width) view of a buffer's head: the
     layout a fresh array of the block would have. Once q is taken, the
-    outside columns of v are copied into w's buffer for their norms.
+    outside columns of v are copied into w's buffer for their squared
+    norms, summed down each column like q.
     """
     cols = _as_batch(points).T
     k, n = cols.shape
     lt = ell.factor.T
     out = np.zeros(n)
-    scratch = np.empty((2, k * min(n, _TEST_BLOCK)))
-    for lo in range(0, n, _TEST_BLOCK):
-        width = min(n - lo, _TEST_BLOCK)
+    scratch = np.empty((2, k * min(n, _BLOCK)))
+    for lo in range(0, n, _BLOCK):
+        width = min(n - lo, _BLOCK)
         v, w = (buf[:k * width].reshape(k, width) for buf in scratch)
         np.subtract(cols[:, lo:lo + width], ell.center[:, None], out=v)
         np.matmul(lt, v, out=w)
@@ -175,16 +187,16 @@ def scores_test(ell: Ellipsoid, points: np.ndarray) -> np.ndarray:
         # range; mode "clip" lets take write into w's buffer with no copy
         v_out = np.take(v, outside, axis=1, mode="clip", out=scratch[1][
             :k * outside.size].reshape(k, outside.size))
-        norm = np.sqrt(np.multiply(v_out, v_out, out=v_out).sum(axis=0))
-        out[lo + outside] = _radial(q[outside], norm)
+        nsq = np.multiply(v_out, v_out, out=v_out).sum(axis=0)
+        out[lo + outside] = _radial(q[outside], nsq)
     return out
 
 
 def gradient(ell: Ellipsoid, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Analytic (dD/da, dD/dL) at one point, as ``_gradients`` gives
     it. Raises DegeneratePointError at the center."""
-    v, w, q = _off_center_row(ell, point)
-    grad_center, grad_factor = _gradients(ell.factor[None], v, w, q)
+    grad_center, grad_factor = _gradients(ell.factor[None],
+                                          *_off_center_row(ell, point))
     return grad_center[0], grad_factor[0]
 
 
@@ -232,36 +244,67 @@ def _diagonals(factors: np.ndarray) -> np.ndarray:
     return factors.reshape(g, k * k)[:, ::k + 1]
 
 
+@lru_cache(maxsize=8)
+def _strict_upper(k: int) -> np.ndarray:
+    """Read-only (k, k) mask of the entries above the diagonal."""
+    mask = ~np.tri(k, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _gradients(factors: np.ndarray, v: np.ndarray, w: np.ndarray,
-               q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+               nsq: np.ndarray, q: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Per ellipsoid of a stack, the summed analytic gradients of D over
-    its batch rows, as (dD/da (G, k), dD/dL (G, k, k)); v, w and q are
-    ``_quad_stack``'s.
+    its batch rows, as (dD/da (G, k), dD/dL (G, k, k)); v, w, nsq and q
+    are ``_quad_stack``'s.
 
     With v = e - a, w = L^T v, q = w^T w, n = ||v|| and s = sign(q - 1),
     one row contributes
 
-        dD/da = -s [ n q^{-3/2} L w + (1 - q^{-1/2}) v / n ]
-        dD/dL =  s n q^{-3/2} tril(v w^T)
+        dD/da = -[ c1 L w + c2 v ],   c1 = s n q^{-3/2},
+                                      c2 = s (1 - q^{-1/2}) / n
+        dD/dL =  c1 tril(v w^T)
+
+    Summed over the b rows, the center gradient is
+    -(L s1 + sum_b c2 v) with s1 = sum_b c1 w, a k-vector, so no (b, k)
+    product L w is formed. With ``_quad_stack``'s w = v L a step makes
+    two GEMMs: that one and the (k+1, b) x (b, k) product A^T w with
+    A = [c1 v | c1], whose first k rows are the factor gradient
+    sum_b c1 v w^T and whose last row is s1. L s1 is one (k, k) x k
+    product per ellipsoid.
 
     Only the lower triangle of the factor is a free parameter, so the
     factor gradient is masked to it. Where q = 1, s = 0 and the row's
     terms are exactly zero; n is taken as 1 there, so that the row at
     the center which a caller set to q = 1 gives 0 and not 0/0.
+
+    Both sums over the batch add its rows in order (the GEMM down each
+    output's b rows, and the axis-1 sum of c2 v), so a zeroed row leaves
+    them as a batch without it has them. A GEMV, or a GEMM of one or two
+    rows, would split the sum across lanes, and a zeroed row would
+    change how the kept ones round.
     """
-    n = np.linalg.norm(v, axis=2)
+    g, b, k = v.shape
+    n = np.sqrt(nsq)
     s = np.sign(q - 1.0)
     n[s == 0] = 1.0
     q_m12 = q ** -0.5
-    c1 = s * n * q_m12 / q            # weight on the L w term
-    c2 = s * (1.0 - q_m12) / n        # weight on the v / n term
-    lw = w @ factors.transpose(0, 2, 1)
-    grad_center = -(c1[..., None] * lw + c2[..., None] * v).sum(axis=1)
-    grad_factor = (v * c1[..., None]).transpose(0, 2, 1) @ w
+    c1 = s * n * q_m12 / q
+    c2 = s * (1.0 - q_m12) / n
+    a = np.empty((g, b, k + 1))
+    np.multiply(v, c1[..., None], out=a[..., :k])
+    a[..., k] = c1
+    product = a.transpose(0, 2, 1) @ w
+    grad_factor, s1 = product[:, :k], product[:, k]
     # np.tril's +0.0 above the diagonal, written in place: no second
     # (G, k, k) array
-    k = factors.shape[-1]
-    np.copyto(grad_factor, 0.0, where=~np.tri(k, dtype=bool))
+    np.copyto(grad_factor, 0.0, where=_strict_upper(k))
+    # A's first k columns are free again: c2 v goes there
+    c2v = np.multiply(v, c2[..., None], out=a[..., :k])
+    grad_center = (factors @ s1[..., None])[..., 0]
+    grad_center += c2v.sum(axis=1)
+    np.negative(grad_center, out=grad_center)
     return grad_center, grad_factor
 
 
@@ -271,22 +314,26 @@ def _step_stack(centers: np.ndarray, factors: np.ndarray, batch: np.ndarray,
     each ellipsoid of a stack, in place; ``batch`` is (G, b, k).
 
     Each sample contributes a full lr-sized step; steps in a batch are
-    evaluated at the same parameters and summed. Samples at the center
-    or within SURFACE_TOL of the surface are skipped: they get q = 1,
-    whose terms are exactly zero, so every ellipsoid moves exactly as if
-    it were fitted alone on its kept rows. The factor diagonal is
-    clamped to the floor after the update, which is what keeps L L^T
-    positive definite through any number of steps.
+    evaluated at the same parameters and summed, by ``_gradients``' two
+    GEMMs. Samples at the center or within SURFACE_TOL of the surface
+    are skipped: they get q = 1, whose terms are exactly zero, and
+    every batch sum adds its rows in order, so every ellipsoid moves
+    bit for bit as if it were fitted alone on its kept rows. The factor
+    diagonal is clamped to the floor after the update, which is what
+    keeps L L^T positive definite through any number of steps.
     """
-    v, w, q = _quad_stack(centers, factors, batch)
+    v, w, nsq, q = _quad_stack(centers, factors, batch)
     q[~((q >= Q_FLOOR) & (np.abs(q - 1.0) >= SURFACE_TOL))] = 1.0
-    grad_center, grad_factor = _gradients(factors, v, w, q)
-    # scaled in place: the factor gradient is the one (G, k, k) array
-    # held beside the factors
+    grad_center, grad_factor = _gradients(factors, v, w, nsq, q)
+    # scaled in place: the factor gradient, a view of the (G, k + 1, k)
+    # product, is the one such array held beside the factors. One ufunc
+    # call across its layout and the factors' would take a 64 KiB
+    # iteration buffer, so it is subtracted one ellipsoid at a time
     grad_center *= lr
     centers -= grad_center
     grad_factor *= lr
-    factors -= grad_factor
+    for factor, grad in zip(factors, grad_factor):
+        factor -= grad
     diag = _diagonals(factors)
     np.maximum(diag, diag_floor, out=diag)
 

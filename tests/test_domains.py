@@ -197,8 +197,9 @@ class TestFitAllDomains:
     def test_stacks_hold_at_most_stack_bytes(self, monkeypatch):
         # a stack of several clouds holds at most STACK_BYTES in each of
         # its (G, m, d) member vectors, (G, k, d) matrices, (G, m, k)
-        # clouds, and (G, k, k) factors with their gradient; the transr
-        # model's entity space is three times its relation space
+        # clouds, and (G, k, k) factors with their step's (G, k + 1, k)
+        # gradient product; the transr model's entity space is three
+        # times its relation space
         for variant, dim in (("transe", 4), ("transr", 12)):
             rng = np.random.default_rng(104)
             # many slots share a member count, so the cap splits their
@@ -221,7 +222,7 @@ class TestFitAllDomains:
                 assert 8 * n * size * dim <= domains.STACK_BYTES
                 assert 8 * n * k * dim <= domains.STACK_BYTES
                 assert 8 * n * size * k <= domains.STACK_BYTES
-                assert 16 * n * k * k <= domains.STACK_BYTES
+                assert 8 * n * k * (2 * k + 1) <= domains.STACK_BYTES
 
     def test_callback_runs_in_slot_order(self):
         rng = np.random.default_rng(105)

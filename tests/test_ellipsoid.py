@@ -94,6 +94,7 @@ class TestDistance:
         pts = np.array([[0.0, 0.0], [2.0, 0.0]])
         assert scores_train(ell, pts).tolist() == [0.0, 1.0]
         assert scores_test(ell, pts).tolist() == [0.0, 1.0]
+        assert scores_train(ell, pts[:0]).shape == (0,)
 
     def test_batch_equals_scalar_row_by_row(self):
         # integer coordinates and factor entries make every quadratic form
@@ -124,7 +125,7 @@ class TestDistance:
 
     def test_batch_is_the_full_size_formula(self):
         rng = np.random.default_rng(25)
-        block = ellipsoid._TEST_BLOCK
+        block = ellipsoid._BLOCK
         for k, n in ((1, 3000), (8, 3000), (50, 3000), (50, 2 * block + 99)):
             ell = random_ellipsoid(rng, k)
             pts = np.vstack([ell.center, rng.normal(size=(n, k))])
@@ -158,7 +159,7 @@ class TestDistance:
                              ids=["c-ordered", "column-major"])
     def test_batch_holds_no_full_size_temporary(self, layout):
         rng = np.random.default_rng(26)
-        k, block = 16, ellipsoid._TEST_BLOCK
+        k, block = 16, ellipsoid._BLOCK
         ell = random_ellipsoid(rng, k)
         peaks = {}
         for n in (2 * block, 8 * block):
@@ -177,7 +178,7 @@ class TestDistance:
     def test_batch_holds_two_blocks(self):
         # v, w and the outside columns of v share two (k, block) buffers
         rng = np.random.default_rng(28)
-        k, block = 50, ellipsoid._TEST_BLOCK
+        k, block = 50, ellipsoid._BLOCK
         ell = random_ellipsoid(rng, k)
         n = 3 * block
         pts = np.asfortranarray(ell.center + rng.normal(size=(n, k)))
@@ -190,13 +191,42 @@ class TestDistance:
         assert (scores > 0).all()
         assert peak < 2.5 * k * block * 8 + n * 8
 
+    def test_stack_scores_come_in_blocks(self):
+        # a stack of three clouds of a block's rows each: every score is
+        # the one the whole stack's v and w give, and only a block of
+        # rows is held as v and w at a time
+        rng = np.random.default_rng(29)
+        g, m, k, block = 3, ellipsoid._BLOCK, 20, ellipsoid._BLOCK
+        ells = [random_ellipsoid(rng, k) for _ in range(g)]
+        centers = np.stack([e.center for e in ells])
+        factors = np.stack([e.factor for e in ells])
+        points = centers[:, None, :] + rng.normal(size=(g, m, k))
+        points[1, 7] = centers[1]
+        v = points - centers[:, None, :]
+        w = v @ factors
+        q = np.einsum("gbi,gbi->gb", w, w)
+        n = np.sqrt(np.einsum("gbi,gbi->gb", v, v))
+        want = np.zeros((g, m))
+        ok = q >= Q_FLOOR
+        want[ok] = np.abs(1.0 - q[ok] ** -0.5) * n[ok]
+        tracemalloc.start()
+        try:
+            got = ellipsoid.scores_train_stack(centers, factors, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert got[1, 7] == 0.0 and (np.delete(got[1], 7) > 0).all()
+        assert peak < 1.25 * 2 * block * k * 8 + 2 * got.nbytes
+        assert peak < 0.5 * (v.nbytes + w.nbytes)
+
     @pytest.mark.parametrize("n_blocks, extra", [(1, -1), (1, 0), (3, 1)])
     def test_scratch_blocks_give_fresh_block_bits(self, n_blocks, extra):
         """One block less a column, one block, and a last block of one
         column after three full ones: the scratch views give the bits
         that fresh C-ordered arrays per block give."""
         rng = np.random.default_rng(27)
-        k, block = 12, ellipsoid._TEST_BLOCK
+        k, block = 12, ellipsoid._BLOCK
         n = n_blocks * block + extra
         ell = random_ellipsoid(rng, k)
         pts = np.asfortranarray(ell.center
@@ -355,9 +385,37 @@ class TestFit:
                     FitConfig(**{name: value}).validate()
 
 
+def loop_step(ell, rows, lr, diag_floor):
+    """One mini-batch step of one ellipsoid, in place, with the rows at
+    the center or on the surface compacted out of ``rows`` first: the
+    arithmetic of ``_step_stack`` on the kept rows alone. Returns the
+    number of rows left out."""
+    v = rows - ell.center
+    w = v @ ell.factor
+    q = np.einsum("bi,bi->b", w, w)
+    keep = (q >= Q_FLOOR) & (np.abs(q - 1.0) >= SURFACE_TOL)
+    if keep.any():
+        k = len(ell.center)
+        v, w, q = v[keep], w[keep], q[keep]
+        n = np.sqrt(np.einsum("bi,bi->b", v, v))
+        s = np.sign(q - 1.0)
+        q_m12 = q ** -0.5
+        c1 = s * n * q_m12 / q
+        c2 = s * (1.0 - q_m12) / n
+        # the factor gradient and s1 = sum c1 w from one product
+        product = np.hstack([v * c1[:, None], c1[:, None]]).T @ w
+        grad_factor = np.tril(product[:k])
+        grad_center = -(ell.factor @ product[k]
+                        + (c2[:, None] * v).sum(axis=0))
+        ell.center -= lr * grad_center
+        ell.factor -= lr * grad_factor
+    d = np.diagonal(ell.factor).copy()
+    np.fill_diagonal(ell.factor, np.maximum(d, diag_floor))
+    return int((~keep).sum())
+
+
 def loop_fit(points, config):
-    """Reference fitter: one cloud, one mini-batch at a time, with the
-    rows at the center or on the surface compacted out of each batch.
+    """Reference fitter: one cloud, one ``loop_step`` at a time.
     Returns the ellipsoid and the number of batch rows it skipped."""
     pts = np.asarray(points, dtype=np.float64)
     k = pts.shape[1]
@@ -377,26 +435,52 @@ def loop_fit(points, config):
     for _ in range(config.epochs):
         order = rng.permutation(len(pts))
         for start in range(0, len(pts), config.batch_size):
-            v = pts[order[start:start + config.batch_size]] - ell.center
-            w = v @ ell.factor
-            q = np.einsum("bi,bi->b", w, w)
-            keep = (q >= Q_FLOOR) & (np.abs(q - 1.0) >= SURFACE_TOL)
-            skipped += int((~keep).sum())
-            if keep.any():
-                v, w, q = v[keep], w[keep], q[keep]
-                n = np.linalg.norm(v, axis=1)
-                s = np.sign(q - 1.0)
-                q_m12 = q ** -0.5
-                c1 = s * n * q_m12 / q
-                c2 = s * (1.0 - q_m12) / n
-                lw = w @ ell.factor.T
-                grad_center = -(c1[:, None] * lw + c2[:, None] * v).sum(axis=0)
-                grad_factor = np.tril((v * c1[:, None]).T @ w)
-                ell.center -= config.lr * grad_center
-                ell.factor -= config.lr * grad_factor
-            d = np.diagonal(ell.factor).copy()
-            np.fill_diagonal(ell.factor, np.maximum(d, config.diag_floor))
+            rows = pts[order[start:start + config.batch_size]]
+            skipped += loop_step(ell, rows, config.lr, config.diag_floor)
     return ell, skipped
+
+
+def textbook_gradients(ell, rows):
+    """Summed (dD/da, dD/dL) of the rows of ``rows`` off the center and
+    off the surface, each row's term formed in full as
+    -(c1 L w + c2 v) and c1 tril(v w^T): an independent check of the
+    factored form that ``_gradients`` takes. Also returns the sums of
+    the norms of the rows' parts, c1 L w, c2 v and c1 tril(v w^T): the
+    scale that rounding in either form of either sum is relative to."""
+    k = len(ell.center)
+    grad_center, grad_factor = np.zeros(k), np.zeros((k, k))
+    scale_center = scale_factor = 0.0
+    for row in rows:
+        v = row - ell.center
+        w = ell.factor.T @ v
+        q = w @ w
+        if q < Q_FLOOR or abs(q - 1.0) < SURFACE_TOL:
+            continue
+        n = np.sqrt(v @ v)
+        c1 = np.sign(q - 1.0) * n * q ** -1.5
+        c2 = np.sign(q - 1.0) * (1.0 - q ** -0.5) / n
+        radial, along = c1 * (ell.factor @ w), c2 * v
+        term_factor = c1 * np.tril(np.outer(v, w))
+        grad_center -= radial + along
+        grad_factor += term_factor
+        scale_center += np.linalg.norm(radial) + np.linalg.norm(along)
+        scale_factor += np.linalg.norm(term_factor)
+    return grad_center, grad_factor, scale_center, scale_factor
+
+
+def batch_with_skipped_rows(rng, ells, b):
+    """A (G, b, k) batch about ``ells`` whose rows in the middle of every
+    batch but the last are one at the center and two on the surface."""
+    k = len(ells[0].center)
+    batch = np.stack([e.center for e in ells])[:, None, :] \
+        + rng.normal(size=(len(ells), b, k)) * 1.5
+    for ell, rows in zip(ells[:-1], batch[:-1]):
+        middle = rng.choice(np.arange(1, b - 1), size=3, replace=False)
+        rows[middle[0]] = ell.center
+        for i in middle[1:]:
+            u = rng.normal(size=k)
+            rows[i] = ell.center + u / np.linalg.norm(u @ ell.factor)
+    return batch
 
 
 def edge_clouds(rng):
@@ -471,6 +555,50 @@ class TestFitStack:
             assert (stacked_c[g] == c[0]).all()
             assert (stacked_f[g] == f[0]).all()
         assert not (stacked_c == centers).all(axis=1).any()
+
+    def test_skipped_rows_at_the_cli_batch_size(self):
+        # the CLI's batch of 120 rows at k = 50: the sums over the batch
+        # must add its rows in order for zeroed rows in the middle to
+        # leave the kept rows' bits as the compacted batch has them.
+        # A last-bit change of one sum often rounds away in a small
+        # step, so the steps are large (lr a power of two, so lr times
+        # a gradient is exact) and several run, each from the
+        # parameters the last left
+        rng = np.random.default_rng(66)
+        g, b, k, lr = 6, 120, 50, 0.25
+        ells = [random_ellipsoid(rng, k) for _ in range(g)]
+        centers = np.stack([e.center for e in ells])
+        factors = np.stack([e.factor for e in ells])
+        for _ in range(4):
+            batch = batch_with_skipped_rows(rng, ells, b)
+            ellipsoid._step_stack(centers, factors, batch, lr, DIAG_FLOOR)
+            for ell, rows, center, factor in zip(ells, batch, centers,
+                                                 factors):
+                skips = loop_step(ell, rows, lr, DIAG_FLOOR)
+                assert skips == (3 if ell is not ells[-1] else 0)
+                assert (center == ell.center).all()
+                assert (factor == ell.factor).all()
+
+    @pytest.mark.parametrize("g, b, k", [(3, 120, 50), (5, 16, 13),
+                                         (4, 7, 3), (2, 120, 1)])
+    def test_gradients_are_the_textbook_sums(self, g, b, k):
+        rng = np.random.default_rng(67 + k)
+        ells = [random_ellipsoid(rng, k) for _ in range(g)]
+        batch = batch_with_skipped_rows(rng, ells, b)
+        centers = np.stack([e.center for e in ells])
+        factors = np.stack([e.factor for e in ells])
+        v, w, nsq, q = ellipsoid._quad_stack(centers, factors, batch)
+        q[~((q >= Q_FLOOR) & (np.abs(q - 1.0) >= SURFACE_TOL))] = 1.0
+        grad_center, grad_factor = ellipsoid._gradients(factors, v, w, nsq,
+                                                        q)
+        # relative to the parts' scale, not to the sum's own norm: at
+        # k = 1 every row's center term is +-1, its two parts cancel
+        # near the center, and the sum over the batch may cancel to zero
+        for ell, rows, gc, gf in zip(ells, batch, grad_center, grad_factor):
+            want_c, want_f, scale_c, scale_f = textbook_gradients(ell, rows)
+            assert np.linalg.norm(gc - want_c) <= 1e-13 * scale_c
+            assert np.linalg.norm(gf - want_f) <= 1e-13 * scale_f
+            assert (gf == np.tril(gf)).all()
 
     def test_step_is_minus_lr_times_the_summed_gradients(self):
         rng = np.random.default_rng(64)
