@@ -23,7 +23,7 @@ from .errors import (ConfigurationError, DataError, DegeneratePointError,
                      DrekgeError, FormatError, NumericalError, ParseError,
                      StaleDomainModelError, TrainingDivergedError,
                      UnknownLabelError)
-from .evaluation import EvalReport, evaluate, format_report, rank_of_gold
+from .evaluation import EvalReport, evaluate, format_report
 from .models import (EmbeddingModel, TrainConfig, load_model, save_model,
                      score_triple, train)
 
@@ -39,7 +39,7 @@ __all__ = [
     "ConfigurationError", "DataError", "DegeneratePointError", "DrekgeError",
     "FormatError", "NumericalError", "ParseError", "StaleDomainModelError",
     "TrainingDivergedError", "UnknownLabelError",
-    "EvalReport", "evaluate", "format_report", "rank_of_gold",
+    "EvalReport", "evaluate", "format_report",
     "EmbeddingModel", "TrainConfig", "load_model", "save_model",
     "score_triple", "train",
     "__version__",

@@ -84,7 +84,7 @@ def _quad_stack(centers: np.ndarray, factors: np.ndarray,
     the squared norms ||v||^2 and q = w^T w as (G, b) arrays.
 
     v and w are the two halves of one buffer, so one einsum takes both
-    squared norms: the one place a norm of v is formed."""
+    squared norms; ``scores_test`` forms its own ||v||^2."""
     vw = np.empty((2,) + points.shape)
     v, w = vw[0], vw[1]
     np.subtract(points, centers[:, None, :], out=v)
@@ -281,9 +281,11 @@ def _gradients(factors: np.ndarray, v: np.ndarray, w: np.ndarray,
 
     Both sums over the batch add its rows in order (the GEMM down each
     output's b rows, and the axis-1 sum of c2 v), so a zeroed row leaves
-    them as a batch without it has them. A GEMV, or a GEMM of one or two
-    rows, would split the sum across lanes, and a zeroed row would
-    change how the kept ones round.
+    them as a batch without it has them, while both batches stay on one
+    side of OpenBLAS's small-matrix GEMM threshold, about 1e6 / k^2 rows
+    (at b = 120, k near 91; FB15k stranse fits at k = 100). A GEMV, or a
+    GEMM of one or two rows, would split the sum across lanes, and a
+    zeroed row would change how the kept ones round.
     """
     g, b, k = v.shape
     n = np.sqrt(nsq)
@@ -318,7 +320,8 @@ def _step_stack(centers: np.ndarray, factors: np.ndarray, batch: np.ndarray,
     GEMMs. Samples at the center or within SURFACE_TOL of the surface
     are skipped: they get q = 1, whose terms are exactly zero, and
     every batch sum adds its rows in order, so every ellipsoid moves
-    bit for bit as if it were fitted alone on its kept rows. The factor
+    bit for bit as a lone ``fit`` of its cloud, and, below the GEMM
+    threshold of ``_gradients``, as if fitted on its kept rows. The factor
     diagonal is clamped to the floor after the update, which is what
     keeps L L^T positive definite through any number of steps.
     """

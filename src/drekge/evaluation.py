@@ -22,22 +22,25 @@ fits the graph, takes its penalties from ``domains.penalties_all`` (which
 checks the domain model against the embedding model) and refuses a
 non-finite score.
 
-Ranking a split does not score every candidate exactly. A screen
-scores every candidate cheaply (float32 sums for transe's L1, the GEMM
-form ||x||^2 + 2 a^T x + ||a||^2 for L2) and bounds each exact score by
-its screen value plus or minus a radius, from the worst-case rounding of
-both and the candidate's own norm; a query no screen bounds takes its
-exact scores as zero-width bounds. Only the candidates whose bounds
-cannot place them against the gold are re-scored exactly, with the gold
-and its filtered rivals, in the order ``models.score_all`` adds, so
-every rank, tie count and score term is the one the exact scores give,
-bit for bit. ``score_query`` prints scores, so it scores every one.
+Ranking a split does not score every candidate exactly. Each query
+makes one ``_Screen`` call, which scores every candidate cheaply
+(``models._coordinate_scores`` in float32 for transe's L1, the GEMM form
+||x||^2 + 2 a^T x + ||a||^2 for L2) and bounds each exact score by its
+screen value plus or minus a radius, from the worst-case rounding of
+both and the candidate's own norm; a query no screen bounds gets its
+exact scores, the same loop in float64, as zero-width bounds. Only the
+candidates whose bounds cannot place them against the gold are
+re-scored exactly, with the gold and its filtered rivals, in the order
+the loop adds, so every rank, tie count and score term is the one the
+exact scores give, bit for bit. ``score_query`` prints scores, so it
+scores every one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -45,8 +48,9 @@ from .data import (CATEGORIES, HEAD, TAIL, KnowledgeGraph, _groups,
                    classify_relations)
 from .domains import DomainModel, penalties_all
 from .errors import ConfigurationError, NumericalError
-from .models import (EmbeddingModel, _anchor, _projection_key, _score_rows,
-                     check_fits, project_all, score_all)
+from .models import (EmbeddingModel, _anchor, _coordinate_scores,
+                     _projection_key, _score_rows, check_fits, project_all,
+                     score_all)
 
 SETTINGS = ("raw", "filtered")
 COMBINED = "combined"
@@ -76,29 +80,14 @@ class EvalReport:
     baseline: EvalReport | None = None
 
 
-def rank_of_gold(scores: np.ndarray, gold: int,
-                 known: np.ndarray | None = None,
-                 tie_break: str = "optimistic") -> tuple[int, int]:
-    """(rank, tie count) of the gold entity among the candidates left
-    after filtering: one setting of ``_ranks``, raw without ``known``.
-
-    ``known`` holds distinct entity ids that are filtered out of the
-    competition; the gold entity itself is never filtered, listed or
-    not. Rank is 1 plus the number of strictly better candidates;
-    pessimistic ranking also counts every tied competitor. Lower scores
-    are better.
-    """
-    if known is None:
-        return _ranks(scores, gold, np.empty(0, np.int64), tie_break)[:2]
-    return _ranks(scores, gold, known, tie_break)[2:]
-
-
 def _ranks(scores: np.ndarray, gold: int, known: np.ndarray,
            tie_break: str) -> tuple[int, int, int, int]:
     """(raw rank, raw ties, filtered rank, filtered ties) of the gold
-    entity, as ``rank_of_gold`` defines them. Every candidate is counted
-    once; the filtered counts take the known rivals' share away from the
-    raw ones."""
+    entity; lower scores are better. Rank is 1 plus the number of
+    strictly better candidates; pessimistic ranking also counts every
+    tied one. Filtered drops ``known``, distinct entity ids, but never
+    the gold, listed or not: the known rivals' share of the raw counts,
+    each candidate counted once, is taken away."""
     gold_score = scores[gold]
     better = int(np.count_nonzero(scores < gold_score))
     ties = int(np.count_nonzero(scores == gold_score)) - 1
@@ -168,33 +157,33 @@ _CEILING = 2.0 ** 500
 
 
 class _Screen:
-    """Bounds on the exact ``score_all`` score of every candidate of one
-    ``_projection_key``, from one cheap pass per query.
+    """The one call through which every query of one
+    ``_projection_key`` gets its candidates' bounds and exact scores.
 
     ``rows`` is the slot's ``project_all`` result, (|E|, k), the
-    candidates' exact float64 vectors from which ``score_all`` and
+    candidates' exact float64 vectors, which ``_coordinate_scores`` and
     ``_score_rows`` score (transe's is ``entity_vecs`` itself). L1
-    screens transe from one C-ordered float32 (k, |E|) copy of ``rows``,
-    summed coordinate by coordinate as ``score_all`` sums; L2 screens
-    from the GEMM form ||x||^2 + 2 a^T x + ||a||^2 over ``rows``, with
-    one (|E|,) vector of squared norms and no further (k, |E|) array.
-    Both keep the (|E|,) candidate norms that their radii scale with. A
-    projected L1 variant is not screened: its float32 block would be
-    held beside the float64 projection that exact scores must read (a
-    projection's bits depend on its width), half as much candidate
-    memory again, so its queries take zero-width bounds.
+    screens transe with ``_coordinate_scores`` over one C-ordered
+    float32 (k, |E|) copy of ``rows``; L2 screens from the GEMM form
+    ||x||^2 + 2 a^T x + ||a||^2 over ``rows``, with one (|E|,) vector of
+    squared norms and no further (k, |E|) array. Both keep the (|E|,)
+    candidate norms that their radii scale with. A projected L1 variant
+    is not screened: its float32 block would be held beside the float64
+    projection that exact scores must read (a projection's bits depend
+    on its width), half as much candidate memory again, so its queries
+    take zero-width bounds.
     """
 
     def __init__(self, model: EmbeddingModel, relation: int, side: str):
-        self.l1 = model.dissimilarity == "l1"
+        self.dissimilarity = model.dissimilarity
         self.rows = project_all(model, relation, side)
-        self.on = not (self.l1 and len(model.proj))
+        self.on = not (self.dissimilarity == "l1" and len(model.proj))
         if not self.on:
             return
         # an entity past float32's range (L1), or one whose squared norm
-        # overflows (L2), screens as inf: its queries take the exact path
+        # overflows (L2), screens as inf: its queries take zero-width bounds
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.l1:
+            if self.dissimilarity == "l1":
                 self.block = np.ascontiguousarray(self.rows.T,
                                                   dtype=np.float32)
                 # each candidate's ||x||_1, one coordinate row at a time:
@@ -206,13 +195,17 @@ class _Screen:
                 self.squares = np.einsum("ij,ij->i", self.rows, self.rows)
                 self.norms = np.sqrt(self.squares)
 
-    def __call__(self, anchor: np.ndarray, pen_max: float) \
-            -> tuple[np.ndarray, np.ndarray] | None:
-        """(lo, hi) for the query of ``anchor``: float64 bounds with
-        lo <= s <= hi for each candidate's exact score s. None (the
-        query then takes zero-width bounds) when the screen is off, a
-        bound is not finite and below ``_CEILING``, or the largest bound
-        plus ``pen_max`` (the slot's largest penalty) overflows.
+    def __call__(self, anchor: np.ndarray, pen: np.ndarray | None,
+                 pen_max: float, relation: int):
+        """(lo, hi, exact) for the query of ``anchor``: float64 bounds
+        lo <= s <= hi on each candidate's exact score s, and
+        ``exact(ids)``, the exact scores of the candidates ``ids``. A
+        query the screen does not bound (it is off, a bound is not
+        finite and below ``_CEILING``, or the largest bound plus
+        ``pen_max``, the slot's largest penalty, overflows) gets
+        zero-width bounds lo = hi = s, its ``_coordinate_scores`` over
+        ``rows``, once ``_combined`` has refused a non-finite s with the
+        slot's penalties ``pen``.
 
         Each candidate's radius, v +- radius for its screen value v, is
         twice the sum of the screen's and the exact loop's worst-case
@@ -231,37 +224,35 @@ class _Screen:
         sqrt(d + e) <= sqrt(d) + sqrt(e), the radius is linear in
         ||x|| + ||a||, with an absolute term for subnormals.
         """
-        if not self.on:
-            return None
-        k = len(anchor)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.l1:
-                offsets = anchor.astype(np.float32)
-                total = np.zeros(self.block.shape[1], dtype=np.float32)
-                term = np.empty_like(total)
-                for coords, offset in zip(self.block, offsets):
-                    np.add(coords, offset, out=term)
-                    total += np.abs(term, out=term)
-                values = total.astype(np.float64)
-                radius = self.norms + float(np.abs(anchor).sum())
-                radius *= 2 * (k + 2) * _U32
-                radius += 2 * k * 2.0 ** -148
-            else:
-                square = float(anchor @ anchor)
-                values = self.rows @ anchor
-                values *= 2
-                values += self.squares
-                values += square
-                np.sqrt(np.maximum(values, 0.0, out=values), out=values)
-                radius = self.norms + math.sqrt(square)
-                radius *= 2 * (math.sqrt(2 * (k + 2) * _U64) + 2 * _U64)
-                radius += 2 * math.sqrt(k * 2.0 ** -1060)
-            lo = values - radius
-            hi = np.add(values, radius, out=radius)
-            top = float(hi.max())
-            if not (top < _CEILING and top + pen_max < math.inf):
-                return None
-        return lo, hi
+        k, top = len(anchor), math.inf
+        if self.on:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if self.dissimilarity == "l1":
+                    values = _coordinate_scores(
+                        self.block, anchor.astype(np.float32),
+                        "l1").astype(np.float64)
+                    radius = self.norms + float(np.abs(anchor).sum())
+                    radius *= 2 * (k + 2) * _U32
+                    radius += 2 * k * 2.0 ** -148
+                else:
+                    square = float(anchor @ anchor)
+                    values = self.rows @ anchor
+                    values *= 2
+                    values += self.squares
+                    values += square
+                    np.sqrt(np.maximum(values, 0.0, out=values), out=values)
+                    radius = self.norms + math.sqrt(square)
+                    radius *= 2 * (math.sqrt(2 * (k + 2) * _U64) + 2 * _U64)
+                    radius += 2 * math.sqrt(k * 2.0 ** -1060)
+                lo = values - radius
+                hi = np.add(values, radius, out=radius)
+                top = float(hi.max())
+        if top < _CEILING and top + pen_max < math.inf:
+            return lo, hi, partial(_score_rows, self.rows, anchor=anchor,
+                                   dissimilarity=self.dissimilarity)
+        scores = _coordinate_scores(self.rows.T, anchor, self.dissimilarity)
+        _combined(scores, pen, relation)
+        return scores, scores, scores.take
 
 
 def _split(lo: np.ndarray, hi: np.ndarray,
@@ -310,19 +301,10 @@ def _rank_query(model: EmbeddingModel, screen: _Screen, relation: int,
                 with_median: bool):
     """(baseline ``_ranks``, penalized ``_ranks``, gold score, median
     score) of one query, the one of ``fixed`` (``head=`` or ``tail=``),
-    from one screen pass or zero-width bounds: see ``_rank_split``. The
-    median is 0.0 unless ``with_median``."""
+    from one ``screen`` call: see ``_rank_split``. The median is 0.0
+    unless ``with_median``."""
     anchor = _anchor(model, relation, **fixed)
-    bounds = screen(anchor, pen_max)
-    if bounds is None:
-        # zero-width bounds: the exact scores, once refused if not finite
-        base = score_all(model, relation, projected=screen.rows, **fixed)
-        _combined(base, pen, relation)
-        bounds, exact = (base, base), base.take
-    else:
-        def exact(ids):
-            return _score_rows(screen.rows, ids, anchor, model.dissimilarity)
-    lo, hi = bounds
+    lo, hi, exact = screen(anchor, pen, pen_max, relation)
     (gold_score,) = exact([gold])
     median = _screened_median(lo, hi, exact) if with_median else 0.0
     below, band = _split(lo, hi, gold_score)
@@ -353,27 +335,26 @@ def _rank_split(graph: KnowledgeGraph, model: EmbeddingModel,
     row ``2 i + 1`` of ``ranks`` (baseline and penalized ``_ranks``),
     ``terms`` (one row per ``_TERMS`` entry; None unless ``with_terms``)
     and ``missing``. The baseline and penalized ranks both come from one
-    screen pass per query (``_rank_query``).
+    ``_Screen`` call per query (``_rank_query``).
 
     Work is grouped by relation, each group in split order, so each
     slot's penalties and their median are computed once per group. A
     ``_Screen`` is built once per ``_projection_key`` (once per call for
     transe, once per relation for transr, once per slot for stranse).
 
-    Ranks are exact. A query bounds every candidate's exact score s by
-    lo <= s <= hi from its screen, then re-scores exactly, by
-    ``_score_rows``, the gold, its filtered rivals and every candidate
-    whose bounds hold the gold's exact score; the bounds decide the
-    rest, certainly below or above the gold. A penalized score is
-    fl(s + p): rounding is monotone, so fl(lo + p) and fl(hi + p) bound
-    it. Ties are only ever decided exactly, so ranks and tie counts are
-    those of ``score_all``'s scores, and so is the ``median_baseline``
-    term (``_screened_median``). A query that ``_Screen`` does not bound
-    (a projected L1 variant, a bound past ``_CEILING`` as an entity
-    beyond float32's range makes it, a slot with a non-finite penalty)
-    takes its ``score_all`` scores as zero-width bounds, lo = hi = s,
-    and reads its exact scores from them, once ``_combined`` has refused
-    a non-finite score.
+    Ranks are exact. A query's ``_Screen`` call bounds every
+    candidate's exact score s by lo <= s <= hi, then the gold, its
+    filtered rivals and every candidate whose bounds hold the gold's
+    exact score are re-scored exactly by the call's ``exact``; the
+    bounds decide the rest, certainly below or above the gold. A
+    penalized score is fl(s + p): rounding is monotone, so fl(lo + p)
+    and fl(hi + p) bound it. Ties are only ever decided exactly, so
+    ranks and tie counts are those of ``score_all``'s scores, and so is
+    the ``median_baseline`` term (``_screened_median``). A query the
+    screen does not bound (a projected L1 variant, a bound past
+    ``_CEILING`` as an entity beyond float32's range makes it, a slot
+    with a non-finite penalty) gets zero-width bounds, lo = hi = s, from
+    the same call, and ``exact`` reads them.
     """
     n_pred = 2 * len(triples)
     ranks = np.empty((2, n_pred, 4), dtype=np.int64)  # baseline, penalized

@@ -92,9 +92,13 @@ class EmbeddingModel:
     entity_vecs: np.ndarray            # (|E|, d)
     relation_vecs: np.ndarray          # (|R|, k)
     proj: np.ndarray | None = None     # (s, |R|, k, d); None: s = 0
-    _fingerprint: int | None = field(default=None, repr=False, compare=False)
+    _fingerprint: int | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self) -> None:
+        # refuse what no scorer reads as written, as load_model does
+        if self.dissimilarity not in DISSIMILARITIES:
+            raise ValueError(f"unknown dissimilarity {self.dissimilarity!r}")
         if self.proj is None:
             self.proj = np.empty((0, self.n_relations, self.rel_dim, self.dim))
         shape = np.shape(self.proj)
@@ -103,6 +107,8 @@ class EmbeddingModel:
             raise ValueError(
                 f"proj has shape {shape}, expected (s, {self.n_relations}, "
                 f"{self.rel_dim}, {self.dim}) with s in 0..2")
+        if not shape[0] and self.rel_dim != self.dim:
+            raise ValueError("transe has no projection; rel_dim must be dim")
 
     @property
     def variant(self) -> str:
@@ -226,6 +232,25 @@ def _anchor(model: EmbeddingModel, relation: int, *,
     return -(anchor + r_vec) if tail is None else r_vec - anchor
 
 
+def _coordinate_scores(columns: np.ndarray, offsets: np.ndarray,
+                       dissimilarity: str) -> np.ndarray:
+    """||x + a|| of n candidates x, row i of ``columns`` (k, n) their
+    coordinate i, for the query ``offsets`` a (k,): the one
+    per-coordinate candidate loop. Each |x_i + a_i| (or its square) is
+    added into one n-length sum, left to right over the coordinates,
+    all in ``columns.dtype``: no (k, n) residual is held."""
+    n = columns.shape[1]
+    term, total = np.empty(n, columns.dtype), np.zeros(n, columns.dtype)
+    for row, offset in zip(columns, offsets):
+        np.add(row, offset, out=term)
+        if dissimilarity == "l1":
+            np.abs(term, out=term)
+        else:
+            np.multiply(term, term, out=term)
+        total += term
+    return total if dissimilarity == "l1" else np.sqrt(total, out=total)
+
+
 def score_all(model: EmbeddingModel, relation: int, *, head: int | None = None,
               tail: int | None = None,
               projected: np.ndarray | None = None) -> np.ndarray:
@@ -233,36 +258,25 @@ def score_all(model: EmbeddingModel, relation: int, *, head: int | None = None,
 
     Exactly one of ``head`` and ``tail`` is fixed. ``projected`` lets a
     caller reuse ``project_all`` output for the open slot across many
-    queries with the same relation. Each coordinate's |x_i + a_i| (or
-    its square) is formed across all |E| candidates, one row of their
-    (k, |E|) transpose at a time, and added into one |E|-length sum, so
-    no (k, |E|) residual is ever held. Every candidate's sum runs over
-    the coordinates left to right, so ``_score_rows`` gives any subset
-    of these scores bit for bit.
+    queries with the same relation. ``_coordinate_scores`` scores the
+    candidates' (k, |E|) transpose, and ``_score_rows`` gives any subset
+    of its scores bit for bit.
     """
     anchor = _anchor(model, relation, head=head, tail=tail)
     cand = projected if projected is not None \
         else project_all(model, relation, TAIL if tail is None else HEAD)
-    term = np.empty(model.n_entities)
-    total = np.zeros(model.n_entities)
-    for row, offset in zip(cand.T, anchor):
-        np.add(row, offset, out=term)
-        if model.dissimilarity == "l1":
-            np.abs(term, out=term)
-        else:
-            np.multiply(term, term, out=term)
-        total += term
-    return total if model.dissimilarity == "l1" else np.sqrt(total, out=total)
+    return _coordinate_scores(cand.T, anchor, model.dissimilarity)
 
 
 def _score_rows(rows: np.ndarray, ids, anchor: np.ndarray,
                 dissimilarity: str) -> np.ndarray:
     """``score_all``'s scores of the candidates ``ids``, whose open-slot
     vectors are those rows of ``rows`` (|E|, k), for the query of
-    ``anchor``. The gathered (m, k) rows are the one array made: each
-    row's terms are formed in place and added left to right by one
-    in-place accumulation, as the loop of ``score_all`` adds them (its
-    first addition, onto 0, is exact), so the bits are the same."""
+    ``anchor``: the kernel for a gathered subset. The gathered (m, k)
+    rows are the one array made: each row's terms are formed in place
+    and added left to right by one in-place accumulation, as
+    ``_coordinate_scores`` adds them (its first addition, onto 0, is
+    exact), so the bits are the same."""
     term = rows[ids]
     term += anchor
     if dissimilarity == "l1":

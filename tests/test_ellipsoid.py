@@ -530,6 +530,22 @@ class TestFitStack:
                 assert (centers[g] == ref.center).all()
                 assert (factors[g] == ref.factor).all()
 
+    @pytest.mark.parametrize("m", [130, 300])
+    def test_stacks_at_the_published_stranse_width(self, m):
+        # FB15k stranse projects to k = 100 and fits at the CLI's batch
+        # of 120: clouds of more than one batch, so every epoch ends on
+        # a short batch, each stacked fit ending as its lone fit
+        rng = np.random.default_rng(69)
+        k, seeds = 100, [11, 12]
+        cfg = FitConfig(lr=1e-3, epochs=3, batch_size=120, seed=0)
+        clouds = rng.normal(size=(2, m, k)) * rng.uniform(0.5, 3, k)
+        centers, factors = fit_stack(clouds, cfg, seeds)
+        for cloud, seed, center, factor in zip(clouds, seeds, centers,
+                                               factors):
+            alone = fit(cloud, replace(cfg, seed=seed))
+            assert (center == alone.center).all()
+            assert (factor == alone.factor).all()
+
     def test_rows_at_the_center_or_on_the_surface_are_left_out(self):
         # stepping a batch with such a row moves its ellipsoid exactly
         # as the same batch without that row does, inside a stack

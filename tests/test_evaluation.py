@@ -10,8 +10,7 @@ from drekge.errors import (ConfigurationError, NumericalError,
                            StaleDomainModelError)
 from drekge.evaluation import (EvalReport, comparison_rows, csv_rows,
                                evaluate, format_comparison, format_report,
-                               rank_of_gold, score_query,
-                               validation_hits10)
+                               score_query, validation_hits10)
 from drekge.models import (VARIANTS, EmbeddingModel, _anchor, _score_rows,
                            project_all, score_all)
 
@@ -20,28 +19,34 @@ from generators import (domain_model, random_domain_model, random_graph,
 from refeval import ref_evaluate
 
 
+def raw_rank(scores, gold, tie_break="optimistic"):
+    """(rank, tie count) of the gold against every candidate."""
+    return evaluation._ranks(scores, gold, np.empty(0, np.int64),
+                             tie_break)[:2]
+
+
 class TestRankOfGold:
     def test_strictly_better_counting(self):
         scores = np.array([0.5, 2.0, 1.0, 3.0])
-        assert rank_of_gold(scores, 2) == (2, 0)
-        assert rank_of_gold(scores, 0) == (1, 0)
-        assert rank_of_gold(scores, 3) == (4, 0)
+        assert raw_rank(scores, 2) == (2, 0)
+        assert raw_rank(scores, 0) == (1, 0)
+        assert raw_rank(scores, 3) == (4, 0)
 
     def test_tie_handling(self):
         scores = np.array([1.0, 2.0, 2.0, 3.0])
-        assert rank_of_gold(scores, 1) == (2, 1)
-        assert rank_of_gold(scores, 1, tie_break="pessimistic") == (3, 1)
+        assert raw_rank(scores, 1) == (2, 1)
+        assert raw_rank(scores, 1, "pessimistic") == (3, 1)
 
     def test_mask_removes_competitors(self):
         scores = np.array([0.1, 0.2, 5.0, 0.3])
         known = np.array([0, 1])
-        rank, ties = rank_of_gold(scores, 2, known)
+        rank, ties = evaluation._ranks(scores, 2, known, "optimistic")[2:]
         assert (rank, ties) == (2, 0)
 
     def test_gold_always_allowed(self):
         scores = np.array([1.0, 2.0])
         known = np.array([0, 1])
-        assert rank_of_gold(scores, 1, known) == (1, 0)
+        assert evaluation._ranks(scores, 1, known, "optimistic")[2:] == (1, 0)
 
     @pytest.mark.parametrize("tie_break", ["optimistic", "pessimistic"])
     def test_filtered_counts_match_brute_force(self, tie_break):
@@ -57,14 +62,14 @@ class TestRankOfGold:
             better = sum(scores[e] < scores[gold] for e in rivals)
             ties = sum(scores[e] == scores[gold] for e in rivals)
             rank = 1 + better + (ties if tie_break == "pessimistic" else 0)
-            assert rank_of_gold(scores, gold, known, tie_break) == \
+            assert evaluation._ranks(scores, gold, known, tie_break)[2:] == \
                 (rank, ties)
             # raw: every candidate but the gold competes
             everyone = [e for e in range(n) if e != gold]
             raw_ties = sum(scores[e] == scores[gold] for e in everyone)
             raw = (1 + sum(scores[e] < scores[gold] for e in everyone)
                    + (raw_ties if tie_break == "pessimistic" else 0), raw_ties)
-            assert rank_of_gold(scores, gold, None, tie_break) == raw
+            assert raw_rank(scores, gold, tie_break) == raw
             # one count gives both settings, as the two views give them
             assert evaluation._ranks(scores, gold, known, tie_break) == \
                 (*raw, rank, ties)
@@ -167,7 +172,7 @@ class TestEvaluate:
         for h, r, t in g.test:
             for side, gold, fixed in (("head", h, {"tail": t}),
                                       ("tail", t, {"head": h})):
-                rank, _ = rank_of_gold(score_all(m, r, **fixed), gold)
+                rank, _ = raw_rank(score_all(m, r, **fixed), gold)
                 ranks.setdefault((side, categories[r]), []).append(rank)
         assert len({cat for _, cat in ranks}) > 1
         for (side, cat), values in ranks.items():
@@ -192,9 +197,10 @@ class TestEvaluate:
                     (h, {"tail": t}, g.heads_by_rt[(r, t)]),
                     (t, {"head": h}, g.tails_by_hr[(h, r)])):
                 scores = score_all(m, r, **fixed)
-                for setting, filt in (("raw", None), ("filtered", known)):
+                for setting, col in (("raw", 0), ("filtered", 2)):
                     ranks.setdefault((setting, categories[r]), []).append(
-                        rank_of_gold(scores, gold, filt)[0])
+                        evaluation._ranks(scores, gold, known,
+                                          "optimistic")[col])
         for (setting, cat), values in ranks.items():
             block = rep.by_category[(setting, "combined", cat)]
             assert block.n == len(values)
@@ -616,11 +622,10 @@ class TestScreen:
             for r in range(g.n_relations):
                 anchor = _anchor(m, r, head=0)
                 screen = evaluation._Screen(m, r, "tail")
-                bounds = screen(anchor, 0.0)
-                assert (bounds is not None) == screened
+                lo, hi, _ = screen(anchor, None, 0.0, r)
+                assert (lo is not hi) == screened   # zero-width: one array
                 exact = _score_rows(screen.rows, [copy, gold], anchor, dissim)
                 if screened:
-                    lo, hi = bounds
                     inside += lo[copy] <= exact[1] <= hi[copy]
                 differ += exact[0] != exact[1]
         assert differ > 0
@@ -753,9 +758,10 @@ class TestScreen:
     def test_a_large_entity_widens_only_its_own_bounds(self, dissim):
         rng, g, m = self.build(159, "transe", dissim)
         anchor = _anchor(m, 0, head=0)
-        lo, hi = evaluation._Screen(m, 0, "tail")(anchor, 0.0)
+        lo, hi, _ = evaluation._Screen(m, 0, "tail")(anchor, None, 0.0, 0)
         m.entity_vecs[7] *= 1e6
-        big_lo, big_hi = evaluation._Screen(m, 0, "tail")(anchor, 0.0)
+        big_lo, big_hi, _ = evaluation._Screen(m, 0, "tail")(anchor, None,
+                                                             0.0, 0)
         others = np.arange(g.n_entities) != 7
         assert np.array_equal(big_hi[others] - big_lo[others],
                               (hi - lo)[others])

@@ -87,6 +87,32 @@ class TestProjShape:
                            np.zeros(shape))
 
 
+class TestModelFields:
+    """A model that no scorer reads as written is refused at
+    construction, as ``load_model`` refuses its file."""
+
+    @pytest.mark.parametrize("dissim", ["L1", "l3", ""])
+    def test_an_unknown_dissimilarity_is_refused(self, dissim):
+        # "L1" would otherwise rank as L2 and save a file that no load
+        # accepts
+        with pytest.raises(ValueError, match="unknown dissimilarity"):
+            EmbeddingModel(dissim, np.zeros((4, 3)), np.zeros((2, 3)))
+
+    def test_transe_needs_rel_dim_equal_to_dim(self):
+        with pytest.raises(ValueError, match="transe has no projection"):
+            EmbeddingModel("l1", np.zeros((4, 3)), np.zeros((2, 2)))
+        # a projection takes d = 3 to k = 2
+        assert EmbeddingModel("l1", np.zeros((4, 3)), np.zeros((2, 2)),
+                              np.zeros((1, 2, 2, 3))).variant == "transr"
+
+    def test_the_fingerprint_is_not_a_constructor_argument(self):
+        ent, rel = np.zeros((4, 3)), np.zeros((2, 3))
+        with pytest.raises(TypeError):
+            EmbeddingModel("l1", ent, rel, None, 42)
+        with pytest.raises(TypeError):
+            EmbeddingModel("l1", ent, rel, _fingerprint=42)
+
+
 class TestScoring:
     # triple (0, 0, 1): h = (1,0), r = (1,1), t = (0,2)
     def test_translation_hand_values(self):
