@@ -58,8 +58,8 @@ _TRAIN_KEYS = {"dim": "dim", "rel_dim": "rel_dim", "lr": "lr",
                "neg_sampling": "negative_sampling", "seed": "seed",
                "eval_every": "eval_every", "patience": "patience"}
 _FIT_KEYS = {"fit_lr": "lr", "fit_epochs": "epochs",
-             "fit_batch": "batch_size", "diag_floor": "diag_floor",
-             "seed": "seed", "min_members": "min_members"}
+             "fit_batch": "batch_size", "seed": "seed",
+             "min_members": "min_members"}
 
 
 class _UsageError(ConfigurationError):
@@ -360,7 +360,6 @@ def build_parser() -> _Parser:
     p.add_argument("--fit-lr", type=float, default=None, dest="fit_lr")
     p.add_argument("--fit-epochs", type=int, default=None, dest="fit_epochs")
     p.add_argument("--fit-batch", type=int, default=None, dest="fit_batch")
-    p.add_argument("--diag-floor", type=float, default=None, dest="diag_floor")
     p.add_argument("--min-members", type=int, default=None, dest="min_members")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output domain file")

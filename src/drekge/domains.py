@@ -126,6 +126,9 @@ class DomainModel:
         """Refuse records that a lookup would miss or misread: bad slots,
         non-finite or non-positive-diagonal ellipsoids, repeats, disorder."""
         fitted, skipped, k = self.fitted, self.skipped, self.rel_dim
+        if fitted.dtype["center"].shape != (k,) \
+                or fitted.dtype["tril"].shape != (k * (k + 1) // 2,):
+            raise FormatError(f"domain records are not of dimension {k}")
         relation = np.concatenate([fitted["relation"], skipped["relation"]])
         flag = np.concatenate([fitted["flag"], skipped["flag"]])
         bad = np.flatnonzero((relation < 0) | ((flag != 0) & (flag != 1)))
@@ -295,6 +298,8 @@ def penalties_all(domain_model: DomainModel, model: EmbeddingModel,
     distance outside. None when the slot has no ellipsoid (it was skipped
     or never observed in training), so callers can skip the addition."""
     check_compatible(domain_model, model)
+    if side not in SIDES:
+        raise ConfigurationError(f"unknown side {side!r}")
     ell = domain_model.ellipsoids.get((relation, side))
     if ell is None:
         return None

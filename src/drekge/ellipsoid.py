@@ -57,7 +57,6 @@ class FitConfig:
     lr: float = 1e-5
     epochs: int = 500
     batch_size: int = 120
-    diag_floor: float = DIAG_FLOOR
     seed: int = 0
 
     def validate(self) -> None:
@@ -66,8 +65,6 @@ class FitConfig:
                 or self.batch_size < 1:
             raise ConfigurationError("fit config needs a finite lr > 0, "
                                      "epochs >= 1, batch_size >= 1")
-        if not (0 < self.diag_floor < math.inf):
-            raise ConfigurationError("diag_floor must be positive and finite")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
 
@@ -127,17 +124,11 @@ def score_test(ell: Ellipsoid, point: np.ndarray) -> float:
     return float(scores_test(ell, point)[0])
 
 
-def scores_train(ell: Ellipsoid, points: np.ndarray) -> np.ndarray:
-    """Batch ``distance`` (the fitting objective, penalizing both sides)
-    with zero substituted at degenerate points."""
-    return scores_train_stack(ell.center[None], ell.factor[None],
-                              _as_batch(points)[None])[0]
-
-
 def scores_train_stack(centers: np.ndarray, factors: np.ndarray,
                        points: np.ndarray) -> np.ndarray:
-    """``scores_train`` of each (m, k) cloud of a (G, m, k) stack at its
-    own ellipsoid, as a (G, m) array.
+    """Batch ``distance`` (the fitting objective, penalizing both sides)
+    of each (m, k) cloud of a (G, m, k) stack at its own ellipsoid, as a
+    (G, m) array, with zero substituted at degenerate points.
 
     A stack of large domains is several times the size of one domain, so
     its clouds are scored as many whole clouds as ``_BLOCK`` rows hold
@@ -311,7 +302,7 @@ def _gradients(factors: np.ndarray, v: np.ndarray, w: np.ndarray,
 
 
 def _step_stack(centers: np.ndarray, factors: np.ndarray, batch: np.ndarray,
-                lr: float, diag_floor: float) -> None:
+                lr: float) -> None:
     """Apply one accumulated mini-batch of per-sample gradient steps to
     each ellipsoid of a stack, in place; ``batch`` is (G, b, k).
 
@@ -322,7 +313,7 @@ def _step_stack(centers: np.ndarray, factors: np.ndarray, batch: np.ndarray,
     every batch sum adds its rows in order, so every ellipsoid moves
     bit for bit as a lone ``fit`` of its cloud, and, below the GEMM
     threshold of ``_gradients``, as if fitted on its kept rows. The factor
-    diagonal is clamped to the floor after the update, which is what
+    diagonal is clamped to DIAG_FLOOR after the update, which is what
     keeps L L^T positive definite through any number of steps.
     """
     v, w, nsq, q = _quad_stack(centers, factors, batch)
@@ -338,7 +329,7 @@ def _step_stack(centers: np.ndarray, factors: np.ndarray, batch: np.ndarray,
     for factor, grad in zip(factors, grad_factor):
         factor -= grad
     diag = _diagonals(factors)
-    np.maximum(diag, diag_floor, out=diag)
+    np.maximum(diag, DIAG_FLOOR, out=diag)
 
 
 def fit_stack(points: np.ndarray, config: FitConfig, seeds,
@@ -357,6 +348,8 @@ def fit_stack(points: np.ndarray, config: FitConfig, seeds,
     g, m, k = points.shape
     if m < 1:
         raise ConfigurationError("cannot fit an ellipsoid to zero points")
+    if len(seeds) != g:
+        raise ConfigurationError(f"{len(seeds)} seeds for {g} clouds")
     centers, factors = _init_stack(points)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     rows = points.reshape(g * m, k)
@@ -366,7 +359,7 @@ def fit_stack(points: np.ndarray, config: FitConfig, seeds,
         for start in range(0, m, config.batch_size):
             _step_stack(centers, factors,
                         rows[order[:, start:start + config.batch_size]],
-                        config.lr, config.diag_floor)
+                        config.lr)
         if callback is not None:
             callback(epoch, centers, factors)
     return centers, factors
@@ -386,7 +379,7 @@ def fit(points: np.ndarray, config: FitConfig | None = None,
     hook = None
     if callback is not None:
         def hook(epoch, centers, factors):
-            ell = Ellipsoid(centers[0], factors[0])
-            callback(epoch, ell, float(scores_train(ell, pts[0]).mean()))
+            callback(epoch, Ellipsoid(centers[0], factors[0]), float(
+                scores_train_stack(centers, factors, pts)[0].mean()))
     centers, factors = fit_stack(pts, config, [config.seed], hook)
     return Ellipsoid(centers[0], factors[0])

@@ -96,7 +96,7 @@ class EmbeddingModel:
                                      compare=False)
 
     def __post_init__(self) -> None:
-        # refuse what no scorer reads as written, as load_model does
+        # refuse what no scorer reads as written; load_model relies on it
         if self.dissimilarity not in DISSIMILARITIES:
             raise ValueError(f"unknown dissimilarity {self.dissimilarity!r}")
         if self.proj is None:
@@ -108,7 +108,8 @@ class EmbeddingModel:
                 f"proj has shape {shape}, expected (s, {self.n_relations}, "
                 f"{self.rel_dim}, {self.dim}) with s in 0..2")
         if not shape[0] and self.rel_dim != self.dim:
-            raise ValueError("transe has no projection; rel_dim must be dim")
+            raise ValueError(f"transe has no projection; its rel_dim "
+                             f"{self.rel_dim} must equal its dim {self.dim}")
 
     @property
     def variant(self) -> str:
@@ -162,6 +163,8 @@ def check_fits(model: EmbeddingModel, graph: KnowledgeGraph) -> None:
 
 def _slot(model: EmbeddingModel, side: str) -> int:
     """The index in ``proj`` of the matrix that projects ``side``."""
+    if side not in (HEAD, TAIL):
+        raise ConfigurationError(f"unknown side {side!r}")
     return 0 if side == HEAD else len(model.proj) - 1
 
 
@@ -171,11 +174,11 @@ def project_slots(model: EmbeddingModel, entities: np.ndarray,
     ``sides[g]`` of ``relations[g]``, as a (G, m, k) stack: the rows are
     gathered first, then projected in one stacked product. A (1, 1)
     block projects one entity into one slot."""
+    slots = [_slot(model, side) for side in sides]
     vecs = model.entity_vecs[entities]
     if not len(model.proj):
         return vecs
-    mats = model.proj[[_slot(model, side) for side in sides], relations]
-    return vecs @ mats.transpose(0, 2, 1)
+    return vecs @ model.proj[slots, relations].transpose(0, 2, 1)
 
 
 def project_all(model: EmbeddingModel, relation: int, side: str) -> np.ndarray:
@@ -189,9 +192,10 @@ def project_all(model: EmbeddingModel, relation: int, side: str) -> np.ndarray:
     never from a projection of a subset. It goes stale once the
     parameters change.
     """
+    slot = _slot(model, side)
     if not len(model.proj):
         return model.entity_vecs
-    return (model.proj[_slot(model, side), relation] @ model.entity_vecs.T).T
+    return (model.proj[slot, relation] @ model.entity_vecs.T).T
 
 
 def _projection_key(model: EmbeddingModel, relation: int, side: str):
@@ -213,6 +217,11 @@ def _norms(diff: np.ndarray, dissimilarity: str) -> np.ndarray:
 def score_triple(model: EmbeddingModel, triple: tuple[int, int, int]) -> float:
     """The score of one id triple: the one-row case of the training
     forward path, ``_residuals`` then ``_norms``."""
+    h, r, t = triple
+    if not (0 <= r < model.n_relations
+            and 0 <= min(h, t) and max(h, t) < model.n_entities):
+        raise ConfigurationError(f"triple {triple} names an id outside "
+                                 f"the model")
     row = np.array([triple], dtype=np.int64)
     return float(_norms(_residuals(model, row), model.dissimilarity)[0])
 
@@ -224,8 +233,12 @@ def _anchor(model: EmbeddingModel, relation: int, *,
     ||x + a||, each coordinate's term formed as x_i + a_i."""
     if (head is None) == (tail is None):
         raise ConfigurationError("fix exactly one of head and tail")
-    r_vec = model.relation_vecs[relation]
     fixed, fixed_side = (head, HEAD) if tail is None else (tail, TAIL)
+    if not (0 <= relation < model.n_relations
+            and 0 <= fixed < model.n_entities):
+        raise ConfigurationError(f"relation {relation} or entity {fixed} "
+                                 f"is outside the model")
+    r_vec = model.relation_vecs[relation]
     (anchor,) = project_slots(model, np.array([[fixed]]),
                               np.array([relation]), (fixed_side,))[0]
     # t - x is -(x - t): the same magnitude, so the same |.| and square
@@ -609,8 +622,6 @@ def load_model(path: str) -> EmbeddingModel:
         path, MODEL_MAGIC, 8, slice(3, 7))
     if variant not in VARIANTS:
         raise FormatError(f"{path}: unknown variant {variant!r}")
-    if dissim not in DISSIMILARITIES:
-        raise FormatError(f"{path}: unknown dissimilarity {dissim!r}")
     if min(n_e, n_r, d, k) < 1:
         raise FormatError(f"{path}: bad header counts")
 
@@ -626,9 +637,6 @@ def load_model(path: str) -> EmbeddingModel:
     if footer != expected:
         raise FormatError(f"{path}: payload length check failed "
                           f"({footer} != {expected})")
-    if variant == "transe" and k != d:
-        raise FormatError(f"{path}: transe has no projection; its rel_dim "
-                          f"{k} must equal its dim {d}")
 
     flat = np.frombuffer(body, dtype="<f8", count=expected // 8)
     cuts = np.cumsum(sizes)[:-1]
@@ -636,4 +644,7 @@ def load_model(path: str) -> EmbeddingModel:
               for part, shape in zip(np.split(flat, cuts), shapes)]
     if not all(np.isfinite(arr).all() for arr in arrays):
         raise FormatError(f"{path}: non-finite parameter values")
-    return EmbeddingModel(dissim, *arrays)
+    try:
+        return EmbeddingModel(dissim, *arrays)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None

@@ -197,7 +197,8 @@ class TestCriterion4SyntheticFit:
             ell = ellipsoid.fit(pts, cfg)
 
             center_err = float(np.linalg.norm(ell.center - center))
-            mean_f = float(ellipsoid.scores_train(ell, pts).mean())
+            mean_f = float(ellipsoid.scores_train_stack(
+                ell.center[None], ell.factor[None], pts[None])[0].mean())
             m = ell.factor @ ell.factor.T
             fitted = np.sort(1.0 / np.sqrt(np.linalg.eigvalsh(m)))[::-1]
             ratio_err = abs((fitted[0] / fitted[-1]) / (axes[0] / axes[-1]) - 1)

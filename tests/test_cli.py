@@ -360,7 +360,7 @@ class TestFailureModes:
         assert "must be positive and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [
-        ("--fit-lr", "nan"), ("--fit-lr", "inf"), ("--diag-floor", "nan")])
+        ("--fit-lr", "nan"), ("--fit-lr", "inf")])
     def test_non_finite_fit_numbers_exit_one(self, dataset, tmp_path,
                                              capsys, flag, value):
         model = str(tmp_path / "m.bin")
@@ -463,6 +463,21 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert f"error: config file key {key!r}" in err
         assert "Traceback" not in err
+
+    def test_config_file_has_no_diag_floor_key(self, dataset, tmp_path,
+                                               capsys):
+        model = str(tmp_path / "m.bin")
+        run_train(dataset, model)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"diag_floor": 1e-6}))
+        doms = tmp_path / "d.bin"
+        capsys.readouterr()
+        rc = main(["fit-domains", *dataset["args"], "--model", model,
+                   "--config", str(cfg), "--out", str(doms)])
+        assert rc == 1
+        assert not doms.exists()
+        assert "unknown config file keys: diag_floor" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [
         ("fit_epochs", 1.5), ("fit_batch", "8"), ("seed", [1])])

@@ -7,13 +7,13 @@ from drekge import data, domains
 from drekge.domains import (fit_all_domains, load_domains, penalties_all,
                             save_domains)
 from drekge.ellipsoid import (Ellipsoid, FitConfig, fit, fit_stack,
-                              score_test, scores_train)
+                              score_test, scores_train_stack)
 from drekge.errors import (ConfigurationError, FormatError,
                            NumericalError, StaleDomainModelError)
 from drekge.models import TrainConfig, project_all, project_slots, train
 
 from generators import (domain_members, domain_model, random_domain_model,
-                        random_graph, random_model)
+                        random_ellipsoid, random_graph, random_model)
 
 
 def quick_fit(graph, model, **kw):
@@ -143,7 +143,8 @@ class TestFitAllDomains:
                 cfg, seed=domains._domain_seed(cfg.seed, r, flag)))
             assert (ell.center == alone.center).all()
             assert (ell.factor == alone.factor).all()
-            assert seen[(r, side)] == scores_train(ell, points).mean()
+            assert seen[(r, side)] == scores_train_stack(
+                ell.center[None], ell.factor[None], points[None])[0].mean()
 
     def test_equal_size_domains_fit_as_if_alone(self):
         # every slot has three members, so all eight domains are fitted
@@ -289,6 +290,19 @@ class TestPenalty:
         m2 = random_model(rng, g)  # different weights, same shapes
         with pytest.raises(StaleDomainModelError):
             penalties_all(dm, m2, 0, data.HEAD)
+
+
+    @pytest.mark.parametrize("variant", ["transe", "transr", "stranse"])
+    @pytest.mark.parametrize("side", ["Head", "heads", "tails"])
+    def test_an_unknown_side_is_refused(self, variant, side):
+        rng = np.random.default_rng(104)
+        g = random_graph(rng)
+        m = random_model(rng, g, variant=variant, dim=8)
+        dm = random_domain_model(rng, g, m, coverage=1.0)
+        with pytest.raises(ConfigurationError, match="unknown side"):
+            penalties_all(dm, m, 0, side)
+        with pytest.raises(ConfigurationError, match="unknown side"):
+            penalties_all(dm, m, 0, side, m.entity_vecs)
 
 
 class TestSerialization:
@@ -481,3 +495,24 @@ class TestSerialization:
         m2 = random_model(rng, g)
         with pytest.raises(StaleDomainModelError):
             domains.check_compatible(back, m2)
+
+
+class TestRecordSize:
+    """Records whose center or packed triangle is not of the model's
+    ``rel_dim`` are refused when the model is built."""
+
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_records_of_another_dimension_are_refused(self, k):
+        ell = random_ellipsoid(np.random.default_rng(105), k)
+        dm = domain_model(k, 0, {(0, "head"): ell})
+        with pytest.raises(FormatError, match="not of dimension 6"):
+            domains.DomainModel(6, 0, dm.fitted, dm.skipped)
+
+    def test_a_triangle_of_another_dimension_is_refused(self):
+        record = np.dtype([*domains._SLOT.descr, ("center", "<f8", (6,)),
+                           ("tril", "<f8", (15,))])
+        fitted = np.zeros(1, dtype=record)
+        fitted["tril"] = 1.0
+        with pytest.raises(FormatError, match="not of dimension 6"):
+            domains.DomainModel(6, 0, fitted,
+                                np.zeros(0, dtype=domains._SLOT))

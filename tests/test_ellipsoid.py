@@ -8,7 +8,7 @@ from drekge import ellipsoid
 from drekge.ellipsoid import (DIAG_FLOOR, Q_FLOOR, SURFACE_TOL, Ellipsoid,
                               FitConfig, distance, fit, fit_stack, gradient,
                               quad_form, score_test, scores_test,
-                              scores_train)
+                              scores_train_stack)
 from drekge.errors import ConfigurationError, DegeneratePointError
 
 from generators import random_ellipsoid, surface_points
@@ -92,9 +92,11 @@ class TestDistance:
     def test_batch_scores_substitute_zero_at_center(self):
         ell = unit_sphere(2)
         pts = np.array([[0.0, 0.0], [2.0, 0.0]])
-        assert scores_train(ell, pts).tolist() == [0.0, 1.0]
+        assert scores_train_stack(ell.center[None], ell.factor[None],
+                                  pts[None])[0].tolist() == [0.0, 1.0]
         assert scores_test(ell, pts).tolist() == [0.0, 1.0]
-        assert scores_train(ell, pts[:0]).shape == (0,)
+        assert scores_train_stack(ell.center[None], ell.factor[None],
+                                  pts[:0][None])[0].shape == (0,)
 
     def test_batch_equals_scalar_row_by_row(self):
         # integer coordinates and factor entries make every quadratic form
@@ -331,7 +333,8 @@ class TestFit:
         assert np.linalg.norm(ell.center - center) < 0.05
         semi = 1.0 / np.sqrt(np.linalg.eigvalsh(ell.factor @ ell.factor.T))
         assert np.allclose(semi, 2.0, rtol=0.05)
-        assert scores_train(ell, pts).mean() < 0.02
+        assert scores_train_stack(ell.center[None], ell.factor[None],
+                                  pts[None])[0].mean() < 0.02
 
     def test_initial_surface_roughly_encloses_members(self):
         rng = np.random.default_rng(42)
@@ -377,12 +380,9 @@ class TestFit:
             fit(np.zeros((0, 3)), FitConfig())
         with pytest.raises(ConfigurationError):
             FitConfig(lr=0.0).validate()
-        with pytest.raises(ConfigurationError):
-            FitConfig(diag_floor=-1.0).validate()
-        for name in ("lr", "diag_floor"):
-            for value in (np.nan, np.inf):
-                with pytest.raises(ConfigurationError, match="finite"):
-                    FitConfig(**{name: value}).validate()
+        for value in (np.nan, np.inf):
+            with pytest.raises(ConfigurationError, match="finite"):
+                FitConfig(lr=value).validate()
 
 
 def loop_step(ell, rows, lr, diag_floor):
@@ -436,7 +436,7 @@ def loop_fit(points, config):
         order = rng.permutation(len(pts))
         for start in range(0, len(pts), config.batch_size):
             rows = pts[order[start:start + config.batch_size]]
-            skipped += loop_step(ell, rows, config.lr, config.diag_floor)
+            skipped += loop_step(ell, rows, config.lr, DIAG_FLOOR)
     return ell, skipped
 
 
@@ -519,6 +519,13 @@ class TestFitStack:
             if name == "constant":
                 assert skipped == cfg.epochs * len(pts)
 
+    def test_one_seed_per_cloud(self):
+        points = np.random.default_rng(63).normal(size=(3, 20, 4))
+        cfg = FitConfig(epochs=1, batch_size=8)
+        for seeds in ([7], [7, 8], [7, 8, 9, 10], []):
+            with pytest.raises(ConfigurationError, match="seeds for 3"):
+                fit_stack(points, cfg, seeds)
+
     def test_big_ragged_stack_matches_the_loop(self):
         rng = np.random.default_rng(62)
         cfg = FitConfig(lr=1e-3, epochs=3, batch_size=16, seed=0)
@@ -562,12 +569,11 @@ class TestFitStack:
         assert abs(quad_form(ells[0], batch[0, 1]) - 1.0) < SURFACE_TOL
 
         stacked_c, stacked_f = centers.copy(), factors.copy()
-        ellipsoid._step_stack(stacked_c, stacked_f, batch, 0.05, DIAG_FLOOR)
+        ellipsoid._step_stack(stacked_c, stacked_f, batch, 0.05)
         for g in range(3):
             rows = [i for i in range(b) if i != left_out.get(g)]
             c, f = centers[g:g + 1].copy(), factors[g:g + 1].copy()
-            ellipsoid._step_stack(c, f, batch[g:g + 1, rows], 0.05,
-                                  DIAG_FLOOR)
+            ellipsoid._step_stack(c, f, batch[g:g + 1, rows], 0.05)
             assert (stacked_c[g] == c[0]).all()
             assert (stacked_f[g] == f[0]).all()
         assert not (stacked_c == centers).all(axis=1).any()
@@ -587,7 +593,7 @@ class TestFitStack:
         factors = np.stack([e.factor for e in ells])
         for _ in range(4):
             batch = batch_with_skipped_rows(rng, ells, b)
-            ellipsoid._step_stack(centers, factors, batch, lr, DIAG_FLOOR)
+            ellipsoid._step_stack(centers, factors, batch, lr)
             for ell, rows, center, factor in zip(ells, batch, centers,
                                                  factors):
                 skips = loop_step(ell, rows, lr, DIAG_FLOOR)
@@ -625,7 +631,7 @@ class TestFitStack:
         batch = centers[:, None, :] + rng.normal(size=(5, b, k)) * 1.5
         batch[2, 4] = centers[2]          # skipped: no gradient there
         new_c, new_f = centers.copy(), factors.copy()
-        ellipsoid._step_stack(new_c, new_f, batch, lr, DIAG_FLOOR)
+        ellipsoid._step_stack(new_c, new_f, batch, lr)
         for g, ell in enumerate(ells):
             grad_c, grad_f = np.zeros(k), np.zeros((k, k))
             for row in batch[g]:
@@ -650,7 +656,7 @@ class TestFitStack:
         batch = centers[:, None, :] + rng.normal(size=(g, b, k))
         tracemalloc.start()
         try:
-            ellipsoid._step_stack(centers, factors, batch, 1e-3, DIAG_FLOOR)
+            ellipsoid._step_stack(centers, factors, batch, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

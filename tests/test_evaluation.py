@@ -266,6 +266,18 @@ class TestScoreQuery:
         with pytest.raises(ConfigurationError, match="counts do not match"):
             score_query(g, m, None, 0, head=0)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_ids_outside_the_model_are_refused(self, variant):
+        rng = np.random.default_rng(131)
+        g = random_graph(rng)
+        m = random_model(rng, g, variant=variant, dim=8)
+        dm = random_domain_model(rng, g, m)
+        for relation, fixed in [(-1, {"head": 0}), (0, {"head": -1}),
+                                (0, {"tail": -1}),
+                                (0, {"tail": g.n_entities})]:
+            with pytest.raises(ConfigurationError, match="outside"):
+                score_query(g, m, dm, relation, **fixed)
+
     def test_transe_holds_no_candidate_copy(self):
         # transe's candidates are entity_vecs itself: only the |E|-length
         # score arrays are made

@@ -113,6 +113,33 @@ class TestModelFields:
             EmbeddingModel("l1", ent, rel, _fingerprint=42)
 
 
+class TestRefusedArguments:
+    """A side outside ``data.SIDES`` is refused, not read as the tail,
+    and an id outside the model is refused, not wrapped around."""
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    @pytest.mark.parametrize("side", ["heads", "Head", "", None])
+    def test_an_unknown_side_is_refused(self, variant, side):
+        m = tiny_model(variant)
+        with pytest.raises(ConfigurationError, match="unknown side"):
+            project_all(m, 0, side)
+        with pytest.raises(ConfigurationError, match="unknown side"):
+            project_slots(m, np.array([[0]]), np.array([0]), [side])
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_ids_outside_the_model_are_refused(self, variant):
+        # 3 entities, 1 relation
+        m = tiny_model(variant)
+        for triple in [(0, -1, 1), (0, 1, 1), (-1, 0, 1), (0, 0, -1),
+                       (3, 0, 1), (0, 0, 3)]:
+            with pytest.raises(ConfigurationError, match="outside"):
+                score_triple(m, triple)
+        for relation, fixed in [(-1, {"head": 0}), (1, {"tail": 0}),
+                                (0, {"head": -1}), (0, {"tail": 3})]:
+            with pytest.raises(ConfigurationError, match="outside"):
+                score_all(m, relation, **fixed)
+
+
 class TestScoring:
     # triple (0, 0, 1): h = (1,0), r = (1,1), t = (0,2)
     def test_translation_hand_values(self):
