@@ -3,11 +3,13 @@ ellipsoid penalties for link prediction."""
 
 import os
 
-# Every stage runs on one thread, and so does its BLAS: a BLAS library
-# reads its thread count once, when numpy loads it, so the count is set
-# here, before any submodule imports numpy. One thread also keeps the
-# rounding of the large products, and so a trained projected model, the
-# same on every host. A value already in the environment wins.
+# BLAS runs on one thread (evaluation with domains adds one helper
+# thread, whose penalties are the serial pass's; see
+# evaluation._rank_split): a BLAS library reads its thread count once,
+# when numpy loads it, so the count is set here, before any submodule
+# imports numpy. One thread also keeps the rounding of the large
+# products, and so a trained projected model, the same on every host. A
+# value already in the environment wins.
 for _name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
               "VECLIB_MAXIMUM_THREADS"):
     os.environ.setdefault(_name, "1")

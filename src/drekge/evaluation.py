@@ -39,6 +39,7 @@ scores every one.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from .data import (CATEGORIES, HEAD, TAIL, KnowledgeGraph, _groups,
                    classify_relations)
-from .domains import DomainModel, penalties_all
+from .domains import DomainModel, check_compatible, penalties_all
 from .errors import ConfigurationError, NumericalError
 from .models import (EmbeddingModel, _anchor, _coordinate_scores,
                      _projection_key, _score_rows, check_fits, project_all,
@@ -342,6 +343,17 @@ def _rank_split(graph: KnowledgeGraph, model: EmbeddingModel,
     ``_Screen`` is built once per ``_projection_key`` (once per call for
     transe, once per relation for transr, once per slot for stranse).
 
+    With a domain model, the domain file is checked against the model
+    once, on the calling thread, and one helper thread computes
+    penalties one slot ahead: whenever the next slot has this slot's
+    ``_projection_key``, its ``penalties_all`` over the same
+    ``_Screen.rows`` is started before this slot's penalties are taken.
+    That is every transe slot, each transr relation's tail slot (while
+    its head slot is ranked) and no stranse slot. Each penalty array is
+    the one a serial call makes, so ranks do not depend on scheduling,
+    and a helper's exception is raised here, at the slot that needs its
+    penalties. Without a domain model no thread is started.
+
     Ranks are exact. A query's ``_Screen`` call bounds every
     candidate's exact score s by lo <= s <= hi, then the gold, its
     filtered rivals and every candidate whose bounds hold the gold's
@@ -360,17 +372,34 @@ def _rank_split(graph: KnowledgeGraph, model: EmbeddingModel,
     ranks = np.empty((2, n_pred, 4), dtype=np.int64)  # baseline, penalized
     terms = np.empty((len(_TERMS), n_pred)) if with_terms else None
     missing = np.empty(n_pred, dtype=bool)
-    key = screen = None
-    for relation, rows in _groups(triples[:, 1]):
-        for col, side in enumerate((HEAD, TAIL)):
-            slot_key = _projection_key(model, relation, side)
+    slots = [(relation, side, _projection_key(model, relation, side), col,
+              rows)
+             for relation, rows in _groups(triples[:, 1])
+             for col, side in enumerate((HEAD, TAIL))]
+    helper = nullcontext()
+    if domain_model is not None:
+        # imported here: it adds about 10 ms to every process that
+        # imports the package, and only this pass starts a thread
+        from concurrent.futures import ThreadPoolExecutor
+        check_compatible(domain_model, model)
+        helper = ThreadPoolExecutor(max_workers=1)
+    key = screen = ahead = None
+    with helper as pool:
+        for (relation, side, slot_key, col, rows), after in zip(
+                slots, slots[1:] + [None]):
             if screen is None or slot_key != key:
                 screen = None   # free the last candidates before the next
                 key, screen = slot_key, _Screen(model, relation, side)
             pen = None   # and the last slot's penalties
             if domain_model is not None:
-                pen = penalties_all(domain_model, model, relation, side,
-                                    screen.rows)
+                pending, ahead = ahead, None
+                if after is not None and after[2] == key:
+                    # the next slot reads these rows: start its penalties
+                    ahead = pool.submit(penalties_all, domain_model, model,
+                                        *after[:2], screen.rows)
+                pen = pending.result() if pending is not None else \
+                    penalties_all(domain_model, model, relation, side,
+                                  screen.rows)
             med_pen = 0.0 if pen is None else float(np.median(pen))
             pen_max = 0.0 if pen is None else float(pen.max())
             for i, (h, _, t) in zip(rows.tolist(), triples[rows].tolist()):
@@ -434,10 +463,12 @@ def evaluate(graph: KnowledgeGraph, model: EmbeddingModel,
     """Rank the gold entity of every triple in the chosen split, both
     sides, raw and filtered, and aggregate overall and per category.
 
-    Every query is scored once, in one serial ``_rank_split`` pass. With
-    a domain model the returned report is the penalized one, and its
+    Every query is scored once, in one ``_rank_split`` pass. With a
+    domain model the returned report is the penalized one, and its
     ``baseline`` is the report without penalties, ranked from the same
-    scores in the same pass (equal to ``evaluate(graph, model)``).
+    scores in the same pass (equal to ``evaluate(graph, model)``); one
+    helper thread computes the penalties of the next slot while this
+    one is ranked, and it has ended when this returns or raises.
     """
     triples = _split_triples(graph, model, split)
     if tie_break not in TIE_BREAKS:

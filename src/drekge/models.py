@@ -190,9 +190,13 @@ def project_all(model: EmbeddingModel, relation: int, side: str) -> np.ndarray:
     entity), whose bits depend on the product's width, so an exact score
     of a projected candidate is always read from the full projection,
     never from a projection of a subset. It goes stale once the
-    parameters change.
+    parameters change. A relation id outside the model is refused, for
+    every variant, not wrapped around.
     """
     slot = _slot(model, side)
+    if not 0 <= relation < model.n_relations:
+        raise ConfigurationError(f"relation {relation} is outside the "
+                                 f"model")
     if not len(model.proj):
         return model.entity_vecs
     return (model.proj[slot, relation] @ model.entity_vecs.T).T

@@ -1,10 +1,16 @@
+import concurrent.futures
+import itertools
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from drekge import data, evaluation
-from drekge.domains import fit_all_domains, penalties_all
+from drekge.domains import fit_all_domains, penalties_all, save_domains
 from drekge.ellipsoid import Ellipsoid, FitConfig
 from drekge.errors import (ConfigurationError, NumericalError,
                            StaleDomainModelError)
@@ -12,10 +18,10 @@ from drekge.evaluation import (EvalReport, comparison_rows, csv_rows,
                                evaluate, format_comparison, format_report,
                                score_query, validation_hits10)
 from drekge.models import (VARIANTS, EmbeddingModel, _anchor, _score_rows,
-                           project_all, score_all)
+                           project_all, save_model, score_all)
 
 from generators import (domain_model, random_domain_model, random_graph,
-                        random_model)
+                        random_model, save_graph)
 from refeval import ref_evaluate
 
 
@@ -278,6 +284,17 @@ class TestScoreQuery:
             with pytest.raises(ConfigurationError, match="outside"):
                 score_query(g, m, dm, relation, **fixed)
 
+    @pytest.mark.parametrize("variant", ["transr", "stranse"])
+    def test_a_relation_past_the_last_is_refused_before_projecting(
+            self, variant):
+        # the open slot is projected before the query's anchor is formed
+        rng = np.random.default_rng(0)
+        g = random_graph(rng)
+        m = random_model(rng, g, variant=variant, dim=8)
+        for fixed in ({"head": 0}, {"tail": 0}):
+            with pytest.raises(ConfigurationError, match="outside"):
+                score_query(g, m, None, g.n_relations, **fixed)
+
     def test_transe_holds_no_candidate_copy(self):
         # transe's candidates are entity_vecs itself: only the |E|-length
         # score arrays are made
@@ -497,6 +514,93 @@ class TestSinglePass:
         assert plain.term_stats == {k: stats[k] for k in
                                     ("gold_baseline", "median_baseline")}
         assert rep.term_stats == stats
+
+
+# evaluates the files named on its command line, pinned to one CPU when
+# the first argument is "pin", and prints every rendering of the reports
+SCHEDULED = """
+import os, sys
+from drekge.data import load_graph
+from drekge.domains import load_domains
+from drekge.evaluation import csv_rows, evaluate, format_comparison, \\
+    format_report
+from drekge.models import load_model
+pin, directory, variants = sys.argv[1], sys.argv[2], sys.argv[3:]
+if pin == "pin":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+g = load_graph(*(os.path.join(directory, f"{name}.txt")
+                 for name in ("train", "valid", "test")))
+for variant in variants:
+    rep = evaluate(g, load_model(os.path.join(directory, variant + ".bin")),
+                   load_domains(os.path.join(directory, variant + ".dom")))
+    print(format_report(rep), format_comparison(rep.baseline, rep),
+          csv_rows(rep), sep="")
+"""
+
+
+class TestPenaltiesAhead:
+    """With domains, one helper thread computes the next slot's
+    penalties while the caller ranks; the reports do not depend on it."""
+
+    def build(self, seed, variant, dissim="l1"):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n_entities=40, n_relations=4, n_test=16)
+        m = random_model(rng, g, variant=variant, dissimilarity=dissim)
+        return g, m, random_domain_model(rng, g, m, coverage=0.8)
+
+    @pytest.mark.parametrize("variant", ["transe", "transr"])
+    def test_a_helper_failure_reaches_the_caller(self, variant, monkeypatch):
+        g, m, dm = self.build(171, variant)
+        calls, threads = itertools.count(), set()
+
+        def failing(*args):
+            threads.add(threading.get_ident())
+            if next(calls) == 1:
+                raise NumericalError("planted")
+            return penalties_all(*args)
+
+        monkeypatch.setattr(evaluation, "penalties_all", failing)
+        before = threading.active_count()
+        with pytest.raises(NumericalError, match="planted"):
+            evaluate(g, m, dm)
+        assert threading.active_count() == before
+        # the first slot submits the second before it takes its own
+        assert len(threads) == 2
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_no_thread_outlives_a_pass(self, variant):
+        g, m, dm = self.build(172, variant)
+        before = threading.active_count()
+        evaluate(g, m, dm)
+        assert threading.active_count() == before
+
+    def test_no_thread_starts_without_domains(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was made")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        g, m, _ = self.build(173, "transr")
+        evaluate(g, m)
+        validation_hits10(g, m)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no os.sched_setaffinity")
+    def test_reports_do_not_depend_on_scheduling(self, tmp_path):
+        for variant, dissim in (("transe", "l1"), ("transr", "l2"),
+                                ("stranse", "l1")):
+            g, m, dm = self.build(174, variant, dissim)
+            save_model(m, str(tmp_path / f"{variant}.bin"))
+            save_domains(dm, str(tmp_path / f"{variant}.dom"))
+        save_graph(g, str(tmp_path))
+        src = os.path.dirname(os.path.dirname(evaluation.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        outs = [subprocess.run(
+            [sys.executable, "-c", SCHEDULED, pin, str(tmp_path), "transe",
+             "transr", "stranse"], env=env, capture_output=True, text=True,
+            check=True).stdout for pin in ("free", "pin")]
+        assert outs[0].count("# evaluation") == 3
+        assert outs[0] == outs[1]
 
 
 def exact_split(g, m, dm, tie_break, penalties=penalties_all):

@@ -139,6 +139,15 @@ class TestRefusedArguments:
             with pytest.raises(ConfigurationError, match="outside"):
                 score_all(m, relation, **fixed)
 
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_a_relation_outside_the_model_is_not_projected(self, variant):
+        # transe has no matrix to index, and -1 would index the last one
+        m = tiny_model(variant)
+        for relation in (-1, 1):
+            for side in ("head", "tail"):
+                with pytest.raises(ConfigurationError, match="outside"):
+                    project_all(m, relation, side)
+
 
 class TestScoring:
     # triple (0, 0, 1): h = (1,0), r = (1,1), t = (0,2)
