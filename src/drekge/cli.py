@@ -307,10 +307,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     domain_model = domains.load_domains(args.domains) if args.domains else None
 
     relation = _resolve_label(args.relation, graph.relations, "relation")
-    if args.head is not None:
-        anchor = {"head": _resolve_label(args.head, graph.entities, "entity")}
-    else:
-        anchor = {"tail": _resolve_label(args.tail, graph.entities, "entity")}
+    fixed = "head" if args.head is not None else "tail"
+    anchor = {fixed: _resolve_label(getattr(args, fixed), graph.entities,
+                                    "entity")}
     base, pens, combined = evaluation.score_query(graph, model, domain_model,
                                                   relation, **anchor)
 

@@ -40,8 +40,8 @@ from .ellipsoid import (Ellipsoid, FitConfig, fit_stack, scores_test,
                         scores_train_stack)
 from .errors import (ConfigurationError, FormatError, NumericalError,
                      StaleDomainModelError)
-from .models import (ARTIFACT_VERSION, EmbeddingModel, check_fits, project_all,
-                     project_slots, read_artifact)
+from .models import (ARTIFACT_VERSION, EmbeddingModel, _id, check_fits,
+                     project_all, project_slots, read_artifact)
 
 DOMAIN_MAGIC = "DREDOM"
 
@@ -296,10 +296,13 @@ def penalties_all(domain_model: DomainModel, model: EmbeddingModel,
     """Out-of-domain penalties for every entity in one slot of a
     relation: zero anywhere inside the domain surface, the radial
     distance outside. None when the slot has no ellipsoid (it was skipped
-    or never observed in training), so callers can skip the addition."""
+    or never observed in training), so callers can skip the addition. A
+    relation id that is not an integer or is outside the model is
+    refused, as ``project_all`` refuses it."""
     check_compatible(domain_model, model)
     if side not in SIDES:
         raise ConfigurationError(f"unknown side {side!r}")
+    relation = _id(relation, model.n_relations, "relation")
     ell = domain_model.ellipsoids.get((relation, side))
     if ell is None:
         return None

@@ -16,11 +16,13 @@ query is scored once: the baseline ranks and the penalized ranks are both
 taken from those scores, and both reports come out of the one pass.
 
 This module is the one place a query becomes scores: ``evaluate`` and
-``validation_hits10`` rank whole splits, and ``score_query`` scores one
-partial triple (``drekge predict``). Every path checks that the model
-fits the graph, takes its penalties from ``domains.penalties_all`` (which
-checks the domain model against the embedding model) and refuses a
-non-finite score.
+``validation_hits10`` rank whole splits, and ``score_query``, the one
+public way to score a query, scores one partial triple (``drekge
+predict``); only it reads a ``head=``/``tail=`` pair, and inside a
+query is a slot (relation, open side) and the entity in the other
+slot. Every path checks that the model fits the graph, takes its
+penalties from ``domains.penalties_all`` (which checks the domain model
+against the embedding model) and refuses a non-finite score.
 
 Ranking a split does not score every candidate exactly. Each query
 makes one ``_Screen`` call, which scores every candidate cheaply
@@ -49,9 +51,8 @@ from .data import (CATEGORIES, HEAD, TAIL, KnowledgeGraph, _groups,
                    classify_relations)
 from .domains import DomainModel, check_compatible, penalties_all
 from .errors import ConfigurationError, NumericalError
-from .models import (EmbeddingModel, _anchor, _coordinate_scores,
-                     _projection_key, _score_rows, check_fits, project_all,
-                     score_all)
+from .models import (EmbeddingModel, _anchor, _coordinate_scores, _id,
+                     _projection_key, _score_rows, check_fits, project_all)
 
 SETTINGS = ("raw", "filtered")
 COMBINED = "combined"
@@ -126,11 +127,17 @@ def score_query(graph: KnowledgeGraph, model: EmbeddingModel,
     open slot of one query, with exactly one of ``head`` and ``tail``
     fixed. ``penalties`` is None without a domain model or when the slot
     has no ellipsoid; ``combined`` is then the baseline. The open slot is
-    projected once, for the scores and the penalties."""
+    projected once, for the scores and the penalties. Ids that are not
+    integers or are outside the model are refused."""
     check_fits(model, graph)
-    side = TAIL if tail is None else HEAD
+    if (head is None) == (tail is None):
+        raise ConfigurationError("fix exactly one of head and tail")
+    side, entity = (TAIL, head) if tail is None else (HEAD, tail)
+    relation = _id(relation, model.n_relations, "relation")
+    entity = _id(entity, model.n_entities, "entity")
     cand = project_all(model, relation, side)
-    base = score_all(model, relation, head=head, tail=tail, projected=cand)
+    base = _coordinate_scores(cand.T, _anchor(model, relation, side, entity),
+                              model.dissimilarity)
     pen = None if domain_model is None else \
         penalties_all(domain_model, model, relation, side, cand)
     return base, pen, _combined(base, pen, relation)
@@ -296,15 +303,13 @@ def _screened_median(lo: np.ndarray, hi: np.ndarray, exact) -> float:
     return float(np.mean(band[[first - count, last - count]]))
 
 
-def _rank_query(model: EmbeddingModel, screen: _Screen, relation: int,
-                fixed: dict[str, int], gold: int, known: np.ndarray,
-                pen: np.ndarray | None, pen_max: float, tie_break: str,
-                with_median: bool):
+def _rank_query(screen: _Screen, relation: int, anchor: np.ndarray,
+                gold: int, known: np.ndarray, pen: np.ndarray | None,
+                pen_max: float, tie_break: str, with_median: bool):
     """(baseline ``_ranks``, penalized ``_ranks``, gold score, median
-    score) of one query, the one of ``fixed`` (``head=`` or ``tail=``),
-    from one ``screen`` call: see ``_rank_split``. The median is 0.0
-    unless ``with_median``."""
-    anchor = _anchor(model, relation, **fixed)
+    score) of the query of ``anchor`` (``models._anchor``), from one
+    ``screen`` call: see ``_rank_split``. The median is 0.0 unless
+    ``with_median``."""
     lo, hi, exact = screen(anchor, pen, pen_max, relation)
     (gold_score,) = exact([gold])
     median = _screened_median(lo, hi, exact) if with_median else 0.0
@@ -335,7 +340,9 @@ def _rank_split(graph: KnowledgeGraph, model: EmbeddingModel,
     Triple ``i`` predicts its head into row ``2 i`` and its tail into
     row ``2 i + 1`` of ``ranks`` (baseline and penalized ``_ranks``),
     ``terms`` (one row per ``_TERMS`` entry; None unless ``with_terms``)
-    and ``missing``. The baseline and penalized ranks both come from one
+    and ``missing``. A query is its slot (relation, open side) and the
+    entity in the other slot, whose ``models._anchor`` is the query's
+    offset. The baseline and penalized ranks both come from one
     ``_Screen`` call per query (``_rank_query``).
 
     Work is grouped by relation, each group in split order, so each
@@ -361,12 +368,12 @@ def _rank_split(graph: KnowledgeGraph, model: EmbeddingModel,
     bounds decide the rest, certainly below or above the gold. A
     penalized score is fl(s + p): rounding is monotone, so fl(lo + p)
     and fl(hi + p) bound it. Ties are only ever decided exactly, so
-    ranks and tie counts are those of ``score_all``'s scores, and so is
-    the ``median_baseline`` term (``_screened_median``). A query the
-    screen does not bound (a projected L1 variant, a bound past
-    ``_CEILING`` as an entity beyond float32's range makes it, a slot
-    with a non-finite penalty) gets zero-width bounds, lo = hi = s, from
-    the same call, and ``exact`` reads them.
+    ranks and tie counts are those of ``score_query``'s baseline scores,
+    and so is the ``median_baseline`` term (``_screened_median``). A
+    query the screen does not bound (a projected L1 variant, a bound
+    past ``_CEILING`` as an entity beyond float32's range makes it, a
+    slot with a non-finite penalty) gets zero-width bounds, lo = hi = s,
+    from the same call, and ``exact`` reads them.
     """
     n_pred = 2 * len(triples)
     ranks = np.empty((2, n_pred, 4), dtype=np.int64)  # baseline, penalized
@@ -404,15 +411,13 @@ def _rank_split(graph: KnowledgeGraph, model: EmbeddingModel,
             pen_max = 0.0 if pen is None else float(pen.max())
             for i, (h, _, t) in zip(rows.tolist(), triples[rows].tolist()):
                 row = 2 * i + col
-                if side == HEAD:
-                    gold, fixed = h, {"tail": t}
-                    known = graph.heads_by_rt[(relation, t)]
-                else:
-                    gold, fixed = t, {"head": h}
-                    known = graph.tails_by_hr[(h, relation)]
+                gold, entity = (h, t) if side == HEAD else (t, h)
+                known = graph.heads_by_rt[(relation, t)] if side == HEAD \
+                    else graph.tails_by_hr[(h, relation)]
                 ranks[0, row], ranks[1, row], gold_score, median = \
-                    _rank_query(model, screen, relation, fixed, gold, known,
-                                pen, pen_max, tie_break, with_terms)
+                    _rank_query(screen, relation,
+                                _anchor(model, relation, side, entity), gold,
+                                known, pen, pen_max, tie_break, with_terms)
                 missing[row] = pen is None
                 if with_terms:
                     terms[:, row] = (gold_score, median,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import re
 import struct
 from dataclasses import dataclass, field
@@ -161,6 +162,20 @@ def check_fits(model: EmbeddingModel, graph: KnowledgeGraph) -> None:
                                  "the graph")
 
 
+def _id(value, count: int, name: str) -> int:
+    """``value`` as an int id in 0..count - 1. One that is not an
+    integer (``operator.index`` refuses a float, where an array index
+    would truncate it) or is outside the model is refused."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} {value!r} is not an integer "
+                                 f"id") from None
+    if not 0 <= value < count:
+        raise ConfigurationError(f"{name} {value} is outside the model")
+    return value
+
+
 def _slot(model: EmbeddingModel, side: str) -> int:
     """The index in ``proj`` of the matrix that projects ``side``."""
     if side not in (HEAD, TAIL):
@@ -190,13 +205,11 @@ def project_all(model: EmbeddingModel, relation: int, side: str) -> np.ndarray:
     entity), whose bits depend on the product's width, so an exact score
     of a projected candidate is always read from the full projection,
     never from a projection of a subset. It goes stale once the
-    parameters change. A relation id outside the model is refused, for
-    every variant, not wrapped around.
+    parameters change. A relation id that is not an integer or is
+    outside the model is refused, for every variant, not wrapped around.
     """
     slot = _slot(model, side)
-    if not 0 <= relation < model.n_relations:
-        raise ConfigurationError(f"relation {relation} is outside the "
-                                 f"model")
+    relation = _id(relation, model.n_relations, "relation")
     if not len(model.proj):
         return model.entity_vecs
     return (model.proj[slot, relation] @ model.entity_vecs.T).T
@@ -222,31 +235,24 @@ def score_triple(model: EmbeddingModel, triple: tuple[int, int, int]) -> float:
     """The score of one id triple: the one-row case of the training
     forward path, ``_residuals`` then ``_norms``."""
     h, r, t = triple
-    if not (0 <= r < model.n_relations
-            and 0 <= min(h, t) and max(h, t) < model.n_entities):
-        raise ConfigurationError(f"triple {triple} names an id outside "
-                                 f"the model")
-    row = np.array([triple], dtype=np.int64)
+    row = np.array([[_id(h, model.n_entities, "entity"),
+                     _id(r, model.n_relations, "relation"),
+                     _id(t, model.n_entities, "entity")]], dtype=np.int64)
     return float(_norms(_residuals(model, row), model.dissimilarity)[0])
 
 
-def _anchor(model: EmbeddingModel, relation: int, *,
-            head: int | None = None, tail: int | None = None) -> np.ndarray:
-    """The (k,) offset a of one query, with exactly one of ``head`` and
-    ``tail`` fixed: a candidate whose open-slot vector is x scores
-    ||x + a||, each coordinate's term formed as x_i + a_i."""
-    if (head is None) == (tail is None):
-        raise ConfigurationError("fix exactly one of head and tail")
-    fixed, fixed_side = (head, HEAD) if tail is None else (tail, TAIL)
-    if not (0 <= relation < model.n_relations
-            and 0 <= fixed < model.n_entities):
-        raise ConfigurationError(f"relation {relation} or entity {fixed} "
-                                 f"is outside the model")
+def _anchor(model: EmbeddingModel, relation: int, side: str,
+            entity: int) -> np.ndarray:
+    """The (k,) offset a of the query of slot (``relation``, ``side``)
+    whose other slot holds ``entity``: a candidate whose open-slot
+    vector is x scores ||x + a||, each coordinate's term formed as
+    x_i + a_i. The caller has checked the side and the ids."""
+    fixed_side = HEAD if side == TAIL else TAIL
     r_vec = model.relation_vecs[relation]
-    (anchor,) = project_slots(model, np.array([[fixed]]),
+    (anchor,) = project_slots(model, np.array([[entity]]),
                               np.array([relation]), (fixed_side,))[0]
     # t - x is -(x - t): the same magnitude, so the same |.| and square
-    return -(anchor + r_vec) if tail is None else r_vec - anchor
+    return -(anchor + r_vec) if side == TAIL else r_vec - anchor
 
 
 def _coordinate_scores(columns: np.ndarray, offsets: np.ndarray,
@@ -268,32 +274,15 @@ def _coordinate_scores(columns: np.ndarray, offsets: np.ndarray,
     return total if dissimilarity == "l1" else np.sqrt(total, out=total)
 
 
-def score_all(model: EmbeddingModel, relation: int, *, head: int | None = None,
-              tail: int | None = None,
-              projected: np.ndarray | None = None) -> np.ndarray:
-    """Scores with every entity substituted into the open slot.
-
-    Exactly one of ``head`` and ``tail`` is fixed. ``projected`` lets a
-    caller reuse ``project_all`` output for the open slot across many
-    queries with the same relation. ``_coordinate_scores`` scores the
-    candidates' (k, |E|) transpose, and ``_score_rows`` gives any subset
-    of its scores bit for bit.
-    """
-    anchor = _anchor(model, relation, head=head, tail=tail)
-    cand = projected if projected is not None \
-        else project_all(model, relation, TAIL if tail is None else HEAD)
-    return _coordinate_scores(cand.T, anchor, model.dissimilarity)
-
-
 def _score_rows(rows: np.ndarray, ids, anchor: np.ndarray,
                 dissimilarity: str) -> np.ndarray:
-    """``score_all``'s scores of the candidates ``ids``, whose open-slot
-    vectors are those rows of ``rows`` (|E|, k), for the query of
-    ``anchor``: the kernel for a gathered subset. The gathered (m, k)
-    rows are the one array made: each row's terms are formed in place
-    and added left to right by one in-place accumulation, as
-    ``_coordinate_scores`` adds them (its first addition, onto 0, is
-    exact), so the bits are the same."""
+    """The scores of the candidates ``ids``, whose open-slot vectors are
+    those rows of ``rows`` (|E|, k), for the query of ``anchor``, as
+    ``_coordinate_scores`` over ``rows.T`` gives them: the kernel for a
+    gathered subset. The gathered (m, k) rows are the one array made:
+    each row's terms are formed in place and added left to right by one
+    in-place accumulation, as ``_coordinate_scores`` adds them (its
+    first addition, onto 0, is exact), so the bits are the same."""
     term = rows[ids]
     term += anchor
     if dissimilarity == "l1":

@@ -16,7 +16,8 @@ from drekge.evaluation import evaluate, format_report
 from drekge.domains import (fit_all_domains, load_domains, penalties_all,
                             save_domains)
 from drekge.ellipsoid import Ellipsoid, FitConfig
-from drekge.models import TrainConfig, load_model, save_model, score_all, train
+from drekge.models import (TrainConfig, load_model, save_model, score_triple,
+                           train)
 
 from generators import domain_model, random_graph, save_graph
 
@@ -130,9 +131,11 @@ class TestPipeline:
         rows = capsys.readouterr().out.splitlines()[1:]
 
         m, dm = load_model(model), load_domains(doms)
-        fixed = {anchor[2:]: 2}
         side = data.TAIL if anchor == "--head" else data.HEAD
-        base = score_all(m, 1, **fixed)
+        # each candidate scored on its own, through the training path
+        base = np.array([score_triple(m, (2, 1, e) if side == data.TAIL
+                                      else (e, 1, 2))
+                         for e in range(g.n_entities)])
         pens = penalties_all(dm, m, 1, side)
         pens = np.zeros_like(base) if pens is None else pens
         combined = base + pens

@@ -304,6 +304,23 @@ class TestPenalty:
         with pytest.raises(ConfigurationError, match="unknown side"):
             penalties_all(dm, m, 0, side, m.entity_vecs)
 
+    @pytest.mark.parametrize("variant", ["transe", "transr", "stranse"])
+    def test_a_relation_that_is_no_id_of_the_model_is_refused(self,
+                                                              variant):
+        # refused, not read as a slot with no domain (None)
+        rng = np.random.default_rng(0)
+        g = random_graph(rng)
+        m = random_model(rng, g, variant=variant, dim=8)
+        dm = fit_all_domains(g, m, FitConfig(epochs=2))
+        projected = project_all(m, 0, data.HEAD)
+        for relation, match in [(-1, "outside"), (g.n_relations, "outside"),
+                                (10 ** 30, "outside"),
+                                (0.5, "not an integer"),
+                                (1.0, "not an integer")]:
+            for rows in (None, projected):
+                with pytest.raises(ConfigurationError, match=match):
+                    penalties_all(dm, m, relation, data.HEAD, rows)
+
 
 class TestSerialization:
     def roundtrip(self, dm, tmp_path):

@@ -17,8 +17,9 @@ from drekge.errors import (ConfigurationError, NumericalError,
 from drekge.evaluation import (EvalReport, comparison_rows, csv_rows,
                                evaluate, format_comparison, format_report,
                                score_query, validation_hits10)
-from drekge.models import (VARIANTS, EmbeddingModel, _anchor, _score_rows,
-                           project_all, save_model, score_all)
+from drekge.models import (VARIANTS, EmbeddingModel, _anchor,
+                           _coordinate_scores, _score_rows, project_all,
+                           save_model)
 
 from generators import (domain_model, random_domain_model, random_graph,
                         random_model, save_graph)
@@ -178,7 +179,8 @@ class TestEvaluate:
         for h, r, t in g.test:
             for side, gold, fixed in (("head", h, {"tail": t}),
                                       ("tail", t, {"head": h})):
-                rank, _ = raw_rank(score_all(m, r, **fixed), gold)
+                rank, _ = raw_rank(score_query(g, m, None, r, **fixed)[0],
+                                   gold)
                 ranks.setdefault((side, categories[r]), []).append(rank)
         assert len({cat for _, cat in ranks}) > 1
         for (side, cat), values in ranks.items():
@@ -202,7 +204,7 @@ class TestEvaluate:
             for gold, fixed, known in (
                     (h, {"tail": t}, g.heads_by_rt[(r, t)]),
                     (t, {"head": h}, g.tails_by_hr[(h, r)])):
-                scores = score_all(m, r, **fixed)
+                scores = score_query(g, m, None, r, **fixed)[0]
                 for setting, col in (("raw", 0), ("filtered", 2)):
                     ranks.setdefault((setting, categories[r]), []).append(
                         evaluation._ranks(scores, gold, known,
@@ -283,6 +285,21 @@ class TestScoreQuery:
                                 (0, {"tail": g.n_entities})]:
             with pytest.raises(ConfigurationError, match="outside"):
                 score_query(g, m, dm, relation, **fixed)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_ids_that_are_not_integers_are_refused(self, variant):
+        # an array index would truncate 0.5 to 0, or fail on it
+        rng = np.random.default_rng(0)
+        g = random_graph(rng)
+        m = random_model(rng, g, variant=variant, dim=8)
+        dm = random_domain_model(rng, g, m)
+        for relation, fixed in [(1, {"head": 0.5}), (1, {"tail": 0.5}),
+                                (1, {"tail": np.float64(2.0)}),
+                                (0.5, {"head": 0}), (1.0, {"tail": 0})]:
+            for domains in (None, dm):
+                with pytest.raises(ConfigurationError,
+                                   match="not an integer"):
+                    score_query(g, m, domains, relation, **fixed)
 
     @pytest.mark.parametrize("variant", ["transr", "stranse"])
     def test_a_relation_past_the_last_is_refused_before_projecting(
@@ -491,7 +508,7 @@ class TestSinglePass:
         for h, r, t in g.test:
             for side, gold, fixed in (("head", h, {"tail": t}),
                                       ("tail", t, {"head": h})):
-                base = score_all(m, r, **fixed)
+                base = score_query(g, m, None, r, **fixed)[0]
                 pen = penalties_all(dm, m, r, side)
                 missing += pen is None
                 pen = np.zeros_like(base) if pen is None else pen
@@ -605,7 +622,7 @@ class TestPenaltiesAhead:
 
 def exact_split(g, m, dm, tie_break, penalties=penalties_all):
     """``_rank_split``'s (ranks, terms, missing) over the test split from
-    every candidate's ``score_all`` score: the pass without a screen."""
+    every candidate's ``score_query`` score: the pass without a screen."""
     n = 2 * len(g.test)
     ranks = np.empty((2, n, 4), dtype=np.int64)
     terms = np.empty((4, n))
@@ -615,7 +632,7 @@ def exact_split(g, m, dm, tie_break, penalties=penalties_all):
                 ("head", h, {"tail": t}, g.heads_by_rt[(r, t)]),
                 ("tail", t, {"head": h}, g.tails_by_hr[(h, r)]))):
             row = 2 * i + col
-            base = score_all(m, r, **fixed)
+            base = score_query(g, m, None, r, **fixed)[0]
             pen = None if dm is None else penalties(dm, m, r, side)
             ranks[0, row] = evaluation._ranks(base, gold, known, tie_break)
             ranks[1, row] = ranks[0, row] if pen is None else \
@@ -688,7 +705,7 @@ def relative(eps):
 class TestScreen:
     """The screen decides only what its bound allows; everything else is
     re-scored exactly, so ranks, tie counts and the median term are
-    those of ``score_all``, and those of the oracle."""
+    those of ``score_query``, and those of the oracle."""
 
     SHAPES = [("transe", "l1"), ("transe", "l2"), ("transr", "l1"),
               ("transr", "l2")]
@@ -708,11 +725,12 @@ class TestScreen:
         rng, g, m = self.build([150, VARIANTS.index(variant)], variant,
                                dissim)
         for r in range(g.n_relations):
-            for side, fixed in (("head", {"tail": 3}), ("tail", {"head": 5})):
-                full = score_all(m, r, **fixed)
+            for side, entity in (("head", 3), ("tail", 5)):
                 rows = project_all(m, r, side)
+                anchor = _anchor(m, r, side, entity)
+                full = _coordinate_scores(rows.T, anchor, dissim)
                 ids = rng.permutation(g.n_entities)[:25]
-                got = _score_rows(rows, ids, _anchor(m, r, **fixed), dissim)
+                got = _score_rows(rows, ids, anchor, dissim)
                 assert np.array_equal(got.view(np.int64),
                                       full[ids].view(np.int64))
 
@@ -736,7 +754,7 @@ class TestScreen:
         inside = differ = 0
         for copy, gold in pairs:
             for r in range(g.n_relations):
-                anchor = _anchor(m, r, head=0)
+                anchor = _anchor(m, r, "tail", 0)
                 screen = evaluation._Screen(m, r, "tail")
                 lo, hi, _ = screen(anchor, None, 0.0, r)
                 assert (lo is not hi) == screened   # zero-width: one array
@@ -801,7 +819,7 @@ class TestScreen:
         for h, r, t in g.test.tolist():
             for side, fixed in (("head", {"tail": t}), ("tail", {"head": h})):
                 if (r, side) not in pens:
-                    base = score_all(m, r, **fixed)
+                    base = score_query(g, m, None, r, **fixed)[0]
                     pen = base.max() + 1.0 - base
                     pen[::3] = np.nextafter(pen[::3], np.inf)
                     pen[1::3] = np.nextafter(pen[1::3], 0.0)
@@ -873,7 +891,7 @@ class TestScreen:
     @pytest.mark.parametrize("dissim", ["l1", "l2"])
     def test_a_large_entity_widens_only_its_own_bounds(self, dissim):
         rng, g, m = self.build(159, "transe", dissim)
-        anchor = _anchor(m, 0, head=0)
+        anchor = _anchor(m, 0, "tail", 0)
         lo, hi, _ = evaluation._Screen(m, 0, "tail")(anchor, None, 0.0, 0)
         m.entity_vecs[7] *= 1e6
         big_lo, big_hi, _ = evaluation._Screen(m, 0, "tail")(anchor, None,

@@ -12,10 +12,11 @@ from drekge import models
 from drekge.data import build_graph
 from drekge.errors import (ConfigurationError, FormatError,
                            TrainingDivergedError)
-from drekge.evaluation import validation_hits10
-from drekge.models import (EmbeddingModel, TrainConfig, load_model,
-                           project_all, project_slots, save_model,
-                           score_all, score_gradients, score_triple, train)
+from drekge.evaluation import score_query, validation_hits10
+from drekge.models import (EmbeddingModel, TrainConfig, _anchor,
+                           _coordinate_scores, load_model, project_all,
+                           project_slots, save_model, score_gradients,
+                           score_triple, train)
 
 from generators import model_bytes, random_graph, random_model
 
@@ -27,6 +28,11 @@ def tiny_model(variant="transe", dissim="l1"):
     mats = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
     return EmbeddingModel(dissim, ent, rel,
                           mats[:models.VARIANTS.index(variant), None])
+
+
+def tiny_graph():
+    """A graph of ``tiny_model``'s counts: 3 entities, 1 relation."""
+    return build_graph([("a", "r", "b"), ("b", "r", "c")], [], [])
 
 
 class TestConfig:
@@ -137,7 +143,28 @@ class TestRefusedArguments:
         for relation, fixed in [(-1, {"head": 0}), (1, {"tail": 0}),
                                 (0, {"head": -1}), (0, {"tail": 3})]:
             with pytest.raises(ConfigurationError, match="outside"):
-                score_all(m, relation, **fixed)
+                score_query(tiny_graph(), m, None, relation, **fixed)
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_a_triple_of_ids_that_are_not_integers_is_refused(self,
+                                                              variant):
+        # an array index would truncate 0.9 to 0 and 1.7 to 1
+        m = tiny_model(variant)
+        for triple in [(0.9, 0, 1), (0, 0.5, 1), (0, 0, 1.7),
+                       (0, 0, np.float64(1.0))]:
+            with pytest.raises(ConfigurationError, match="not an integer"):
+                score_triple(m, triple)
+        # numpy's integers are ids
+        assert score_triple(m, (np.int32(0), np.int64(0), np.uint8(1))) \
+            == score_triple(m, (0, 0, 1))
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_a_relation_that_is_not_an_integer_is_not_projected(self,
+                                                                variant):
+        m = tiny_model(variant)
+        for side in ("head", "tail"):
+            with pytest.raises(ConfigurationError, match="not an integer"):
+                project_all(m, 0.0, side)
 
     @pytest.mark.parametrize("variant", models.VARIANTS)
     def test_a_relation_outside_the_model_is_not_projected(self, variant):
@@ -174,8 +201,8 @@ class TestScoring:
             for dissim in models.DISSIMILARITIES:
                 m = random_model(rng, g, variant=variant, dissimilarity=dissim)
                 r, h, t = 1, 3, 5
-                tails = score_all(m, r, head=h)
-                heads = score_all(m, r, tail=t)
+                tails = score_query(g, m, None, r, head=h)[0]
+                heads = score_query(g, m, None, r, tail=t)[0]
                 for e in range(g.n_entities):
                     assert tails[e] == pytest.approx(
                         score_triple(m, (h, r, e)), rel=1e-12, abs=1e-12)
@@ -185,7 +212,7 @@ class TestScoring:
     @pytest.mark.parametrize("anchors", [{"head": 0, "tail": 1}, {}])
     def test_score_all_needs_exactly_one_anchor(self, anchors):
         with pytest.raises(ConfigurationError, match="fix exactly one"):
-            score_all(tiny_model(), 0, **anchors)
+            score_query(tiny_graph(), tiny_model(), None, 0, **anchors)
 
     @pytest.mark.parametrize("dim,rel_dim", [(9, 6), (6, 9)])
     def test_rectangular_projections_score_every_candidate(self, dim,
@@ -197,8 +224,8 @@ class TestScoring:
                 m = random_model(rng, g, variant=variant, dim=dim,
                                  dissimilarity=dissim, rel_dim=rel_dim)
                 assert project_all(m, 1, "tail").shape == (12, rel_dim)
-                tails = score_all(m, 1, head=3)
-                heads = score_all(m, 1, tail=5)
+                tails = score_query(g, m, None, 1, head=3)[0]
+                heads = score_query(g, m, None, 1, tail=5)[0]
                 for e in range(g.n_entities):
                     assert tails[e] == pytest.approx(
                         score_triple(m, (3, 1, e)), rel=1e-12, abs=1e-12)
@@ -249,17 +276,17 @@ class TestScoring:
             diff = (one(e, "head") + r_vec)[:, None] \
                 - tails.T
             want = norms(diff)
-            assert np.array_equal(score_all(m, 2, head=e), want)
-            assert np.array_equal(score_all(m, 2, head=e, projected=tails),
-                                  want)
+            assert np.array_equal(score_query(g, m, None, 2, head=e)[0], want)
+            assert np.array_equal(_coordinate_scores(
+                tails.T, _anchor(m, 2, "tail", e), dissim), want)
             np.testing.assert_allclose(want, row_norms(diff), rtol=1e-13)
 
             heads = project_all(m, 2, "head")
             diff = heads.T + (r_vec - one(e, "tail"))[:, None]
             want = norms(diff)
-            assert np.array_equal(score_all(m, 2, tail=e), want)
-            assert np.array_equal(score_all(m, 2, tail=e, projected=heads),
-                                  want)
+            assert np.array_equal(score_query(g, m, None, 2, tail=e)[0], want)
+            assert np.array_equal(_coordinate_scores(
+                heads.T, _anchor(m, 2, "head", e), dissim), want)
             np.testing.assert_allclose(want, row_norms(diff), rtol=1e-13)
 
     @pytest.mark.parametrize("dissim", models.DISSIMILARITIES)
@@ -268,10 +295,10 @@ class TestScoring:
         n, k = 20000, 50
         m = EmbeddingModel(dissim, rng.normal(size=(n, k)),
                            rng.normal(size=(3, k)))
-        cand = project_all(m, 2, "tail")
+        cand, anchor = project_all(m, 2, "tail"), _anchor(m, 2, "tail", 0)
         tracemalloc.start()
         try:
-            score_all(m, 2, head=0, projected=cand)
+            _coordinate_scores(cand.T, anchor, dissim)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
