@@ -300,8 +300,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    if (args.head is None) == (args.tail is None):
-        raise _UsageError("give exactly one of --head and --tail")
     graph = _load_graph(_resolve(args, _DATA_KEYS))
     model = models.load_model(args.model)
     domain_model = domains.load_domains(args.domains) if args.domains else None
@@ -381,8 +379,9 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--domains", default=None)
     p.add_argument("--relation", required=True)
-    p.add_argument("--head", default=None)
-    p.add_argument("--tail", default=None)
+    anchor = p.add_mutually_exclusive_group(required=True)
+    anchor.add_argument("--head", default=None)
+    anchor.add_argument("--tail", default=None)
     p.add_argument("--top", type=_positive_int, default=10)
     p.set_defaults(func=cmd_predict, parser=p)
     return parser

@@ -5,9 +5,11 @@ blank lines ignored. A line without exactly three non-empty fields, or a
 byte that is not valid UTF-8, raises ``ParseError`` with the path and the
 1-based line number. Lines end where file iteration ends them (``\n``,
 ``\r\n`` or a lone ``\r``); any other character, form feeds and Unicode
-line separators included, is part of a label. Labels are opaque strings;
-integer ids are assigned by first appearance while scanning train, then
-valid, then test.
+line separators included, is part of a label. ``build_graph`` holds
+in-memory triples to the same rule: it parses each split as the file of
+one line per triple, named ``<train>``, ``<valid>`` or ``<test>``.
+Labels are opaque strings; integer ids are assigned by first appearance
+while scanning train, then valid, then test.
 
 Loading works on the files' bytes and makes no Python object per line,
 per field or per label. The tab and line-end positions that test every
@@ -16,11 +18,9 @@ labels have equal lengths, so each vocabulary's fields are grouped by
 length, and each group is packed into uint64 words and sorted once; a
 run of equal words is one label, and the labels are ranked by the field
 where each first appears. Each vocabulary's blob is cut from the same
-bytes in one gather, each label from its first field. ``build_graph``
-feeds in-memory labels to the same id assignment, from their UTF-8
-encodings. Each split is a read-only block of rows of one int64 id
-array; duplicate triples are kept there and collapsed in the filter
-index.
+bytes in one gather, each label from its first field. Each split is a
+read-only block of rows of one int64 id array; duplicate triples are
+kept there and collapsed in the filter index.
 
 Three tables group entity ids by a key, and ``_index`` builds each with
 one sort of the int64 codes key * |E| + entity: the filter index (the
@@ -39,7 +39,7 @@ import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
@@ -198,12 +198,11 @@ class KnowledgeGraph:
                             self.n_entities)
 
 
-def _read_text(path: str) -> bytes:
-    """The file's bytes with every line end (``\r\n`` or a lone ``\r``)
-    made ``\n``, as a text-mode read would leave them; a byte that is not
-    UTF-8 raises ``ParseError`` naming its line."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def _text(path: str, raw: bytes) -> bytes:
+    """``raw``, the bytes of the triple file ``path``, with every line end
+    (``\r\n`` or a lone ``\r``) made ``\n``, as a text-mode read would
+    leave them; a byte that is not UTF-8 raises ``ParseError`` naming its
+    line."""
     if not raw.isascii():
         try:
             raw.decode("utf-8")
@@ -220,13 +219,17 @@ def _read_text(path: str) -> bytes:
     return raw
 
 
-def _field_offsets(path: str, text: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The byte offset and the byte length of every field of ``text``
-    (head, relation and tail of each line, in line order). All lines are
-    tested at once from the positions of the tabs and line ends. The
-    first line that is neither blank nor three non-empty fields raises
-    ``ParseError`` naming ``path``, the line and its field count, or its
-    first empty field when the count is 3."""
+def _read_fields(path: str, raw: bytes | None = None
+                 ) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """The ``_text`` of the triple file ``path``, whose bytes are ``raw``
+    or, when that is not given, are read from the file, and the byte
+    offset and the byte length in it of every field (head, relation and
+    tail of each line, in line order). All lines are tested at once from
+    the positions of the tabs and line ends. The first line that is
+    neither blank nor three non-empty fields raises ``ParseError`` naming
+    ``path``, the line and its field count, or its first empty field
+    when the count is 3."""
+    text = _text(path, Path(path).read_bytes() if raw is None else raw)
     code = np.frombuffer(text, dtype=np.uint8)
     seps = np.flatnonzero((code == ord("\t")) | (code == ord("\n")))
     # every separator, between a line end before the text and one after it
@@ -252,14 +255,7 @@ def _field_offsets(path: str, text: bytes) -> tuple[np.ndarray, np.ndarray]:
             message = f"empty {field_name} field"
         raise ParseError(path, line + 1, message)
     fields = gaps > 0
-    return (pos[:-1] + 1)[fields], gaps[fields]
-
-
-def _read_fields(path: str) -> tuple[bytes, np.ndarray, np.ndarray]:
-    """One triple file's bytes (line ends made ``\n``) and the offsets and
-    lengths of its fields."""
-    text = _read_text(path)
-    return text, *_field_offsets(path, text)
+    return text, (pos[:-1] + 1)[fields], gaps[fields]
 
 
 # bytes per packed word of a label
@@ -354,38 +350,35 @@ def _build(chunks: list[bytes], starts: np.ndarray, lengths: np.ndarray,
                           *np.split(ids, np.cumsum(sizes)[:2]))
 
 
-def build_graph(train: list[tuple[str, str, str]],
-                valid: list[tuple[str, str, str]],
-                test: list[tuple[str, str, str]]) -> KnowledgeGraph:
-    """Assemble a graph from label triples already split three ways, ids
-    by first appearance (train, then valid, then test; in each triple
-    head, relation, tail), through the one id assignment ``load_graph``
-    makes. A label holding ``\n`` is refused with a ``ValueError``."""
-    splits = (train, valid, test)
-    labels = [label.encode("utf-8") for label in
-              chain.from_iterable(chain.from_iterable(splits))]
-    text = b"".join(labels)
-    if b"\n" in text:
-        bad = next(label for label in chain.from_iterable(
-            chain.from_iterable(splits)) if "\n" in label)
-        raise ValueError(f"label {bad!r} contains a line end")
-    lengths = np.fromiter(map(len, labels), dtype=np.int64,
-                          count=len(labels))
-    return _build([text], np.cumsum(lengths) - lengths, lengths,
-                  [len(split) for split in splits])
-
-
-def load_graph(train_path: str, valid_path: str,
-               test_path: str) -> KnowledgeGraph:
-    """The graph of three triple files, whose fields go in file order
-    through the one id assignment ``build_graph`` also makes."""
-    texts, starts, lengths = zip(*map(_read_fields, (train_path, valid_path,
-                                                     test_path)))
+def _graph(files) -> KnowledgeGraph:
+    """The graph of the train, valid and test triple files whose
+    ``_read_fields`` are ``files``: their fields, in file order, through
+    the one id assignment of ``_build``."""
+    texts, starts, lengths = zip(*files)
     shifts = np.cumsum([0, *map(len, texts)])
     return _build(list(texts),
                   np.concatenate([at + shift for at, shift
                                   in zip(starts, shifts)]),
                   np.concatenate(lengths), [len(at) // 3 for at in starts])
+
+
+def build_graph(train: list[tuple[str, str, str]],
+                valid: list[tuple[str, str, str]],
+                test: list[tuple[str, str, str]]) -> KnowledgeGraph:
+    """The graph of label triples already split three ways, read as the
+    UTF-8 triple files ``<train>``, ``<valid>`` and ``<test>`` of one
+    ``head<TAB>relation<TAB>tail`` line per triple: a triple whose line
+    a file would refuse raises that line's ``ParseError``, and a tail
+    that ends in line ends reads as in a file, without them."""
+    return _graph(map(_read_fields, ("<train>", "<valid>", "<test>"), [
+        "".join("\t".join(triple) + "\n" for triple in split).encode("utf-8")
+        for split in (train, valid, test)]))
+
+
+def load_graph(train_path: str, valid_path: str,
+               test_path: str) -> KnowledgeGraph:
+    """The graph of three triple files."""
+    return _graph(map(_read_fields, (train_path, valid_path, test_path)))
 
 
 def _relation_stats(graph: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:

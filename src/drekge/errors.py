@@ -30,7 +30,8 @@ class DataError(DrekgeError):
 class ParseError(DataError):
     """A triple file line that does not have exactly three non-empty
     tab-separated fields, or that holds a byte that is not valid UTF-8.
-    Carries the offending path and 1-based line number."""
+    Carries the offending path (``<train>``, ``<valid>`` or ``<test>``
+    for a split given to ``build_graph``) and 1-based line number."""
 
     def __init__(self, path: str, line_no: int, message: str):
         super().__init__(f"{path}:{line_no}: {message}")

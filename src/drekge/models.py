@@ -165,8 +165,11 @@ def check_fits(model: EmbeddingModel, graph: KnowledgeGraph) -> None:
 def _id(value, count: int, name: str) -> int:
     """``value`` as an int id in 0..count - 1. One that is not an
     integer (``operator.index`` refuses a float, where an array index
-    would truncate it) or is outside the model is refused."""
+    would truncate it), a bool, or one outside the model is refused."""
     try:
+        # True and False are ints, which operator.index reads as 1 and 0
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ConfigurationError(f"{name} {value!r} is not an integer "

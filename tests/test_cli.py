@@ -553,6 +553,19 @@ class TestFailureModes:
         assert main(base + ["--head", "e000", "--tail", "e001"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("anchors", [
+        [], ["--head", "e000", "--tail", "e001"]])
+    def test_predict_anchors_are_a_usage_error(self, dataset, tmp_path,
+                                               capsys, anchors):
+        # refused while parsing, before the model path is opened
+        rc = main(["predict", *dataset["args"], "--model",
+                   str(tmp_path / "absent.bin"), "--relation",
+                   dataset["graph"].relations.labels[0], *anchors])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert "--head" in err and "--tail" in err
+        assert err.splitlines()[-1].startswith("usage: ")
+
     def test_unknown_label_suggests_neighbors(self, dataset, tmp_path, capsys):
         model = str(tmp_path / "m.bin")
         run_train(dataset, model)

@@ -283,16 +283,98 @@ class TestByteLoader:
         assert g.entities.labels == ["abcdefghijk", "abcdefghij", "z"]
         assert g.ids.tolist() == [[0, 0, 0], [0, 0, 1], [1, 0, 2]]
 
-    def test_build_graph_takes_tabs_and_carriage_returns(self):
-        # and an empty label, a zero-length byte range of the blob
-        g = data.build_graph([("", "r\r", "a\tb"), ("a\tb", "r\r", "c\r")],
-                             [], [("c\r", "a\tb", "\t")])
-        assert g.entities.labels == ["", "a\tb", "c\r", "\t"]
-        assert g.relations.labels == ["r\r", "a\tb"]
-        assert g.entities._blob == blob_of(["", "a\tb", "c\r", "\t"])
-        assert g.entities._blob.startswith(b"\n\n")
-        assert g.entities.id("") == 0
-        assert g.ids.tolist() == [[0, 0, 1], [1, 0, 2], [2, 1, 3]]
+    def test_build_graph_refuses_tabs_and_carriage_returns(self):
+        # and an empty label: each triple's line is refused as in a file
+        for triple, line, message in [
+                (("", "r\r", "a\tb"), 1,
+                 "expected 3 tab-separated fields, got 2"),
+                # "a<TAB>b<TAB>r" is a line of three fields
+                (("a\tb", "r\r", "c\r"), 2,
+                 "expected 3 tab-separated fields, got 2"),
+                (("c\r", "a\tb", "\t"), 1,
+                 "expected 3 tab-separated fields, got 1"),
+                (("", "r", "a"), 1, "empty head field")]:
+            with pytest.raises(ParseError) as err:
+                data.build_graph([triple], [], [])
+            assert str(err.value) == f"<train>:{line}: {message}"
+
+
+# triples whose line a triple file may not hold, each with the message
+# and how far past its own line the refused line is (a line end inside
+# a tail first ends a line of three fields)
+_MALFORMED = [
+    (("a", "r", "b", "x"), 0, "expected 3 tab-separated fields, got 4"),
+    (("a", "r"), 0, "expected 3 tab-separated fields, got 2"),
+    (("a", "", "b"), 0, "empty relation field"),
+    (("a\tb", "r", "c"), 0, "expected 3 tab-separated fields, got 4"),
+    (("a", "r\rx", "b"), 0, "expected 3 tab-separated fields, got 2"),
+    (("a", "r", "b\nc"), 1, "expected 3 tab-separated fields, got 1"),
+]
+
+
+class TestBuildGraphParity:
+    """``build_graph`` of label triples and ``load_graph`` of files
+    holding the same triples make the same graph, or raise the same
+    ``ParseError`` but for its path."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_the_same_graph_as_the_files(self, tmp_path, seed):
+        rng = np.random.default_rng(1300 + seed)
+        labels = packed_labels(rng)
+
+        def triples(n):
+            return [tuple(labels[i] for i in rng.integers(0, len(labels), 3))
+                    for _ in range(n)]
+
+        splits = [triples(int(rng.integers(1, 40))),
+                  triples(int(rng.integers(0, 10))),
+                  triples(int(rng.integers(0, 10)))]
+        # duplicates within and across splits
+        for split in splits:
+            split += [splits[0][i]
+                      for i in rng.integers(0, len(splits[0]), 5)]
+        built = data.build_graph(*splits)
+        save_graph(built, str(tmp_path))
+        loaded = data.load_graph(*(str(tmp_path / f"{name}.txt")
+                                   for name in ("train", "valid", "test")))
+        entities, relations, ids = ref_build_ids(*splits)
+        assert built.entities.labels == entities
+        assert built.relations.labels == relations
+        assert built.ids.tolist() == loaded.ids.tolist() == \
+            [list(row) for split in ids for row in split]
+        assert built.entities._blob == loaded.entities._blob
+        assert built.relations._blob == loaded.relations._blob
+
+    @pytest.mark.parametrize("split", range(3))
+    @pytest.mark.parametrize("bad, extra, message", _MALFORMED)
+    def test_the_same_refusal_as_the_files(self, tmp_path, split, bad,
+                                           extra, message):
+        splits = [[("h", "r", "t")] for _ in range(3)]
+        splits[split] = [("h", "r", "t"), ("h", "s", "t"), bad,
+                         ("t", "r", "h")]
+        paths = [str(tmp_path / f"{name}.txt")
+                 for name in ("train", "valid", "test")]
+        for path, triples in zip(paths, splits):
+            write_triples(path, triples)
+        with pytest.raises(ParseError) as built:
+            data.build_graph(*splits)
+        with pytest.raises(ParseError) as loaded:
+            data.load_graph(*paths)
+        line = 3 + extra
+        name = ("<train>", "<valid>", "<test>")[split]
+        assert str(built.value) == f"{name}:{line}: {message}"
+        assert str(loaded.value) == f"{paths[split]}:{line}: {message}"
+        assert built.value.line_no == loaded.value.line_no == line
+
+    def test_a_tail_ending_in_line_ends_reads_as_in_a_file(self, tmp_path):
+        # "b<CR><LF>" and "b<LF><LF>" end a line whose tail is "b"
+        triples = [("a", "r", "b"), ("a", "r", "b\r"), ("b", "r", "a\n")]
+        write_triples(tmp_path / "t.txt", triples)
+        path = str(tmp_path / "t.txt")
+        for g in (data.build_graph(triples, [], []),
+                  data.load_graph(path, path, path)):
+            assert g.entities.labels == ["a", "b"]
+            assert g.train.tolist() == [[0, 0, 1], [0, 0, 1], [1, 0, 0]]
 
 
 class TestLoadAllocations:
@@ -430,8 +512,9 @@ class TestVocab:
         bad[field] = "a\nb"
         splits = [[("h", "r", "t")] for _ in range(3)]
         splits[split] = [("h", "r", "t"), tuple(bad)]
-        with pytest.raises(ValueError, match=re.escape(repr("a\nb"))):
+        with pytest.raises(ParseError) as err:
             data.build_graph(*splits)
+        assert err.value.path == ("<train>", "<valid>", "<test>")[split]
 
     def test_no_object_per_label_after_a_load(self, tmp_path):
         save_graph(random_graph(np.random.default_rng(3)), str(tmp_path))

@@ -301,6 +301,20 @@ class TestScoreQuery:
                                    match="not an integer"):
                     score_query(g, m, domains, relation, **fixed)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bool_ids_are_refused(self, variant):
+        # operator.index reads True as 1 and False as 0
+        rng = np.random.default_rng(0)
+        g = random_graph(rng)
+        m = random_model(rng, g, variant=variant, dim=8)
+        dm = random_domain_model(rng, g, m)
+        for relation, fixed in [(0, {"head": True}), (0, {"tail": False}),
+                                (True, {"head": 0}), (False, {"tail": 1})]:
+            for domains in (None, dm):
+                with pytest.raises(ConfigurationError,
+                                   match="not an integer"):
+                    score_query(g, m, domains, relation, **fixed)
+
     @pytest.mark.parametrize("variant", ["transr", "stranse"])
     def test_a_relation_past_the_last_is_refused_before_projecting(
             self, variant):

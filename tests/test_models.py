@@ -159,6 +159,18 @@ class TestRefusedArguments:
             == score_triple(m, (0, 0, 1))
 
     @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_bool_ids_are_refused(self, variant):
+        # operator.index reads True as 1 and False as 0
+        m = tiny_model(variant)
+        for triple in [(True, 0, 1), (0, False, 1), (0, 0, True),
+                       (np.True_, 0, 1)]:
+            with pytest.raises(ConfigurationError, match="not an integer"):
+                score_triple(m, triple)
+        for side in ("head", "tail"):
+            with pytest.raises(ConfigurationError, match="not an integer"):
+                project_all(m, False, side)
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
     def test_a_relation_that_is_not_an_integer_is_not_projected(self,
                                                                 variant):
         m = tiny_model(variant)
